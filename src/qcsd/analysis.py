@@ -1,10 +1,12 @@
 """Weight distributions, minimum distance, and enumerator diagnostics.
 
-Exact weight enumeration walks the whole message space.  Binary and F_4
-codes use bit-packed kernels: a table of all combinations of the first
-few generators is XORed against a Gray-code-ordered prefix, so each
-step costs one vectorised popcount pass.  F_3/F_5 codes use blocked
-matrix products mod q, which computes the same counts.
+Exact weight enumeration walks the whole message space with
+`codeword_blocks`, the one codeword walker (the equivalence engine
+collects its low-weight words with it too).  Binary and F_4 codes use
+bit-packed kernels: a table of all combinations of the first few
+generators is XORed against a Gray-code-ordered prefix, so each step
+costs one vectorised popcount pass.  F_3/F_5 codes use blocked matrix
+products mod q, which computes the same counts.
 
 Above the enumeration budget, `min_distance_prefix` enumerates low
 message weights over a greedy chain of information sets.  With deficits
@@ -74,83 +76,44 @@ def _gray_flip_sequence(bits: int):
         yield (i & -i).bit_length() - 1
 
 
-def _enumerate_packed(gen_words: list[list[int]], n: int) -> np.ndarray:
-    """Weight histogram of all XOR combinations of the given packed rows.
+def _walk_packed(gens: list[list[int]], nwords: int):
+    """All XOR combinations of packed generators, in blocks.
 
-    gen_words: one entry per binary generator, each a list of 64-bit words.
+    Each generator is a list of 64-bit words: one bit plane of `nwords`
+    words over F_2, two planes (coefficients of 1 and of w) over F_4.  A
+    table of all combinations of the first generators is XORed against a
+    Gray-code-ordered prefix of the rest.  Yields (words, weights) with
+    words of shape (block, planes * nwords); the symbol weight is the
+    popcount of the OR of the planes.
     """
-    k = len(gen_words)
-    nwords = len(gen_words[0]) if k else 1
-    t = min(k, _TABLE_BITS)
-    tab = np.zeros((1, nwords), dtype=np.uint64)
-    for gw in gen_words[:t]:
-        arr = np.array(gw, dtype=np.uint64)
-        tab = np.concatenate([tab, tab ^ arr])
-    counts = np.zeros(n + 1, dtype=np.int64)
-    rest = gen_words[t:]
-    prefix = np.zeros(nwords, dtype=np.uint64)
-
-    def flush():
-        words = tab ^ prefix
-        if nwords == 1:
-            w = np.bitwise_count(words[:, 0])
-        else:
-            w = np.bitwise_count(words).sum(axis=1, dtype=np.uint16)
-        counts[:] += np.bincount(w.astype(np.int64), minlength=n + 1)[: n + 1]
-
-    flush()
-    for j in _gray_flip_sequence(len(rest)):
-        prefix = prefix ^ np.array(rest[j], dtype=np.uint64)
-        flush()
-    return counts
-
-
-def _enumerate_f4(code: FieldCode) -> np.ndarray:
-    """Weight histogram over F_4 via two bit planes per codeword.
-
-    plane0 = coefficient of 1, plane1 = coefficient of w; multiplying a
-    row by w maps (p0, p1) to (p1, p0 XOR p1); symbol weight is the
-    popcount of p0 OR p1.
-    """
-    n = code.n
-    nwords = (n + 63) // 64
-    gens = []
-    for row in code.rows:
-        p0 = _pack_bits([v & 1 for v in row], n)
-        p1 = _pack_bits([v >> 1 for v in row], n)
-        gens.append((_words(p0, nwords), _words(p1, nwords)))
-        gens.append((_words(p1, nwords), _words(p0 ^ p1, nwords)))
-    k2 = len(gens)
-    t = min(k2, _TABLE_BITS)
-    tab = np.zeros((1, 2, nwords), dtype=np.uint64)
-    for g0, g1 in gens[:t]:
-        arr = np.array([g0, g1], dtype=np.uint64)
-        tab = np.concatenate([tab, tab ^ arr])
-    counts = np.zeros(n + 1, dtype=np.int64)
+    width = len(gens[0])
+    t = min(len(gens), _TABLE_BITS)
+    tab = np.zeros((1, width), dtype=np.uint64)
+    for g in gens[:t]:
+        tab = np.concatenate([tab, tab ^ np.array(g, dtype=np.uint64)])
     rest = gens[t:]
-    prefix = np.zeros((2, nwords), dtype=np.uint64)
+    prefix = np.zeros(width, dtype=np.uint64)
 
-    def flush():
+    def block():
         words = tab ^ prefix
-        merged = words[:, 0, :] | words[:, 1, :]
+        support = words[:, :nwords] | words[:, nwords:] if width > nwords else words
         if nwords == 1:
-            w = np.bitwise_count(merged[:, 0])
-        else:
-            w = np.bitwise_count(merged).sum(axis=1, dtype=np.uint16)
-        counts[:] += np.bincount(w.astype(np.int64), minlength=n + 1)[: n + 1]
+            return words, np.bitwise_count(support[:, 0])
+        return words, np.bitwise_count(support).sum(axis=1, dtype=np.uint16)
 
-    flush()
+    yield block()
     for j in _gray_flip_sequence(len(rest)):
         prefix = prefix ^ np.array(rest[j], dtype=np.uint64)
-        flush()
-    return counts
+        yield block()
 
 
-def _enumerate_modq(code: FieldCode) -> np.ndarray:
-    """Weight histogram over a prime field via blocked products mod q."""
-    q, n, k = code.field.q, code.n, code.k
+def _walk_modq(code: FieldCode):
+    """All codewords over a prime field via blocked products mod q.
+
+    Yields (words, weights) with words of shape (block, n).
+    """
+    q, k = code.field.q, code.k
     G = np.array(code.rows, dtype=np.int64)
-    counts = np.zeros(n + 1, dtype=np.int64)
     total = q**k
     block = 1 << 16
     powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
@@ -159,9 +122,46 @@ def _enumerate_modq(code: FieldCode) -> np.ndarray:
         idx = np.arange(lo, hi, dtype=np.int64)
         digits = (idx[:, None] // powers) % q
         words = (digits @ G) % q
-        w = np.count_nonzero(words, axis=1)
-        counts += np.bincount(w, minlength=n + 1)[: n + 1]
-    return counts
+        yield words, np.count_nonzero(words, axis=1)
+
+
+def codeword_blocks(code: FieldCode):
+    """Walk all q^k codewords of a code with k >= 1, in blocks.
+
+    Yields (words, weights) pairs; `decode_words` turns selected words
+    back into symbol tuples.  Every codeword, zero included, appears
+    exactly once.
+    """
+    q, n = code.field.q, code.n
+    if q not in (2, 4):
+        return _walk_modq(code)
+    nwords = (n + 63) // 64
+    gens = []
+    for row in code.rows:
+        p0 = _pack_bits([v & 1 for v in row], n)
+        if q == 2:
+            gens.append(_words(p0, nwords))
+            continue
+        # F_4: the row and w times the row; multiplying by w maps the
+        # planes (p0, p1) to (p1, p0 XOR p1)
+        p1 = _pack_bits([v >> 1 for v in row], n)
+        gens.append(_words(p0, nwords) + _words(p1, nwords))
+        gens.append(_words(p1, nwords) + _words(p0 ^ p1, nwords))
+    return _walk_packed(gens, nwords)
+
+
+def decode_words(q: int, n: int, words) -> list[tuple]:
+    """Symbol tuples of words taken from `codeword_blocks` blocks."""
+    if q not in (2, 4):
+        return [tuple(r) for r in words.tolist()]
+    raw = words.astype("<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    if q == 2:
+        symbols = bits[:, :n]
+    else:
+        half = bits.shape[1] // 2
+        symbols = bits[:, :n] | (bits[:, half:half + n] << 1)
+    return [tuple(r) for r in symbols.tolist()]
 
 
 def weight_enumerator(code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET) -> WeightEnum:
@@ -175,17 +175,13 @@ def weight_enumerator(code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET) -> W
             total,
             budget,
         )
+    counts = np.zeros(n + 1, dtype=np.int64)
     if k == 0:
-        counts = np.zeros(n + 1, dtype=np.int64)
         counts[0] = 1
-    elif q == 2:
-        nwords = (n + 63) // 64
-        gens = [_words(_pack_bits(r, n), nwords) for r in code.rows]
-        counts = _enumerate_packed(gens, n)
-    elif q == 4:
-        counts = _enumerate_f4(code)
     else:
-        counts = _enumerate_modq(code)
+        for _, weights in codeword_blocks(code):
+            w = weights.astype(np.int64, copy=False)
+            counts += np.bincount(w, minlength=n + 1)[: n + 1]
     return WeightEnum(n=n, counts=tuple(int(c) for c in counts), complete=True, q=q, k=k)
 
 
@@ -218,7 +214,7 @@ class DistanceScan:
         return self.found
 
 
-def _information_sets(code: FieldCode, max_sets: int | None):
+def _information_sets(code: FieldCode):
     """Greedy chain of information sets with rank deficits.
 
     Each round reduces the generator matrix preferring columns not yet
@@ -229,7 +225,7 @@ def _information_sets(code: FieldCode, max_sets: int | None):
     fld, n = code.field, code.n
     used: set[int] = set()
     sets = []
-    while max_sets is None or len(sets) < max_sets:
+    while True:
         order = [c for c in range(n) if c not in used] + sorted(used)
         reordered = [[r[c] for c in order] for r in code.rows]
         basis, pivots = rref(fld, n, reordered)
@@ -346,7 +342,6 @@ def _scan_set_modq(fld, rows, n, w, cut, seen):
 def min_distance_prefix(
     code: FieldCode,
     message_weight: int = 3,
-    max_sets: int | None = None,
 ) -> DistanceScan:
     """Scan low message weights over a chain of information sets.
 
@@ -358,7 +353,7 @@ def min_distance_prefix(
     if code.k == 0:
         raise ValueError("the zero code has no nonzero words")
     q, n = code.field.q, code.n
-    sets = _information_sets(code, max_sets)
+    sets = _information_sets(code)
     w = message_weight
     bound = sum(max(0, w + 1 - d) for _, d in sets)
     cut = min(bound - 1, n)
@@ -487,6 +482,48 @@ def match_template(w, n: int | None = None, counts=None):
             in_range = tpl.beta_range[0] <= beta <= tpl.beta_range[1]
         matches.append(TemplateMatch(tpl.name, beta, in_range))
     return matches
+
+
+# -- enumerate or scan ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeightProfile:
+    """Weight data of a code, from full enumeration or a distance scan."""
+
+    enum: WeightEnum  # exact A_0..A_cut; complete when cut = n
+    d: int | None  # the distance when d_exact, else a certified lower bound
+    d_exact: bool
+    templates: tuple | None  # matches, when the counts reach every exponent
+    # that the templates for this length list
+
+    @property
+    def cut(self) -> int:
+        return len(self.enum.counts) - 1
+
+
+def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProfile:
+    """Enumerate every codeword when q^k <= cap; otherwise scan the
+    information sets at `message_weight`, which certifies the distance or
+    a lower bound and the counts below it."""
+    q, n, k = code.field.q, code.n, code.k
+    if q**k <= cap:
+        w = weight_enumerator(code, budget=cap)
+        d = next((i for i, a in enumerate(w.counts) if i and a), None)
+        d_exact = True
+    else:
+        scan = min_distance_prefix(code, message_weight=message_weight)
+        w = WeightEnum(n=n, counts=scan.prefix, complete=len(scan.prefix) > n, q=q, k=k)
+        d = scan.found if scan.exact else scan.lower
+        d_exact = scan.exact
+    needed = max(
+        (t[0] for tpl in TEMPLATES.get(n, ()) for t in tpl.terms), default=None
+    )
+    templates = None
+    if needed is not None and needed < len(w.counts):
+        full = list(w.counts) + [0] * (n + 1 - len(w.counts))
+        templates = tuple(match_template(None, n=n, counts=full))
+    return WeightProfile(w, d, d_exact, templates)
 
 
 def macwilliams_transform(w: WeightEnum) -> WeightEnum:

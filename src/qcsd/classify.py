@@ -31,7 +31,8 @@ merges classes that the block-preserving equivalence keeps apart:
 Cosets are enumerated through the idempotent splitting: a self-dual base
 splits into an evaluation-at-one component over F_q and a residue component
 over the field F_q[Y]/Phi, and a coset of the base is a pair of field-level
-cosets, one per component.
+cosets, one per component.  The two components are computed with the ring's
+base field and with RingSpec.residue_field(), and echelonised by qc.rref.
 
 The independent oracle enumerate_via_crt walks the complete sets of
 Euclidean self-dual component codes over F_q and Hermitian self-dual
@@ -48,7 +49,7 @@ import random
 
 from .errors import BudgetExceeded, UnsupportedCase
 from .ring import RingSpec, ring, CrtPair
-from .qc import FieldCode
+from .qc import FieldCode, rref
 from .rcode import RingCode
 from .buildup import ExtensionWitness, extend_i, norm_minus_one_elements
 from .equiv import (
@@ -60,112 +61,22 @@ from .equiv import (
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
 
 
-# -- field arithmetic for the two idempotent factors -------------------------
+# -- linear algebra over the two idempotent factors ---------------------------
+# F is the ring's base field (trivial conjugation) or its residue field.
 
 
-class _EvalFactor:
-    """The evaluation-at-one factor: the base field with trivial conjugation."""
-
-    def __init__(self, sp: RingSpec):
-        self.fld = sp.field
-        self.size = sp.q
-        self.zero = 0
-        self.one = 1
-        self.elements_list = list(range(sp.q))
-
-    def add(self, a, b):
-        return self.fld.add(a, b)
-
-    def sub(self, a, b):
-        return self.fld.sub(a, b)
-
-    def mul(self, a, b):
-        return self.fld.mul(a, b)
-
-    def inv(self, a):
-        return self.fld.inv(a)
-
-    def neg(self, a):
-        return self.fld.neg(a)
-
-    def conj(self, a):
-        return a
-
-
-class _PhiFactor:
-    """The residue factor modulo the cyclotomic polynomial, a field of size
-    q^(m-1), with the conjugation induced by inverting the cycle generator."""
-
-    def __init__(self, sp: RingSpec):
-        sp._require_cyclotomic("residue factor arithmetic")
-        self.sp = sp
-        self.size = sp.q ** (sp.m - 1)
-        self.zero = sp.zerophi
-        self.one = (1,) + (0,) * (sp.m - 2)
-        self.elements_list = [
-            tuple(t) for t in itertools.product(range(sp.q), repeat=sp.m - 1)
-        ]
-
-    def add(self, a, b):
-        fld = self.sp.field
-        return tuple(fld.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return self.sp.phi_component_sub(a, b)
-
-    def mul(self, a, b):
-        return self.sp.phi_component_mul(a, b)
-
-    def inv(self, a):
-        return self.sp.phi_component_inv(a)
-
-    def neg(self, a):
-        fld = self.sp.field
-        return tuple(fld.neg(x) for x in a)
-
-    def conj(self, a):
-        return self.sp.mod_phi(self.sp.conj(a + (0,)))
-
-
-def _f_ip(F, u, v):
+def _f_ip(F, conj, u, v):
     """Hermitian inner product over a factor field."""
     acc = F.zero
     for x, y in zip(u, v):
-        acc = F.add(acc, F.mul(x, F.conj(y)))
+        acc = F.add(acc, F.mul(x, conj(y)))
     return acc
-
-
-def _f_rref(F, n, rows):
-    """Canonical reduced row echelon form over a factor field."""
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != F.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        scale = F.inv(work[rank][col])
-        work[rank] = [F.mul(scale, x) for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != F.zero:
-                lam = work[i][col]
-                work[i] = [
-                    F.sub(x, F.mul(lam, y)) for x, y in zip(work[i], work[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in work[:rank]], pivots
 
 
 def _f_nullspace(F, n, rows):
     """Basis of the right kernel of the matrix whose rows are given (no
     conjugation applied here; callers conjugate their rows first)."""
-    basis, pivots = _f_rref(F, n, rows)
+    basis, pivots = rref(F, n, rows)
     free = [j for j in range(n) if j not in pivots]
     out = []
     for f in free:
@@ -208,10 +119,10 @@ def hermitian_self_dual_count(r: int, n: int) -> int:
     return out
 
 
-def _self_dual_start(F, n):
+def _self_dual_start(F, conj, n):
     u = None
-    for a in F.elements_list:
-        if F.add(F.one, F.mul(a, F.conj(a))) == F.zero:
+    for a in F.elements():
+        if F.add(F.one, F.mul(a, conj(a))) == F.zero:
             u = a
             break
     if u is None:
@@ -224,17 +135,17 @@ def _self_dual_start(F, n):
         row[2 * i] = F.one
         row[2 * i + 1] = u
         rows.append(tuple(row))
-    basis, _ = _f_rref(F, n, rows)
+    basis, _ = rref(F, n, rows)
     return tuple(basis)
 
 
-def _sd_neighbors(F, n, code):
+def _sd_neighbors(F, conj, n, code):
     """All self-dual codes meeting the given one in codimension <= 1."""
     k = len(code)
     out = []
     # normalized functionals on the code: first nonzero entry is one
     for i0 in range(k):
-        for tail in itertools.product(F.elements_list, repeat=k - 1 - i0):
+        for tail in itertools.product(F.elements(), repeat=k - 1 - i0):
             f = [F.zero] * k
             f[i0] = F.one
             for idx, val in enumerate(tail):
@@ -254,43 +165,43 @@ def _sd_neighbors(F, n, code):
                         )
                     )
             # dual of the subcode: right kernel of the conjugated rows
-            conj_rows = [tuple(F.conj(x) for x in r) for r in sub]
+            conj_rows = [tuple(conj(x) for x in r) for r in sub]
             null = _f_nullspace(F, n, conj_rows)
             # two completion directions past the subcode
-            cur, _ = _f_rref(F, n, sub)
+            cur, _ = rref(F, n, sub)
             comp = []
             for v in null:
-                trial, _ = _f_rref(F, n, list(cur) + [v])
+                trial, _ = rref(F, n, list(cur) + [v])
                 if len(trial) > len(cur):
                     comp.append(v)
                     cur = trial
                     if len(comp) == 2:
                         break
             p, qv = comp
-            cands = [(F.one, b) for b in F.elements_list] + [(F.zero, F.one)]
+            cands = [(F.one, b) for b in F.elements()] + [(F.zero, F.one)]
             for a, b in cands:
                 w = tuple(
                     F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(p, qv)
                 )
-                if _f_ip(F, w, w) != F.zero:
+                if _f_ip(F, conj, w, w) != F.zero:
                     continue
-                basis, piv = _f_rref(F, n, list(sub) + [w])
+                basis, piv = rref(F, n, list(sub) + [w])
                 if len(basis) == k:
                     out.append(tuple(basis))
     return out
 
 
-def _all_self_dual(F, n, expected=None):
+def _all_self_dual(F, conj, n, expected=None):
     """All self-dual codes over the factor field by neighbor search, checked
     against the closed-form count when one is available."""
-    start = _self_dual_start(F, n)
+    start = _self_dual_start(F, conj, n)
     seen = {start}
     stack = [start]
     out = []
     while stack:
         code = stack.pop()
         out.append(code)
-        for nb in _sd_neighbors(F, n, code):
+        for nb in _sd_neighbors(F, conj, n, code):
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
@@ -318,11 +229,12 @@ def component_self_dual_codes(spec: RingSpec, ell: int):
         )
     if ell % 2 or ell < 2:
         raise ValueError(f"self-dual codes need positive even length, got {ell}")
-    ev = _EvalFactor(spec)
-    ph = _PhiFactor(spec)
+    res = spec.residue_field()
     r = spec.q ** ((spec.m - 1) // 2)
-    c1 = _all_self_dual(ev, ell, expected=euclidean_self_dual_count(spec.q, ell))
-    c2 = _all_self_dual(ph, ell, expected=hermitian_self_dual_count(r, ell))
+    c1 = _all_self_dual(
+        spec.field, lambda a: a, ell, expected=euclidean_self_dual_count(spec.q, ell)
+    )
+    c2 = _all_self_dual(res, res.conj, ell, expected=hermitian_self_dual_count(r, ell))
     return c1, c2
 
 
@@ -332,7 +244,7 @@ def enumerate_via_crt(spec: RingSpec, ell: int, progress=None):
     through the idempotents, then deduplicated by equivalence of the
     expansions.  Returns one ring code per equivalence class."""
     c1s, c2s = component_self_dual_codes(spec, ell)
-    ph = _PhiFactor(spec)
+    zerophi = spec.residue_field().zero
     reps: list[RingCode] = []
     buckets: dict = {}
     total = len(c1s) * len(c2s)
@@ -342,7 +254,7 @@ def enumerate_via_crt(spec: RingSpec, ell: int, progress=None):
             rows = []
             for u in c1:
                 rows.append(
-                    tuple(spec.crt_combine(CrtPair(x, ph.zero)) for x in u)
+                    tuple(spec.crt_combine(CrtPair(x, zerophi)) for x in u)
                 )
             for v in c2:
                 rows.append(tuple(spec.crt_combine(CrtPair(0, x)) for x in v))
@@ -450,21 +362,19 @@ def _norm_minus_one_orbit_reps(sp: RingSpec):
 def _component_pivots(base: RingCode):
     """Pivot columns of the two component codes of a self-dual base."""
     sp = base.spec
-    ev = _EvalFactor(sp)
-    ph = _PhiFactor(sp)
     rows1 = [tuple(sp.eval1(a) for a in row) for row in base.rows]
     rows2 = [tuple(sp.mod_phi(a) for a in row) for row in base.rows]
-    b1, p1 = _f_rref(ev, base.ell, rows1)
-    b2, p2 = _f_rref(ph, base.ell, rows2)
+    b1, p1 = rref(sp.field, base.ell, rows1)
+    b2, p2 = rref(sp.residue_field(), base.ell, rows2)
     k = base.ell // 2
     if len(b1) != k or len(b2) != k:
         raise ValueError("base code components are not half-dimensional")
-    return ev, ph, p1, p2
+    return p1, p2
 
 
-def _trace_fiber(ph: _PhiFactor, target):
+def _trace_fiber(ph, target):
     """All residue elements z with z + conj(z) = target."""
-    return [z for z in ph.elements_list if ph.add(z, ph.conj(z)) == target]
+    return [z for z in ph.elements() if ph.add(z, ph.conj(z)) == target]
 
 
 def _witness_count(base: RingCode) -> int:
@@ -484,12 +394,14 @@ def _iter_extension_witnesses(base: RingCode, c_reps, lo: int, hi: int):
     fld = sp.field
     ell = base.ell
     k = ell // 2
-    ev, ph, p1, p2 = _component_pivots(base)
+    ph = sp.residue_field()
+    p1, p2 = _component_pivots(base)
     free1 = [j for j in range(ell) if j not in p1]
     free2 = [j for j in range(ell) if j not in p2]
     minus1 = sp.neg(sp.one)
     qq = sp.q
-    ss = ph.size
+    ss = ph.q
+    elems = ph.elements()
     fibers: dict = {}
     for idx in range(lo, hi):
         i2 = idx % (ss**k)
@@ -501,7 +413,7 @@ def _iter_extension_witnesses(base: RingCode, c_reps, lo: int, hi: int):
         w1.reverse()
         w2 = []
         for _ in range(k):
-            w2.append(ph.elements_list[i2 % ss])
+            w2.append(elems[i2 % ss])
             i2 //= ss
         w2.reverse()
         comp1 = [0] * ell
@@ -622,13 +534,24 @@ class _Checkpoint:
             fh.flush()
 
     def load(self):
+        """All records.  A crash in the middle of a write leaves a partial
+        last line: it is ignored and cut from the file, so that appends start
+        on a fresh line.  A malformed line anywhere else raises."""
         records = []
-        if os.path.exists(self.path):
-            with open(self.path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
+        if not os.path.exists(self.path):
+            return records
+        with open(self.path, "rb+") as fh:
+            lines = fh.readlines()
+            end = 0
+            for i, line in enumerate(lines):
+                try:
+                    if line.strip():
                         records.append(json.loads(line))
+                except ValueError:  # JSONDecodeError, UnicodeDecodeError
+                    if i < len(lines) - 1:
+                        raise
+                    fh.truncate(end)
+                end += len(line)
         return records
 
 

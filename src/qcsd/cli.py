@@ -13,13 +13,7 @@ import os
 import sys
 
 from . import corpus
-from .analysis import (
-    DEFAULT_WEIGHT_BUDGET,
-    divisibility_check,
-    match_template,
-    min_distance_prefix,
-    weight_enumerator,
-)
+from .analysis import DEFAULT_WEIGHT_BUDGET, divisibility_check, weight_profile
 from .buildup import extend_i, extend_ii, seed as make_seeds
 from .classify import classify as run_classify, filter_report
 from .equiv import are_equivalent
@@ -104,7 +98,7 @@ def _scan_weight_for(code, work_cap: int) -> int:
 def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
                   budget: int):
     cap = max(budget, EXACT_WORD_CAP) if exact else budget
-    words = fc.field.q**fc.k
+    prof = weight_profile(fc, cap, _scan_weight_for(fc, max(1 << 22, cap >> 4)))
     info = {
         "q": fc.field.q,
         "n": fc.n,
@@ -114,43 +108,17 @@ def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
     if ell is not None:
         info["ell"] = ell
         info["shift_invariant"] = is_shift_invariant(fc, ell)
-    if words <= cap:
-        w = weight_enumerator(fc, budget=cap)
-        counts = list(w.counts)
-        cut = fc.n
-        info["d"] = next(
-            (i for i in range(1, fc.n + 1) if counts[i]), fc.n + 1
-        ) if fc.k else None
-        info["d_exact"] = True
-    else:
-        mw = _scan_weight_for(fc, max(1 << 22, cap >> 4))
-        scan = min_distance_prefix(fc, message_weight=mw)
-        counts = list(scan.prefix)
-        cut = len(counts) - 1
-        info["d"] = scan.found if scan.exact else scan.lower
-        info["d_exact"] = scan.exact
-    info["counts"] = counts
-    info["complete"] = cut >= fc.n
-    matches = match_template(None, n=fc.n, counts=counts + [0] * (fc.n + 1 - len(counts)))
-    from .analysis import TEMPLATES
-
-    needed = max(
-        (t[0] for tpl in TEMPLATES.get(fc.n, ()) for t in tpl.terms),
-        default=None,
-    )
-    if needed is not None and needed <= cut:
+    info["d"] = prof.d
+    info["d_exact"] = prof.d_exact
+    info["counts"] = list(prof.enum.counts)
+    info["complete"] = prof.enum.complete
+    if prof.templates is not None:
         info["templates"] = [
             {"family": t.family, "beta": t.beta, "in_listed_range": t.in_listed_range}
-            for t in matches
+            for t in prof.templates
         ]
     if m is not None:
-        from .analysis import WeightEnum
-
-        prefix_enum = WeightEnum(
-            n=fc.n, counts=tuple(counts), complete=info["complete"],
-            q=fc.field.q, k=fc.k,
-        )
-        info["divisibility_ok"] = divisibility_check(prefix_enum, m)
+        info["divisibility_ok"] = divisibility_check(prof.enum, m)
         info["m"] = m
     return info
 
@@ -446,13 +414,9 @@ def cmd_equiv(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_common(p, budget_default=DEFAULT_WEIGHT_BUDGET):
-    p.add_argument("--budget", type=int, default=budget_default,
-                   help="enumeration budget (words or candidates)")
-    p.add_argument("--format", choices=["csv", "json", "poly"], default="poly",
-                   help="output format")
-    p.add_argument("--out", metavar="DIR", default=None,
-                   help="directory for output files")
+def _add_budget(p):
+    p.add_argument("--budget", type=int, default=DEFAULT_WEIGHT_BUDGET,
+                   help="enumeration budget (words)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", metavar="CHECKPOINT", default=None,
                    help="checkpoint file to resume from (and keep writing)")
     p.add_argument("--out", metavar="DIR", default=None)
-    p.add_argument("--format", choices=["csv", "json", "poly"], default="poly")
     p.add_argument("--constructive", action="store_true",
                    help="sampled non-exhaustive search when the "
                         "classification hypotheses fail")
@@ -499,7 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="ring-code or field-code file")
     p.add_argument("--exact", action="store_true",
                    help="raise the enumeration cap to 2^31 words")
-    _add_common(p)
+    _add_budget(p)
+    p.add_argument("--format", choices=["csv", "json", "poly"], default="poly",
+                   help="output format")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("expand", help="convert a ring-code file to a field-code file")
@@ -511,13 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None, help="verify one entry")
     p.add_argument("--exact", action="store_true",
                    help="raise budgets so more values are certified exactly")
-    _add_common(p)
+    _add_budget(p)
+    p.add_argument("--format", choices=["json", "poly"], default="poly",
+                   help="output format")
     p.set_defaults(func=cmd_verify_corpus)
 
     p = sub.add_parser("equiv", help="decide monomial equivalence of two code files")
     p.add_argument("file1")
     p.add_argument("file2")
-    _add_common(p)
     p.set_defaults(func=cmd_equiv)
 
     return ap

@@ -23,9 +23,8 @@ from .analysis import (
     divisibility_check,
     is_type_ii_binary,
     is_type_ii_f4,
-    match_template,
     min_distance_prefix,
-    weight_enumerator,
+    weight_profile,
 )
 from .formats import parse_field_code, parse_ring_code
 from .qc import FieldCode, gray_image, is_euclidean_self_dual, is_shift_invariant
@@ -345,30 +344,19 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
     _check(checks, "parameters", (fc.n, fc.k) == (exp["n"], exp["k"]),
            f"got [{fc.n},{fc.k}], want [{exp['n']},{exp['k']}]")
 
-    words = entry.q**fc.k
     cap = EXACT_WORD_CAP if exact else budget
-    if words <= cap:
-        w = weight_enumerator(fc, budget=cap)
-        counts = list(w.counts)
-        cut = fc.n
-        d_got = next(i for i in range(1, fc.n + 1) if counts[i])
-        d_exact = True
+    mw = entry.scan_weight_exact if exact and entry.scan_weight_exact \
+        else entry.scan_weight
+    prof = weight_profile(fc, cap, mw)
+    counts, cut = prof.enum.counts, prof.cut
+    summary["d"] = prof.d
+    summary["d_exact"] = prof.d_exact
+    if prof.d_exact:
+        _check(checks, "minimum distance", prof.d == exp["d"],
+               f"got {prof.d}, want {exp['d']}")
     else:
-        mw = entry.scan_weight_exact if exact and entry.scan_weight_exact \
-            else entry.scan_weight
-        scan = min_distance_prefix(fc, message_weight=mw)
-        counts = list(scan.prefix)
-        cut = len(scan.prefix) - 1
-        d_got = scan.found if scan.exact else None
-        d_exact = scan.exact
-        if not d_exact:
-            _check(checks, f"d >= {exp['d']}", scan.lower >= exp["d"],
-                   f"certified lower bound {scan.lower}")
-    summary["d"] = d_got if d_exact else scan.lower
-    summary["d_exact"] = d_exact
-    if d_exact:
-        _check(checks, "minimum distance", d_got == exp["d"],
-               f"got {d_got}, want {exp['d']}")
+        _check(checks, f"d >= {exp['d']}", prof.d >= exp["d"],
+               f"certified lower bound {prof.d}")
 
     for i in sorted(exp.get("a", {})):
         want = exp["a"][i]
@@ -382,22 +370,19 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
 
     if "template" in exp:
         fam, beta = exp["template"]
-        full = counts + [0] * (fc.n + 1 - len(counts))
-        needed = max(e for tpl in _template_terms(fc.n) for e in tpl)
-        if needed <= cut:
-            matches = match_template(None, n=fc.n, counts=full)
+        if prof.templates is not None:
             hit = any(t.family == fam and (beta is None or t.beta == beta)
-                      for t in matches)
-            got = ", ".join(f"{t.family} beta={t.beta}" for t in matches) or "none"
+                      for t in prof.templates)
+            got = ", ".join(f"{t.family} beta={t.beta}"
+                            for t in prof.templates) or "none"
             _check(checks, "enumerator template",
                    hit, f"got {got}, want {fam} beta={beta}")
         else:
             _check(checks, "enumerator template", True,
                    "not computed at this budget")
 
-    prefix_enum = _as_enum(fc, counts, cut)
     _check(checks, f"A_i divisible by {entry.m} when {entry.m} does not divide i",
-           divisibility_check(prefix_enum, entry.m), f"checked i <= {cut}")
+           divisibility_check(prof.enum, entry.m), f"checked i <= {cut}")
 
     if exp.get("type_ii"):
         _check(checks, "type II", is_type_ii_binary(fc), "doubly even basis")
@@ -422,22 +407,6 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
         _check(checks, f"same code as {exp['same_as']}", fc == mate,
                "row space equality")
     return CorpusReport(entry.name, tuple(checks), summary)
-
-
-def _template_terms(n):
-    from .analysis import TEMPLATES
-
-    tpls = TEMPLATES.get(n, ())
-    if not tpls:
-        return [(0,)]
-    return [[t[0] for t in tpl.terms] for tpl in tpls]
-
-
-def _as_enum(fc, counts, cut):
-    from .analysis import WeightEnum
-
-    return WeightEnum(n=fc.n, counts=tuple(counts[: cut + 1]),
-                      complete=cut >= fc.n, q=fc.field.q, k=fc.k)
 
 
 def verify_all(names_filter=None, exact: bool = False,

@@ -21,14 +21,18 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
-from .analysis import DEFAULT_WEIGHT_BUDGET, weight_enumerator
+from .analysis import (
+    DEFAULT_WEIGHT_BUDGET,
+    codeword_blocks,
+    decode_words,
+    weight_enumerator,
+)
 from .errors import BudgetExceeded, UnsupportedCase
 from .gf import FieldSpec
-from .qc import FieldCode, is_shift_invariant, rref
+from .qc import FieldCode, rref
 
 DEFAULT_NODE_BUDGET = 500000
 DEFAULT_MAX_WORDS = 20000
@@ -38,117 +42,23 @@ _MATERIALIZE_LIMIT = 1 << 24
 # -- codeword materialization ------------------------------------------------
 
 
-def _collect_words_q2(code: FieldCode, wanted: set[int], cap: int):
-    """All codewords of the listed weights, as symbol tuples."""
-    n, k = code.n, code.k
-    packed = []
-    for r in code.rows:
-        x = 0
-        for j, v in enumerate(r):
-            if v:
-                x |= 1 << j
-        packed.append(x)
-    out = []
-    t = min(k, 16)
-    tab = [0]
-    for g in packed[:t]:
-        tab = tab + [x ^ g for x in tab]
-    tab_np = np.array([[w] for w in tab], dtype=np.uint64) if n <= 64 else None
-    rest = packed[t:]
-    prefix = 0
-    order = [0]
-    for i in range(1, 1 << len(rest)):
-        order.append((i & -i).bit_length() - 1)
-    wanted_arr = sorted(wanted)
-    for step, j in enumerate(order):
-        if step:
-            prefix ^= rest[j]
-        if tab_np is not None:
-            words = tab_np[:, 0] ^ np.uint64(prefix)
-            wts = np.bitwise_count(words)
-            mask = np.isin(wts, wanted_arr)
-            for x in words[mask]:
-                out.append(int(x))
-        else:
-            for x in tab:
-                y = x ^ prefix
-                if y.bit_count() in wanted:
-                    out.append(y)
-        if len(out) > cap:
-            raise UnsupportedCase(
-                f"more than {cap} low-weight codewords; equivalence undecided"
-            )
-    rows = []
-    for x in out:
-        if x:
-            rows.append(tuple((x >> j) & 1 for j in range(n)))
-    return rows
-
-
-def _collect_words_prime(code: FieldCode, wanted: set[int], cap: int):
-    q, n, k = code.field.q, code.n, code.k
-    total = q**k
-    G = np.array(code.rows, dtype=np.int64)
-    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    out = []
-    for lo in range(0, total, 1 << 16):
-        hi = min(lo + (1 << 16), total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // powers) % q
-        words = (digits @ G) % q
-        wts = np.count_nonzero(words, axis=1)
-        mask = np.isin(wts, sorted(wanted))
-        for row in words[mask]:
-            if row.any():
-                out.append(tuple(int(v) for v in row))
-        if len(out) > cap:
-            raise UnsupportedCase(
-                f"more than {cap} low-weight codewords; equivalence undecided"
-            )
-    return out
-
-
-def _collect_words_f4(code: FieldCode, wanted: set[int], cap: int):
-    fld, n, k = code.field, code.n, code.k
-    gens = []
-    for row in code.rows:
-        for s in (1, 2):
-            rs = [fld.mul(s, v) for v in row]
-            p0 = sum(1 << j for j, v in enumerate(rs) if v & 1)
-            p1 = sum(1 << j for j, v in enumerate(rs) if v >> 1)
-            gens.append((p0, p1))
-    out = []
-    state0 = state1 = 0
-    for i in range(1, 1 << len(gens)):
-        j = (i & -i).bit_length() - 1
-        g0, g1 = gens[j]
-        state0 ^= g0
-        state1 ^= g1
-        merged = state0 | state1
-        if merged.bit_count() in wanted:
-            out.append(
-                tuple(
-                    ((state0 >> c) & 1) | (((state1 >> c) & 1) << 1) for c in range(n)
-                )
-            )
-            if len(out) > cap:
-                raise UnsupportedCase(
-                    f"more than {cap} low-weight codewords; equivalence undecided"
-                )
-    return out
-
-
 def _collect_words(code: FieldCode, wanted: set[int], cap: int):
+    """All codewords of the listed (nonzero) weights, as symbol tuples."""
     q, k = code.field.q, code.k
     if q**k > _MATERIALIZE_LIMIT:
         raise BudgetExceeded(
             "codeword materialization for equivalence", q**k, _MATERIALIZE_LIMIT
         )
-    if q == 2:
-        return _collect_words_q2(code, wanted, cap)
-    if q == 4:
-        return _collect_words_f4(code, wanted, cap)
-    return _collect_words_prime(code, wanted, cap)
+    wanted_arr = sorted(wanted)
+    out = []
+    for words, weights in codeword_blocks(code):
+        picked = words[np.isin(weights, wanted_arr)]
+        if len(out) + len(picked) > cap:
+            raise UnsupportedCase(
+                f"more than {cap} low-weight codewords; equivalence undecided"
+            )
+        out.extend(decode_words(q, code.n, picked))
+    return out
 
 
 def _select_strata(code: FieldCode, budget: int, max_words: int):
@@ -354,8 +264,10 @@ def _leaf_witness(SA, SB, cA, cB):
 def _find_map(SA, SB, pins, state):
     state["nodes"] += 1
     if state["nodes"] > state["budget"]:
-        raise UnsupportedCase(
-            "equivalence search exceeded its node budget; result undecided"
+        raise BudgetExceeded(
+            "equivalence search nodes (result undecided)",
+            state["nodes"],
+            state["budget"],
         )
     mapping = _pin_closure(SA, SB, pins)
     if mapping is None:
@@ -537,44 +449,3 @@ def automorphism_order(
         raise ValueError("automorphism group of the zero code is everything")
     order, _ = _automorphism_gens(code, budget, max_words, node_budget)
     return order
-
-
-def has_fpf_automorphism_order_p(
-    code: FieldCode,
-    p: int,
-    budget: int = DEFAULT_WEIGHT_BUDGET,
-    max_words: int = DEFAULT_MAX_WORDS,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    sylow_cap: int = 200000,
-) -> bool:
-    """Does the permutation part of the automorphism group contain a
-    fixed-point-free element of order p?  (For p prime and p | n this is
-    the same as the code sitting in a (n/p)-quasi-cyclic position.)"""
-    n = code.n
-    if n % p:
-        raise ValueError(f"p = {p} must divide the length {n}")
-    ell = n // p
-    if is_shift_invariant(code, ell):
-        return True
-    if code.field.q != 2:
-        raise UnsupportedCase(
-            "fixed-point-free search beyond the shift test is implemented "
-            "for binary codes only"
-        )
-    from sympy.combinatorics import Permutation, PermutationGroup
-
-    order, gens = _automorphism_gens(code, budget, max_words, node_budget)
-    if order % p:
-        return False
-    group = PermutationGroup([Permutation(list(g.perm)) for g in gens])
-    syl = group.sylow_subgroup(p)
-    if syl.order() > sylow_cap:
-        raise UnsupportedCase(
-            f"Sylow {p}-subgroup of order {syl.order()} too large to scan"
-        )
-    for el in syl.elements:
-        if el.order() == p and not any(
-            el(i) == i for i in range(n)
-        ):
-            return True
-    return False

@@ -19,6 +19,9 @@ class FieldSpec:
     can be compared by identity.
     """
 
+    zero = 0
+    one = 1
+
     def __init__(self, q: int):
         if q not in FIELD_SIZES:
             raise ValueError(f"unsupported field size {q}; supported: {FIELD_SIZES}")
@@ -127,21 +130,6 @@ def field(q: int) -> FieldSpec:
     if q not in _CACHE:
         _CACHE[q] = FieldSpec(q)
     return _CACHE[q]
-
-
-def sqrt_of_minus_one(spec: FieldSpec) -> int:
-    """Smallest c with c*c = -1.
-
-    Exists exactly when the characteristic is 2 (where -1 = 1) or
-    q = 1 (mod 4); for q = 3 (mod 4) there is no such element.
-    """
-    if spec.residue_class == "3-mod-4":
-        raise ValueError(f"-1 is not a square in F_{spec.q} (q = 3 mod 4)")
-    target = spec.minus_one
-    for c in range(spec.q):
-        if spec.mul(c, c) == target:
-            return c
-    raise AssertionError("unreachable: -1 must be a square here")
 
 
 def sum_of_squares_minus_one(spec: FieldSpec) -> tuple[int, int]:

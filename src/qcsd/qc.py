@@ -12,11 +12,12 @@ from __future__ import annotations
 from .gf import FieldSpec, field
 
 
-def rref(fld: FieldSpec, n: int, rows):
-    """Reduced row echelon form over F_q.
+def rref(fld, n: int, rows):
+    """Reduced row echelon form over F_q or the residue field of R.
 
-    Returns (basis_rows, pivot_columns); zero rows are dropped.  The
-    result is canonical for the row space.
+    `fld` is a FieldSpec or a `ring.ResidueField`.  Returns (basis_rows,
+    pivot_columns); zero rows are dropped.  The result is canonical for
+    the row space.
     """
     if fld.q == 2:
         masks = []
@@ -32,13 +33,14 @@ def rref(fld: FieldSpec, n: int, rows):
         )
         return out, tuple(pivots)
 
+    zero = fld.zero
     work = [list(r) for r in rows]
     pivots = []
     rank = 0
     for col in range(n):
         pr = None
         for i in range(rank, len(work)):
-            if work[i][col] != 0:
+            if work[i][col] != zero:
                 pr = i
                 break
         if pr is None:
@@ -47,7 +49,7 @@ def rref(fld: FieldSpec, n: int, rows):
         inv = fld.inv(work[rank][col])
         work[rank] = [fld.mul(inv, v) for v in work[rank]]
         for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
+            if i != rank and work[i][col] != zero:
                 c = work[i][col]
                 work[i] = [
                     fld.sub(a, fld.mul(c, b)) for a, b in zip(work[i], work[rank])
@@ -115,9 +117,6 @@ class FieldCode:
                 for j in range(self.n):
                     w[j] = fld.sub(w[j], fld.mul(c, row[j]))
         return all(v == 0 for v in w)
-
-    def contains_all(self, words) -> bool:
-        return all(self.contains(w) for w in words)
 
     def key(self) -> bytes:
         """Canonical bytes for the row space (dedup key)."""

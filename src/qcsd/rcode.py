@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qc import FieldCode, expand
+from .qc import FieldCode, expand, rref
 from .ring import CrtPair, RingSpec
 
 
@@ -93,17 +93,6 @@ class RingCode:
         rows = [tuple(r[perm[j]] for j in range(self.ell)) for r in self.rows]
         return RingCode(self.spec, self.ell, rows)
 
-    def is_self_orthogonal(self) -> bool:
-        """All pairs of generators (including each with itself) have zero
-        hermitian inner product."""
-        sp = self.spec
-        rows = self.rows
-        for i in range(len(rows)):
-            for j in range(i, len(rows)):
-                if any(sp.hermitian_ip(rows[i], rows[j])):
-                    return False
-        return True
-
     def is_self_dual(self) -> bool:
         """Self-dual under the hermitian product, decided in the field image:
         the expansion must be self-orthogonal of dimension m*ell/2."""
@@ -129,10 +118,6 @@ class RingCode:
     def standard_form(self) -> StandardForm:
         return _standard_form(self)
 
-    def free_rank_at_least(self, t: int) -> bool:
-        """True when the standard form has k1 >= t."""
-        return self.standard_form().k1 >= t
-
     def __repr__(self):
         return f"RingCode(q={self.q}, m={self.m}, ell={self.ell}, rows={len(self.rows)})"
 
@@ -156,8 +141,9 @@ def _standard_form(code: RingCode) -> StandardForm:
     sp._require_cyclotomic("standard_form")
     ell = code.ell
     rows = [list(r) for r in code.rows]
-    y_minus_1 = sp.sub(sp.y, sp.one)
-    ya = sp.mod_phi(y_minus_1)  # Psi2 image of Y-1, nonzero
+    res = sp.residue_field()
+    ya = sp.mod_phi(sp.sub(sp.y, sp.one))  # Psi2 image of Y-1, nonzero
+    inv_ya = res.inv(ya)
 
     def split1(e):
         return sp.eval1(e)
@@ -234,7 +220,7 @@ def _standard_form(code: RingCode) -> StandardForm:
                 continue
             # scale the row so the column-a entry becomes exactly Y-1
             ea = sp.mod_phi(row[a])
-            u = sp.crt_combine(CrtPair(1, _comp_div(sp, ya, ea)))
+            u = sp.crt_combine(CrtPair(1, res.mul(ya, res.inv(ea))))
             row_scale(row, u)
             mb = split1(row[b])  # column-b entry is the PHI-multiple with this Psi1 value
             pos = k1 + len(pair_a)
@@ -251,8 +237,12 @@ def _standard_form(code: RingCode) -> StandardForm:
                     row_add(trow, rowr)  # forces a unit into the offending column
                     restart = True
                     break
+                # the pivots are Y-1 (component ya) and a PHI-multiple (mb)
                 lam = sp.crt_combine(
-                    CrtPair(sp.field.mul(split1(trow[b]), inv_mb), sp.mod_phi(trow[a]))
+                    CrtPair(
+                        sp.field.mul(split1(trow[b]), inv_mb),
+                        res.mul(sp.mod_phi(trow[a]), inv_ya),
+                    )
                 )
                 if any(lam):
                     row_sub_scaled(trow, rowr, lam)
@@ -279,12 +269,7 @@ def _standard_form(code: RingCode) -> StandardForm:
                 typeB.append((r, [split1(e) for e in r]))
 
         if typeA and typeB:
-            ra, compa = typeA[0]
-            rb, compb = typeB[0]
-            shared = next(
-                (c for c in range(ell) if any(compa[c]) and compb[c] != 0), None
-            )
-            merged = [sp.add(x, y) for x, y in zip(ra, rb)]
+            merged = [sp.add(x, y) for x, y in zip(typeA[0][0], typeB[0][0])]
             # shared support: the sum has a unit there (k1 will grow);
             # disjoint support: the sum is a two-ideal row (k2 will grow)
             rows = (
@@ -293,7 +278,6 @@ def _standard_form(code: RingCode) -> StandardForm:
                 + [r for r, _ in typeA[1:]]
                 + [r for r, _ in typeB]
             )
-            del shared
             continue
 
         free_cols = [
@@ -301,23 +285,23 @@ def _standard_form(code: RingCode) -> StandardForm:
             for c in range(ell)
             if c not in unit_cols and c not in pair_a and c not in pair_b
         ]
+        # Pair clearing leaves these rows supported on the free columns, so
+        # they are echelonised there, with pivots scaled to the component of
+        # Y-1 (or to PHI(1) = p) so that the lifted pivots are Y-1 (or PHI).
         if typeA:
-            comp_rows, piv = _component_rref_phi(sp, [c for _, c in typeA], free_cols, ya)
-            lifted = [
-                [sp.crt_combine(CrtPair(0, comp)) for comp in r] for r in comp_rows
-            ]
-            alpha_branch = "Y-1"
-        elif typeB:
-            comp_rows, piv = _component_rref_scalar(
-                sp, [c for _, c in typeB], free_cols, sp.p_in_field
-            )
-            lifted = [
-                [sp.crt_combine(CrtPair(comp, sp.zerophi)) for comp in r]
-                for r in comp_rows
-            ]
-            alpha_branch = "phi"
+            fld, scale, alpha_branch = res, ya, "Y-1"
         else:
-            lifted, piv, alpha_branch = [], [], None
+            fld, scale, alpha_branch = sp.field, sp.p_in_field, "phi"
+        comps = [[comp[j] for j in free_cols] for _, comp in typeA or typeB]
+        basis, free_piv = rref(fld, len(free_cols), comps)
+        piv = [free_cols[p] for p in free_piv]
+        lifted = []
+        for r in basis:
+            full = [sp.zero] * ell
+            for j, c in zip(free_cols, r):
+                c = fld.mul(scale, c)
+                full[j] = sp.crt_combine(CrtPair(0, c) if typeA else CrtPair(c, res.zero))
+            lifted.append(full)
         k3 = len(lifted)
         if k3 == 0:
             alpha_branch = None
@@ -340,57 +324,3 @@ def _standard_form(code: RingCode) -> StandardForm:
             col_perm=tuple(col_order),
             alpha_branch=alpha_branch,
         )
-
-
-def _comp_div(sp: RingSpec, num, den):
-    """num/den in the residue field F_q[Y]/PHI (components as coefficient
-    tuples of length p-1)."""
-    return sp.phi_component_mul(num, sp.phi_component_inv(den))
-
-
-def _component_rref_phi(sp: RingSpec, rows, cols, target):
-    """RREF over the field F_q[Y]/PHI; pivot entries are normalised to
-    `target` (the component of Y-1, so lifted pivots are exactly Y-1)."""
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in cols:
-        pr = next((i for i in range(rank, len(work)) if any(work[i][col])), None)
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        scale = _comp_div(sp, target, work[rank][col])
-        work[rank] = [sp.phi_component_mul(scale, v) for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and any(work[i][col]):
-                c = _comp_div(sp, work[i][col], target)
-                work[i] = [
-                    sp.phi_component_sub(a, sp.phi_component_mul(c, b))
-                    for a, b in zip(work[i], work[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    return [r for r in work[:rank] if any(any(v) for v in r)], pivots
-
-
-def _component_rref_scalar(sp: RingSpec, rows, cols, target):
-    """RREF over F_q; pivots normalised to `target` (the value PHI(1), so
-    lifted pivots are exactly PHI)."""
-    fld = sp.field
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in cols:
-        pr = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pr is None:
-            continue
-        work[rank], work[pr] = work[pr], work[rank]
-        scale = fld.mul(target, fld.inv(work[rank][col]))
-        work[rank] = [fld.mul(scale, v) for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                c = fld.mul(work[i][col], fld.inv(target))
-                work[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return [r for r in work[:rank] if any(r)], pivots

@@ -6,8 +6,9 @@ hermitian inner product of vectors over R is sum_j x_j * conj(y_j).
 
 When m is a prime p and q is a primitive root mod p, Y^m - 1 has exactly
 the two irreducible factors (Y - 1) and Phi_p = 1 + Y + ... + Y^(p-1),
-and R splits as F_q x F_q[Y]/Phi_p.  Several operations (crt_split,
-standard forms downstream) require that situation; the flag
+and R splits as F_q x F_q[Y]/Phi_p.  The CRT maps (eval1 and mod_phi
+one way, crt_combine back), the residue field F_q[Y]/Phi_p and the
+standard forms downstream require that situation; the flag
 `cyclotomic_ok` records it.
 """
 
@@ -15,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
-from .errors import BudgetExceeded, UnsupportedCase
+from .errors import UnsupportedCase
 from .gf import FieldSpec, field
-
-DEFAULT_ENUM_BUDGET = 1 << 27
 
 RingElem = tuple  # m field indices, constant coefficient first
 
@@ -68,13 +68,13 @@ class RingSpec:
         self.one = (1,) + (0,) * (m - 1)
         self.phi = (1,) * m if m > 1 else (1,)  # 1 + Y + ... + Y^(m-1)
         self.y = ((0, 1) + (0,) * (m - 2)) if m > 1 else (1,)
-        self.zerophi = (0,) * (m - 1)  # zero of F_q[Y]/Phi_p
         p_in_f = 0
         for _ in range(m):
             p_in_f = f.add(p_in_f, 1)
         self.p_in_field = p_in_f  # m as an element of F_q (nonzero: gcd(m, char)=1)
         self._units = None
         self._norm_classes = None
+        self._residue_field = None
 
     @property
     def q(self) -> int:
@@ -193,10 +193,6 @@ class RingSpec:
         nt = fld.neg(top)
         return tuple(fld.add(a[i], nt) for i in range(self.m - 1))
 
-    def crt_split(self, a) -> CrtPair:
-        self._require_cyclotomic("crt_split")
-        return CrtPair(self.eval1(a), self.mod_phi(a))
-
     def crt_combine(self, pair: CrtPair):
         self._require_cyclotomic("crt_combine")
         fld = self.field
@@ -206,24 +202,12 @@ class RingSpec:
         lam = fld.mul(fld.sub(pair.eval1, g1), fld.inv(self.p_in_field))
         return tuple(fld.add(g[i], lam) for i in range(self.m))
 
-    def is_multiple_of_phi(self, a) -> bool:
-        return all(x == a[0] for x in a)
-
-    # -- arithmetic in the residue field F_q[Y]/Phi_p ---------------------
-    # Components are tuples of p-1 coefficients, as in CrtPair.evalphi.
-
-    def phi_component_sub(self, a, b):
-        fld = self.field
-        return tuple(fld.sub(x, y) for x, y in zip(a, b))
-
-    def phi_component_mul(self, a, b):
-        return self.mod_phi(self.mul(a + (0,), b + (0,)))
-
-    def phi_component_inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("zero has no inverse in F_q[Y]/Phi_p")
-        lifted = self.crt_combine(CrtPair(1, a))  # a unit of R
-        return self.mod_phi(self.inv(lifted))
+    def residue_field(self) -> "ResidueField":
+        """The field F_q[Y]/Phi_p, built on first use.  Cached."""
+        if self._residue_field is None:
+            self._require_cyclotomic("residue field arithmetic")
+            self._residue_field = ResidueField(self)
+        return self._residue_field
 
     # -- vectors ---------------------------------------------------------
 
@@ -319,6 +303,49 @@ class RingSpec:
         return hash(("RingSpec", self.field.q, self.m))
 
 
+class ResidueField:
+    """The residue field F_q[Y]/Phi_p of size q^(p-1), with FieldSpec's
+    operation names.
+
+    Elements are the (p-1)-coefficient tuples that `RingSpec.mod_phi`
+    returns and `CrtPair.evalphi` holds.  Products and inverses go through
+    the ring, so no table grows past the element list.  Conjugation is
+    the map induced by Y -> Y^(-1).
+    """
+
+    def __init__(self, sp: RingSpec):
+        self.ring = sp
+        self.q = sp.q ** (sp.m - 1)  # the field size, as in FieldSpec
+        self.zero = (0,) * (sp.m - 1)
+        self.one = (1,) + (0,) * (sp.m - 2)
+        self._elements = None
+        # coefficient-wise, exactly as on ring elements
+        self.add, self.sub, self.neg = sp.add, sp.sub, sp.neg
+
+    def elements(self):
+        """All elements in lexicographic order of coefficient tuples."""
+        if self._elements is None:
+            self._elements = tuple(product(range(self.ring.q), repeat=self.ring.m - 1))
+        return self._elements
+
+    def mul(self, a, b):
+        sp = self.ring
+        return sp.mod_phi(sp.mul(a + (0,), b + (0,)))
+
+    def inv(self, a):
+        if not any(a):
+            raise ZeroDivisionError("zero has no inverse in F_q[Y]/Phi_p")
+        sp = self.ring
+        return sp.mod_phi(sp.inv(sp.crt_combine(CrtPair(1, a))))  # a unit of R
+
+    def conj(self, a):
+        sp = self.ring
+        return sp.mod_phi(sp.conj(a + (0,)))
+
+    def __repr__(self):
+        return f"ResidueField(q={self.ring.q}, m={self.ring.m})"
+
+
 @lru_cache(maxsize=None)
 def ring(q: int, m: int) -> RingSpec:
     return RingSpec(field(q), m)
@@ -369,57 +396,3 @@ def _poly_divmod(a, b, fld):
             a[d + i] = fld.sub(a[d + i], fld.mul(c, y))
         _trim(a)
     return _trim(q), a
-
-
-# -- inner-product solution streams ---------------------------------------
-
-
-def enumerate_solutions(
-    spec: RingSpec,
-    n: int,
-    target,
-    budget: int = DEFAULT_ENUM_BUDGET,
-    index_range: tuple[int, int] | None = None,
-):
-    """Yield all x in R^n with <x, x> = target, in lexicographic order.
-
-    The candidate space has size q^(m*n); `index_range` restricts the
-    scan to a half-open block of vector indices so disjoint blocks can
-    be handled independently.  A scan larger than `budget` raises
-    BudgetExceeded before any work is done.
-    """
-    total = spec.field.q ** (spec.m * n)
-    lo, hi = (0, total) if index_range is None else index_range
-    if not 0 <= lo <= hi <= total:
-        raise ValueError(f"index range {index_range} outside [0, {total}]")
-    if hi - lo > budget:
-        raise BudgetExceeded(f"inner-product scan over R^{n}", hi - lo, budget)
-    target = tuple(target)
-    elem_count = spec.field.q ** spec.m
-    elems = [spec.element_from_index(i) for i in range(elem_count)]
-    norms = [spec.mul(e, spec.conj(e)) for e in elems]
-    for vidx in range(lo, hi):
-        digits = []
-        r = vidx
-        for _ in range(n):
-            digits.append(r % elem_count)
-            r //= elem_count
-        digits.reverse()
-        acc = spec.zero
-        for d in digits:
-            acc = spec.add(acc, norms[d])
-        if acc == target:
-            yield tuple(elems[d] for d in digits)
-
-
-def partition_ranges(spec: RingSpec, n: int, parts: int):
-    """Split the q^(m*n) vector-index space into `parts` contiguous blocks."""
-    total = spec.field.q ** (spec.m * n)
-    step, rem = divmod(total, parts)
-    ranges = []
-    lo = 0
-    for i in range(parts):
-        hi = lo + step + (1 if i < rem else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges

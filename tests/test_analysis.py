@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsd.analysis import (
     WeightEnum,
@@ -17,6 +18,7 @@ from qcsd.analysis import (
     min_distance_prefix,
     weight_enumerator,
 )
+from qcsd.equiv import _collect_words
 from qcsd.errors import BudgetExceeded
 from qcsd.gf import FIELD_SIZES, field
 from qcsd.qc import FieldCode
@@ -60,6 +62,43 @@ def test_weight_enumerator_wide_binary_words():
     rows = [tuple(rng.randrange(2) for _ in range(70)) for _ in range(4)]
     code = FieldCode(f2, 70, rows)
     assert weight_enumerator(code).counts == naive_weight_enumerator(code)
+
+
+@st.composite
+def small_codes(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(n, {2: 8, 3: 5, 4: 4, 5: 4}[q])))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * n), min_size=k, max_size=k
+    ))
+    return FieldCode(field(q), n, rows)
+
+
+def _check_collected_words(code, wanted):
+    w = weight_enumerator(code)
+    words = _collect_words(code, wanted, cap=sum(w.counts))
+    by_weight = [0] * (code.n + 1)
+    for word in words:
+        assert len(word) == code.n and code.contains(word)
+        by_weight[sum(1 for v in word if v)] += 1
+    assert len(set(words)) == len(words)
+    assert by_weight == [a if i in wanted else 0 for i, a in enumerate(w.counts)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes())
+def test_collected_words_match_the_enumerator(code):
+    if code.k:
+        _check_collected_words(code, set(range(1, code.n + 1)))
+
+
+def test_collected_words_wide_binary_code():
+    # n > 64 packs each word into two machine words; k > 16 walks the
+    # Gray-code prefix past the first table block
+    rng = random.Random(71)
+    rows = [tuple(rng.randrange(2) for _ in range(70)) for _ in range(18)]
+    _check_collected_words(FieldCode(field(2), 70, rows), set(range(1, 26)))
 
 
 def test_weight_enumerator_budget():

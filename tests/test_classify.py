@@ -111,6 +111,27 @@ def test_checkpoint_resume_extends_partial_run(tmp_path):
     assert extended.stats.candidates < fresh.stats.candidates
 
 
+def test_checkpoint_resume_ignores_truncated_last_line(tmp_path):
+    # a crash in the middle of a write leaves a partial last record
+    sp = ring(2, 3)
+    ck = tmp_path / "checkpoint.jsonl"
+    classify(sp, 4, checkpoint_path=str(ck))
+    with open(ck, "a") as fh:
+        fh.write('{"event": "class", "ell": 6, "trai')
+    resumed = classify(sp, 6, checkpoint_path=str(ck), resume=True)
+    fresh = classify(sp, 6)
+    assert [c.trail for c in resumed.classes] == [c.trail for c in fresh.classes]
+    # the partial line was cut, so the appended records load again
+    again = classify(sp, 6, checkpoint_path=str(ck), resume=True)
+    assert again.stats.candidates == 0
+    assert [c.trail for c in again.classes] == [c.trail for c in fresh.classes]
+    # a malformed line that is not the last one still raises
+    lines = ck.read_text().splitlines(keepends=True)
+    ck.write_text(lines[0] + "{not json\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError):
+        classify(sp, 6, checkpoint_path=str(ck), resume=True)
+
+
 def test_checkpoint_rejects_other_ring(tmp_path):
     ck = str(tmp_path / "checkpoint.jsonl")
     classify(ring(2, 3), 2, checkpoint_path=ck)

@@ -207,8 +207,19 @@ def test_equiv_exit_codes(capsys, tmp_path):
 
 
 def test_usage_errors(capsys):
-    with pytest.raises(SystemExit):
-        main(["classify", "--q", "2", "--m", "3"])  # missing --ell
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        main(["no-such-command"])
+    for argv in [
+        ["classify", "--q", "2", "--m", "3"],  # missing --ell
+        ["no-such-command"],
+        # options that did nothing are gone
+        ["classify", "--q", "2", "--m", "3", "--ell", "2", "--format", "json"],
+        ["equiv", "a.rc", "b.rc", "--budget", "10"],
+        ["equiv", "a.rc", "b.rc", "--format", "json"],
+        ["equiv", "a.rc", "b.rc", "--out", "dir"],
+        ["verify-corpus", "--out", "dir"],
+        ["verify-corpus", "--format", "csv"],
+        ["analyze", "a.rc", "--out", "dir"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        capsys.readouterr()

@@ -77,6 +77,17 @@ def test_inequivalent_known_pair():
     assert are_equivalent(hamming, apply_monomial(hamming, perm, scalars))
 
 
+def test_node_budget_overrun_is_budget_exceeded():
+    # the three weight-2 words leave the refinement with symmetric colour
+    # classes, so the search has to branch past its first node
+    f2 = field(2)
+    code = FieldCode(f2, 6, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)])
+    assert are_equivalent(code, code)
+    with pytest.raises(BudgetExceeded) as exc:
+        are_equivalent(code, code, node_budget=1)
+    assert exc.value.budget == 1 and exc.value.required == 2
+
+
 def test_are_equivalent_rejects_mixed_fields():
     with pytest.raises(ValueError):
         are_equivalent(

@@ -5,7 +5,6 @@ import pytest
 from qcsd.gf import (
     FIELD_SIZES,
     field,
-    sqrt_of_minus_one,
     sum_of_squares_minus_one,
 )
 
@@ -104,15 +103,6 @@ def test_zero_has_no_inverse():
     for q in FIELD_SIZES:
         with pytest.raises(ZeroDivisionError):
             field(q).inv(0)
-
-
-def test_sqrt_of_minus_one():
-    assert sqrt_of_minus_one(field(2)) == 1
-    assert sqrt_of_minus_one(field(4)) == 1
-    two = sqrt_of_minus_one(field(5))
-    assert field(5).mul(two, two) == 4
-    with pytest.raises(ValueError):
-        sqrt_of_minus_one(field(3))
 
 
 def test_sum_of_squares_minus_one():

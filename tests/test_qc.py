@@ -89,8 +89,6 @@ def test_field_code_contains():
     assert code.contains((1, 1, 1, 1))
     assert code.contains((0, 0, 0, 0))
     assert not code.contains((1, 0, 0, 0))
-    assert code.contains_all([(1, 1, 0, 0), (1, 1, 1, 1)])
-    assert not code.contains_all([(1, 1, 0, 0), (1, 0, 1, 0)])
 
 
 def test_field_code_validation():

@@ -1,6 +1,7 @@
 """Codes over R: expansion layout, self-duality, standard form."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsd.gf import field
 from qcsd.qc import FieldCode, is_shift_invariant
@@ -93,13 +94,6 @@ def test_self_duality_breaks_under_single_coefficient_typo():
     assert flips == len(rc.rows) * rc.ell * sp.m
 
 
-def test_is_self_orthogonal():
-    sp = ring(2, 3)
-    rc = RingCode(sp, 2, [((1, 0, 0), (0, 0, 1))])
-    assert rc.is_self_orthogonal()
-    assert not RingCode(sp, 2, [((1, 0, 0), (1, 1, 0))]).is_self_orthogonal()
-
-
 def test_permute_columns_and_same_row_space():
     sp = ring(2, 5)
     rc = RingCode(sp, 2, [((1, 0, 0, 0, 0), (0, 0, 0, 0, 1))])
@@ -137,8 +131,6 @@ def test_standard_form_seed_profile():
     rc = RingCode(sp, 2, [((1, 0, 0), (0, 0, 1))])
     sf = rc.standard_form()
     assert (sf.k1, sf.k2, sf.k3) == (1, 0, 0)
-    assert rc.free_rank_at_least(1)
-    assert not rc.free_rank_at_least(2)
 
 
 def test_standard_form_needs_two_factor_splitting():
@@ -174,3 +166,49 @@ def test_two_ideal_row_fills_k2():
     sf = rc.standard_form()
     assert (sf.k1, sf.k2, sf.k3) == (0, 1, 0)
     assert rc.expansion().k == sp.m
+
+
+def _ring_rows(sp, text_rows):
+    """Rows of ring elements from coefficient strings, constant first."""
+    return [tuple(tuple(int(c) for c in e) for e in r.split()) for r in text_rows]
+
+
+def test_standard_form_keeps_every_generator():
+    # pair clearing must divide by the Y-1 pivot's residue; without that,
+    # leftover rows kept a <Y-1> entry in a pivot column and were dropped
+    sp = ring(2, 3)
+    rows = _ring_rows(sp, [
+        "000 111 101 000 000 000",
+        "110 101 000 000 111 000",
+        "111 111 101 000 000 110",
+        "100 001 110 110 000 010",
+        "110 000 000 101 111 000",
+        "000 111 110 000 000 000",
+    ])
+    rc = RingCode(sp, 6, rows)
+    sf = rc.standard_form()
+    assert rc.expansion().k == 14
+    assert RingCode(sp, 6, sf.rows).same_row_space(rc.permute_columns(sf.col_perm))
+
+
+@st.composite
+def ring_codes(draw):
+    q, m = draw(st.sampled_from([(2, 3), (2, 5), (5, 3), (3, 5), (5, 2)]))
+    ell = draw(st.integers(1, 5))
+    nrows = draw(st.integers(1, 5))
+    coeff = st.integers(0, q - 1)
+    elem = st.tuples(*[coeff] * m)
+    rows = draw(st.lists(st.tuples(*[elem] * ell), min_size=nrows, max_size=nrows))
+    if not any(any(e) for r in rows for e in r):
+        rows[0] = ((1,) + (0,) * (m - 1),) + rows[0][1:]
+    return RingCode(ring(q, m), ell, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring_codes())
+def test_standard_form_spans_the_input(rc):
+    sf = rc.standard_form()
+    assert len(sf.rows) == sf.k1 + sf.k2 + sf.k3
+    assert RingCode(rc.spec, rc.ell, sf.rows).same_row_space(
+        rc.permute_columns(sf.col_perm)
+    )

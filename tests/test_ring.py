@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from qcsd.errors import BudgetExceeded, UnsupportedCase
-from qcsd.ring import enumerate_solutions, partition_ranges, ring
+from qcsd.errors import UnsupportedCase
+from qcsd.gf import field
+from qcsd.qc import rref
+from qcsd.ring import CrtPair, ring
 
 
 def test_constructor_validation():
@@ -129,36 +131,78 @@ def test_crt_split_combine_roundtrip_exhaustive():
         sp = ring(q, m)
         for i in range(q**m):
             a = sp.element_from_index(i)
-            pair = sp.crt_split(a)
-            assert pair.eval1 == sp.eval1(a)
-            assert pair.evalphi == sp.mod_phi(a)
-            assert sp.crt_combine(pair) == a
+            assert sp.crt_combine(CrtPair(sp.eval1(a), sp.mod_phi(a))) == a
 
 
 def test_crt_split_is_a_ring_map():
+    # eval1 and mod_phi are ring maps onto F_q and the residue field, and
+    # mod_phi carries the conjugation of R to the residue field's
     rng = random.Random(23)
-    sp = ring(2, 5)
-    for _ in range(60):
-        a = sp.element_from_index(rng.randrange(2**5))
-        b = sp.element_from_index(rng.randrange(2**5))
-        pa, pb = sp.crt_split(a), sp.crt_split(b)
-        prod = sp.crt_split(sp.mul(a, b))
-        assert prod.eval1 == sp.field.mul(pa.eval1, pb.eval1)
-        assert prod.evalphi == sp.phi_component_mul(pa.evalphi, pb.evalphi)
+    for q, m in [(2, 5), (5, 3), (3, 5)]:
+        sp = ring(q, m)
+        res = sp.residue_field()
+        for _ in range(60):
+            a = sp.element_from_index(rng.randrange(q**m))
+            b = sp.element_from_index(rng.randrange(q**m))
+            pa, pb = sp.mod_phi(a), sp.mod_phi(b)
+            prod = sp.mul(a, b)
+            assert sp.eval1(prod) == sp.field.mul(sp.eval1(a), sp.eval1(b))
+            assert sp.mod_phi(prod) == res.mul(pa, pb)
+            assert sp.mod_phi(sp.add(a, b)) == res.add(pa, pb)
+            assert sp.mod_phi(sp.sub(a, b)) == res.sub(pa, pb)
+            assert sp.mod_phi(sp.conj(a)) == res.conj(pa)
 
 
 def test_crt_requires_two_factor_splitting():
     sp = ring(2, 7)
     with pytest.raises(UnsupportedCase):
-        sp.crt_split(sp.one)
+        sp.crt_combine(CrtPair(1, (0,) * 6))
+    with pytest.raises(UnsupportedCase):
+        sp.residue_field()
 
 
 def test_multiples_of_phi():
+    # the multiples of Phi are exactly the elements with zero residue
     sp = ring(2, 3)
-    assert sp.is_multiple_of_phi(sp.phi)
-    assert sp.is_multiple_of_phi(sp.zero)
-    assert not sp.is_multiple_of_phi(sp.one)
-    assert sp.mod_phi(sp.phi) == sp.zerophi
+    zero = sp.residue_field().zero
+    multiples = {sp.mul(c, sp.phi) for c in sp.elements()}
+    assert multiples == {sp.zero, sp.phi}
+    for a in sp.elements():
+        assert (sp.mod_phi(a) == zero) == (a in multiples)
+
+
+def test_residue_field_is_a_field():
+    for q, m in [(2, 3), (2, 5), (3, 5), (5, 2)]:
+        sp = ring(q, m)
+        res = sp.residue_field()
+        assert res is sp.residue_field()  # built once per ring
+        elems = res.elements()
+        assert res.q == q ** (m - 1) == len(set(elems))
+        assert elems[0] == res.zero and res.one in elems
+        for a in elems:
+            assert res.conj(res.conj(a)) == a
+            assert res.add(a, res.neg(a)) == res.zero
+            if a != res.zero:
+                assert res.mul(a, res.inv(a)) == res.one
+        with pytest.raises(ZeroDivisionError):
+            res.inv(res.zero)
+
+
+def test_rref_over_the_residue_field():
+    # over (2, 3) the residue field is F_4, with Y a primitive cube root of
+    # one; c0 + c1*Y <-> index c0 | c1 << 1 is the isomorphism to field(4)
+    sp = ring(2, 3)
+    res = sp.residue_field()
+    to_f4 = {e: e[0] | (e[1] << 1) for e in res.elements()}
+    rng = random.Random(3)
+    for _ in range(30):
+        rows = [
+            tuple(rng.choice(res.elements()) for _ in range(5)) for _ in range(3)
+        ]
+        basis, piv = rref(res, 5, rows)
+        basis4, piv4 = rref(field(4), 5, [[to_f4[e] for e in r] for r in rows])
+        assert piv == piv4
+        assert [[to_f4[e] for e in r] for r in basis] == [list(r) for r in basis4]
 
 
 def test_hermitian_ip_sesquilinear():
@@ -205,28 +249,3 @@ def test_poly_str_parse_roundtrip():
     sp = ring(4, 3)
     assert sp.poly_str((0, 0, 0)) == "0"
     assert sp.parse_poly("1 + w Y + w^2 Y^2") == (1, 2, 3)
-
-
-def test_enumerate_solutions_matches_brute_force():
-    sp = ring(2, 3)
-    minus1 = sp.neg(sp.one)
-    got = list(enumerate_solutions(sp, 2, minus1))
-    brute = []
-    for i in range(8**2):
-        x = (sp.element_from_index(i // 8), sp.element_from_index(i % 8))
-        if sp.hermitian_ip(x, x) == minus1:
-            brute.append(x)
-    assert sorted(got) == sorted(brute)
-    assert len(got) == len(set(got))
-
-
-def test_enumerate_solutions_budget_and_ranges():
-    sp = ring(2, 3)
-    minus1 = sp.neg(sp.one)
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_solutions(sp, 12, minus1, budget=1000))
-    whole = list(enumerate_solutions(sp, 2, minus1))
-    pieces = []
-    for lo, hi in partition_ranges(sp, 2, 5):
-        pieces.extend(enumerate_solutions(sp, 2, minus1, index_range=(lo, hi)))
-    assert pieces == whole
