@@ -14,6 +14,20 @@ backtracking resolve the remaining symmetry.  Every leaf candidate is
 verified by remapping one code's basis into the other's row space, so
 a positive answer is never wrong; negative answers are exact because
 the search is exhaustive.
+
+Each code's refinement profile (weight enumerator, refinement strata,
+their codewords and the incidence structures built on them) is computed
+once and kept on the code object itself (`FieldCode.cache`), so
+`fingerprint`, `are_equivalent` and `automorphism_order` share it and it
+is freed with the code.
+
+The automorphism group order comes from orbit-stabilizer along a base
+that refinement alone picks.  The levels are searched deepest first:
+every automorphism found fixes the base above the current level, so the
+orbits of those found so far (a union-find over slots) already decide
+many candidate images, as in McKay & Piperno's and Leon's searches.  A
+candidate in the base point's orbit needs no search, nor does one in an
+orbit where a search already failed.
 """
 
 from __future__ import annotations
@@ -44,11 +58,7 @@ _MATERIALIZE_LIMIT = 1 << 24
 
 def _collect_words(code: FieldCode, wanted: set[int], cap: int):
     """All codewords of the listed (nonzero) weights, as symbol tuples."""
-    q, k = code.field.q, code.k
-    if q**k > _MATERIALIZE_LIMIT:
-        raise BudgetExceeded(
-            "codeword materialization for equivalence", q**k, _MATERIALIZE_LIMIT
-        )
+    q = code.field.q
     wanted_arr = sorted(wanted)
     out = []
     for words, weights in codeword_blocks(code):
@@ -61,10 +71,10 @@ def _collect_words(code: FieldCode, wanted: set[int], cap: int):
     return out
 
 
-def _select_strata(code: FieldCode, budget: int, max_words: int):
+def _select_strata(code: FieldCode, w, max_words: int):
     """Weights of the strata used for refinement, smallest first, adding
-    strata until they span the code (or words run out)."""
-    w = weight_enumerator(code, budget)
+    strata until they span the code (or words run out); `w` is the code's
+    weight enumerator."""
     weights = [i for i in range(1, code.n + 1) if w.counts[i]]
     chosen: list[int] = []
     words_total = 0
@@ -86,11 +96,11 @@ def _select_strata(code: FieldCode, budget: int, max_words: int):
 
 
 class _Structure:
+    # holds no reference to its code: profiles cache structures on the code
     def __init__(self, code: FieldCode, strata_weights, words, succ_cols=None):
         fld: FieldSpec = code.field
         q, n = fld.q, code.n
         r = max(q - 1, 1)
-        self.code = code
         self.n = n
         self.r = r
         self.nslots = n * r
@@ -138,6 +148,40 @@ class _Structure:
             for s in slots:
                 self.slot_words[s].append(wid)
         self.stratum_sizes = Counter(self.word_stratum)
+
+
+class _Profile:
+    """What the engine derives from one code at one (budget, max_words):
+    the weight enumerator, the strata and their words, and the incidence
+    structures on them keyed by column successor map (None when
+    unrestricted)."""
+
+    def __init__(self, code: FieldCode, budget: int, max_words: int):
+        total = code.field.q**code.k
+        if _MATERIALIZE_LIMIT < total <= budget:
+            # the words could be counted but not kept: refuse before walking
+            raise BudgetExceeded(
+                "codeword materialization for equivalence", total, _MATERIALIZE_LIMIT
+            )
+        self.enum = weight_enumerator(code, budget)
+        self.weights, self.rows = _select_strata(code, self.enum, max_words)
+        self.structures: dict = {}
+
+
+def _profile(code: FieldCode, budget: int, max_words: int) -> _Profile:
+    key = ("equiv", budget, max_words)
+    prof = code.cache.get(key)
+    if prof is None:
+        prof = code.cache[key] = _Profile(code, budget, max_words)
+    return prof
+
+
+def _structure(code: FieldCode, prof: _Profile, succ=None) -> _Structure:
+    key = tuple(succ) if succ is not None else None
+    S = prof.structures.get(key)
+    if S is None:
+        S = prof.structures[key] = _Structure(code, prof.weights, prof.rows, succ)
+    return S
 
 
 def _refine(structs, colors_list):
@@ -232,13 +276,15 @@ def apply_monomial(code: FieldCode, perm, scalars) -> FieldCode:
     return FieldCode(fld, n, rows)
 
 
-def _leaf_witness(SA, SB, cA, cB):
-    """Read the unique candidate map off discrete colorings and verify it."""
+def _leaf_witness(SA, codes, cA, cB):
+    """Read the unique candidate map off discrete colorings and verify it
+    against the two codes."""
     where_b = {}
     for s, c in enumerate(cB):
         where_b[c] = s
     n, r = SA.n, SA.r
-    fld = SA.code.field
+    code_a, code_b = codes
+    fld = code_a.field
     perm = [0] * n
     scal = [1] * n
     for j in range(n):
@@ -255,8 +301,8 @@ def _leaf_witness(SA, SB, cA, cB):
                 return None
     if len(set(perm)) != n:
         return None
-    mapped = apply_monomial(SA.code, perm, scal)
-    if mapped.key() != SB.code.key():
+    mapped = apply_monomial(code_a, perm, scal)
+    if mapped.key() != code_b.key():
         return None
     return EquivalenceResult(True, tuple(perm), tuple(scal))
 
@@ -285,7 +331,7 @@ def _find_map(SA, SB, pins, state):
         return None
     cA, cB = res
     if len(set(cA)) == SA.nslots:
-        return _leaf_witness(SA, SB, cA, cB)
+        return _leaf_witness(SA, state["codes"], cA, cB)
     classesA: dict[int, list] = {}
     for s, c in enumerate(cA):
         classesA.setdefault(c, []).append(s)
@@ -313,12 +359,12 @@ def _succ_cols(n: int, qc_blocks) -> list:
 
 
 def _build_structures(d1: FieldCode, d2: FieldCode, budget, max_words, succ=None):
-    w1, rows1 = _select_strata(d1, budget, max_words)
-    w2, rows2 = _select_strata(d2, budget, max_words)
-    if w1 != w2:
+    p1 = _profile(d1, budget, max_words)
+    p2 = _profile(d2, budget, max_words)
+    if p1.weights != p2.weights:
         return None
-    S1 = _Structure(d1, w1, rows1, succ_cols=succ)
-    S2 = _Structure(d2, w2, rows2, succ_cols=succ)
+    S1 = _structure(d1, p1, succ)
+    S2 = _structure(d2, p2, succ)
     if S1.stratum_sizes != S2.stratum_sizes:
         return None
     return S1, S2
@@ -349,7 +395,7 @@ def are_equivalent(
     if built is None:
         return EquivalenceResult(False)
     S1, S2 = built
-    state = {"nodes": 0, "budget": node_budget}
+    state = {"nodes": 0, "budget": node_budget, "codes": (d1, d2)}
     res = _find_map(S1, S2, [], state)
     return res if res is not None else EquivalenceResult(False)
 
@@ -377,19 +423,18 @@ def fingerprint(
     """Deterministic invariant under column permutation and scaling."""
     if code.k == 0:
         raise ValueError("fingerprint needs at least one nonzero codeword")
-    w = weight_enumerator(code, budget)
-    nz = [(i, a) for i, a in enumerate(w.counts) if i > 0 and a]
+    prof = _profile(code, budget, max_words)
+    nz = [(i, a) for i, a in enumerate(prof.enum.counts) if i > 0 and a]
     d = nz[0][0]
     prefix = tuple(nz[:4])
-    weights, rows = _select_strata(code, budget, max_words)
-    S = _Structure(code, weights, rows)
+    S = _structure(code, prof)
     colors = [0] * S.nslots
     (colors,) = _refine([S], [colors])
     trace = (
         code.n,
         code.k,
         code.field.q,
-        tuple(weights),
+        tuple(prof.weights),
         tuple(sorted(S.stratum_sizes.items())),
         tuple(sorted(Counter(colors).items())),
     )
@@ -400,38 +445,57 @@ def fingerprint(
 # -- automorphisms -----------------------------------------------------------
 
 
-def _automorphism_gens(code: FieldCode, budget, max_words, node_budget):
-    weights, rows = _select_strata(code, budget, max_words)
-    S = _Structure(code, weights, rows)
-    state = {"nodes": 0, "budget": node_budget}
+def _automorphism_group_order(code: FieldCode, S: _Structure, node_budget) -> int:
+    state = {"nodes": 0, "budget": node_budget, "codes": (code, code)}
+    # the base, and the cell each base point is taken from, by refinement alone
+    levels = []
     base: list[int] = []
-    order = 1
-    gens = []
     while True:
         pins = [(b, b) for b in base]
         mapping = _pin_closure(S, S, pins)
         colors = [0] * S.nslots
-        for i, (a, b) in enumerate(sorted(mapping.items())):
+        for i, (a, _) in enumerate(sorted(mapping.items())):
             colors[a] = i + 1
-        res = _refine([S], [colors])
-        (colors,) = res
+        (colors,) = _refine([S], [colors])
         classes: dict[int, list] = {}
         for s, c in enumerate(colors):
             classes.setdefault(c, []).append(s)
         nontrivial = [(c, ss) for c, ss in classes.items() if len(ss) > 1]
         if not nontrivial:
             break
-        _, slots = min(nontrivial, key=lambda item: (len(item[1]), item[0]))
-        b0 = slots[0]
-        orbit = 1
-        for c in slots[1:]:
+        _, cell = min(nontrivial, key=lambda item: (len(item[1]), item[0]))
+        levels.append((pins, cell))
+        base.append(cell[0])
+    # orbits of the automorphisms found so far, as a union-find over slots
+    parent = list(range(S.nslots))
+
+    def find(s):
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    fld, r = code.field, S.r
+    order = 1
+    for pins, cell in reversed(levels):
+        b0 = cell[0]
+        failed: list[int] = []
+        for c in cell[1:]:
+            # all automorphisms found so far fix the pins, so their orbits
+            # lie within the orbits of this level's group
+            root = find(c)
+            if root == find(b0) or root in {find(f) for f in failed}:
+                continue
             witness = _find_map(S, S, pins + [(b0, c)], state)
-            if witness is not None:
-                orbit += 1
-                gens.append(witness)
-        order *= orbit
-        base.append(b0)
-    return order, gens
+            if witness is None:
+                failed.append(c)
+                continue
+            for s in range(S.nslots):
+                j, vi = divmod(s, r)
+                t = witness.perm[j] * r + fld.mul(witness.scalars[j], vi + 1) - 1
+                parent[find(s)] = find(t)
+        order *= sum(1 for c in cell if find(c) == find(b0))
+    return order
 
 
 def automorphism_order(
@@ -447,5 +511,5 @@ def automorphism_order(
         raise BudgetExceeded("automorphism group search", code.n, max_n)
     if code.k == 0:
         raise ValueError("automorphism group of the zero code is everything")
-    order, _ = _automorphism_gens(code, budget, max_words, node_budget)
-    return order
+    S = _structure(code, _profile(code, budget, max_words))
+    return _automorphism_group_order(code, S, node_budget)

@@ -89,7 +89,10 @@ class FieldCode:
 
     Two FieldCode objects compare equal exactly when they have the same
     row space.  `qc_index` optionally records the shift step ell under
-    which the code is known to be invariant.
+    which the code is known to be invariant.  `cache` holds what other
+    modules derive from the row space and reuse (the equivalence engine's
+    refinement profiles); it is freed with the object and takes no part
+    in equality.
     """
 
     def __init__(self, fld: FieldSpec, n: int, rows, qc_index: int | None = None):
@@ -107,6 +110,7 @@ class FieldCode:
         self.rows, self.pivots = rref(fld, n, rows)
         self.k = len(self.rows)
         self.qc_index = qc_index
+        self.cache: dict = {}
 
     def contains(self, word) -> bool:
         fld = self.field

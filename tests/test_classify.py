@@ -184,6 +184,20 @@ def test_filter_report_structure():
     assert rep.summary_lines()[0].startswith("2 classes; distance profile: ")
 
 
+@pytest.mark.parametrize(
+    "q, m, ell, orders",
+    [
+        (2, 3, 6, [185794560, 1105920, 82944]),
+        (2, 5, 4, [3715891200, 122880, 1857945600]),
+        (2, 11, 2, [81749606400, 887040]),
+        (5, 2, 4, [98304, 768]),
+    ],
+)
+def test_filter_report_automorphism_orders(q, m, ell, orders):
+    rep = filter_report(classify(ring(q, m), ell))
+    assert [row.aut_order for row in rep.rows] == orders
+
+
 def test_workers_give_identical_results():
     sp = ring(2, 3)
     single = classify(sp, 4, workers=1)

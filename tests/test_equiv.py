@@ -1,8 +1,12 @@
 """Monomial equivalence, fingerprints, automorphism group orders."""
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcsd.equiv import (
     apply_monomial,
@@ -10,7 +14,7 @@ from qcsd.equiv import (
     automorphism_order,
     fingerprint,
 )
-from qcsd.errors import BudgetExceeded
+from qcsd.errors import BudgetExceeded, UnsupportedCase
 from qcsd.gf import field
 from qcsd.qc import FieldCode
 
@@ -151,6 +155,50 @@ def test_automorphism_order_matches_brute_force():
         assert automorphism_order(code) == brute_force_automorphism_count(code)
 
 
+def test_automorphism_order_with_a_failed_search():
+    # one of the searches for this code finds no automorphism, so the
+    # orbit of that failure must be excluded without another search
+    code = FieldCode(
+        field(3),
+        7,
+        [
+            (1, 0, 0, 0, 2, 0, 1),
+            (0, 1, 0, 0, 2, 1, 1),
+            (0, 0, 1, 0, 0, 2, 2),
+            (0, 0, 0, 1, 1, 1, 2),
+        ],
+    )
+    assert automorphism_order(code) == 12
+
+
+# largest length per field whose n! (q-1)^n maps a brute force can try
+BRUTE_FORCE_N = {2: 6, 3: 5, 4: 4, 5: 4}
+
+
+@st.composite
+def codes_with_a_monomial(draw):
+    q = draw(st.sampled_from(sorted(BRUTE_FORCE_N)))
+    n = draw(st.integers(2, BRUTE_FORCE_N[q]))
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * n), min_size=k, max_size=k
+    ))
+    perm = draw(st.permutations(range(n)))
+    scalars = draw(st.tuples(*[st.integers(1, q - 1)] * n))
+    return FieldCode(field(q), n, rows), tuple(perm), scalars
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_with_a_monomial())
+def test_automorphism_order_property(case):
+    code, perm, scalars = case
+    if code.k == 0:
+        return
+    order = automorphism_order(code)
+    assert order == brute_force_automorphism_count(code)
+    assert automorphism_order(apply_monomial(code, perm, scalars)) == order
+
+
 def test_automorphism_order_known_codes():
     from qcsd import corpus
 
@@ -158,6 +206,63 @@ def test_automorphism_order_known_codes():
     assert automorphism_order(i4, max_n=24) == 3840
     with pytest.raises(BudgetExceeded):
         automorphism_order(i4, max_n=10)
+    with pytest.raises(BudgetExceeded):
+        automorphism_order(i4, node_budget=1)
+
+
+def test_code_too_large_to_materialize_fails_before_any_walk(monkeypatch):
+    import qcsd.analysis
+    import qcsd.equiv
+
+    def no_walk(code):
+        raise AssertionError("walked the codewords of an unmaterializable code")
+
+    monkeypatch.setattr(qcsd.analysis, "codeword_blocks", no_walk)
+    monkeypatch.setattr(qcsd.equiv, "codeword_blocks", no_walk)
+    f2 = field(2)
+    n, k = 26, 25
+    code = FieldCode(f2, n, [tuple(int(j in (i, n - 1)) for j in range(n)) for i in range(k)])
+    assert code.k == k
+    with pytest.raises(BudgetExceeded) as exc:
+        fingerprint(code)
+    assert exc.value.required == 2**k and exc.value.budget == 2**24
+    with pytest.raises(BudgetExceeded) as exc:
+        are_equivalent(code, code)
+    assert exc.value.required == 2**k and exc.value.budget == 2**24
+
+
+def test_profiles_are_freed_with_their_code():
+    rng = random.Random(56)
+    code = random_self_dual(2, 3, 4, rng).expansion()
+    moved = apply_monomial(code, *random_monomial(code.n, 2, rng))
+    gc.disable()
+    try:
+        fingerprint(code)
+        assert are_equivalent(code, moved)
+        assert automorphism_order(code) > 0
+        assert code.cache
+        ref = weakref.ref(code)
+        del code
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_profiles_are_keyed_by_word_cap():
+    # the 120 weight-6 words of I_4's expansion exceed a cap of 100
+    from qcsd import corpus
+
+    i4 = corpus.load(corpus.get("I_4")).expansion()
+    fp = fingerprint(i4)
+    assert are_equivalent(i4, i4)
+    for call in (
+        lambda: fingerprint(i4, max_words=100),
+        lambda: are_equivalent(i4, i4, max_words=100),
+        lambda: automorphism_order(i4, max_words=100),
+    ):
+        with pytest.raises(UnsupportedCase):
+            call()
+    assert fingerprint(i4) == fp
 
 
 def test_qc_blocks_mode_confirms_block_structured_maps():
