@@ -54,9 +54,6 @@ class WeightEnum:
             s += " + ..."
         return s
 
-    def csv_rows(self):
-        return [(i, a) for i, a in enumerate(self.counts)]
-
 
 def _pack_bits(row, n):
     x = 0

@@ -35,17 +35,6 @@ class ExtensionWitness:
             return extend_i(self.base, self.c, self.x1)
         return extend_ii(self.base, self.alpha, self.beta, self.x1, self.x2)
 
-    def log_line(self) -> str:
-        sp = self.base.spec
-        xs = "(" + ", ".join(sp.poly_str(e) for e in self.x1) + ")"
-        if self.branch == "i":
-            return f"i; c = {sp.poly_str(self.c)}; x = {xs}"
-        x2s = "(" + ", ".join(sp.poly_str(e) for e in self.x2) + ")"
-        return (
-            f"ii; alpha = {sp.poly_str(self.alpha)}; beta = {sp.poly_str(self.beta)}; "
-            f"x1 = {xs}; x2 = {x2s}"
-        )
-
 
 def minus_one_elem(spec: RingSpec):
     return spec.neg(spec.one)
@@ -57,23 +46,19 @@ def norm_minus_one_elements(spec: RingSpec):
 
 
 def seed(spec: RingSpec):
-    """All shortest self-dual codes over R, deduplicated by equivalence
-    of their expansions."""
-    from .equiv import are_equivalent
+    """All shortest self-dual codes over R, one per equivalence class of
+    their expansions, each the first of its class in lexicographic order
+    of c."""
+    from .equiv import ClassStore, fingerprint
 
     if spec.field.residue_class in ("char-2", "1-mod-4"):
-        codes = [
-            RingCode(spec, 2, [(spec.one, c)]) for c in norm_minus_one_elements(spec)
-        ]
+        store = ClassStore()
         kept: list[RingCode] = []
-        for cand in codes:
-            exp = cand.expansion()
-            if any(
-                exp == k.expansion() or are_equivalent(exp, k.expansion())
-                for k in kept
-            ):
-                continue
-            kept.append(cand)
+        for c in norm_minus_one_elements(spec):
+            code = RingCode(spec, 2, [(spec.one, c)])
+            exp = code.expansion()
+            if store.add(exp, fingerprint(exp)):
+                kept.append(code)
         return kept
 
     a, b = sum_of_squares_minus_one(spec.field)

@@ -52,11 +52,7 @@ from .ring import RingSpec, ring, CrtPair
 from .qc import FieldCode, rref
 from .rcode import RingCode
 from .buildup import ExtensionWitness, extend_i, norm_minus_one_elements
-from .equiv import (
-    CodeFingerprint,
-    are_equivalent,
-    fingerprint,
-)
+from .equiv import ClassStore, CodeFingerprint, fingerprint
 
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
 
@@ -246,7 +242,7 @@ def enumerate_via_crt(spec: RingSpec, ell: int, progress=None):
     c1s, c2s = component_self_dual_codes(spec, ell)
     zerophi = spec.residue_field().zero
     reps: list[RingCode] = []
-    buckets: dict = {}
+    store = ClassStore()
     total = len(c1s) * len(c2s)
     done = 0
     for c1 in c1s:
@@ -264,10 +260,7 @@ def enumerate_via_crt(spec: RingSpec, ell: int, progress=None):
                     "component recombination produced a non-self-dual code"
                 )
             exp = cand.expansion()
-            fp = fingerprint(exp)
-            bucket = buckets.setdefault(fp.key(), [])
-            if not any(are_equivalent(exp, known.expansion()) for known in bucket):
-                bucket.append(cand)
+            if store.add(exp, fingerprint(exp)):
                 reps.append(cand)
             done += 1
             if progress is not None and done % 500 == 0:
@@ -480,6 +473,10 @@ def _iter_extension_witnesses(base: RingCode, c_reps, lo: int, hi: int):
                     yield ExtensionWitness("i", base, c=c, x1=x)
 
 
+def _trail_step(wit: ExtensionWitness) -> dict:
+    return {"kind": "extend_i", "c": list(wit.c), "x": [list(e) for e in wit.x1]}
+
+
 def _seed_candidates(spec: RingSpec):
     for c in norm_minus_one_elements(spec):
         code = RingCode(spec, 2, [(spec.one, c)])
@@ -507,19 +504,38 @@ def _constructive_witnesses(base: RingCode, c_reps, samples: int, rng):
             yield ExtensionWitness("i", base, c=c, x1=x)
 
 
-def _candidate_chunk(args):
-    """Worker task: materialize one chunk of extension candidates with the
-    invariants the coordinator needs for deduplication."""
+def _constructive_candidates(bases, c_reps, samples: int, rng):
+    for base_cc in bases:
+        for wit in _constructive_witnesses(base_cc.code, c_reps, samples, rng):
+            yield wit.apply(), base_cc.trail + (_trail_step(wit),)
+
+
+def _extension_chunk(args):
+    """The extensions of one base by its witnesses [lo, hi), as (rows, trail
+    step) pairs: plain data, so that a worker process can return them."""
     q, m, ell, base_rows, c_reps, lo, hi = args
-    sp = ring(q, m)
-    base = RingCode(sp, ell, base_rows)
-    out = []
-    for wit in _iter_extension_witnesses(base, list(c_reps), lo, hi):
-        ext = wit.apply()
-        exp = ext.expansion()
-        step = {"kind": "extend_i", "c": list(wit.c), "x": [list(e) for e in wit.x1]}
-        out.append((ext.rows, step, exp.key(), fingerprint(exp)))
-    return out
+    base = RingCode(ring(q, m), ell, base_rows)
+    return [
+        (wit.apply().rows, _trail_step(wit))
+        for wit in _iter_extension_witnesses(base, c_reps, lo, hi)
+    ]
+
+
+def _extension_candidates(spec: RingSpec, bases, c_reps, workers: int, chunk_map):
+    """Every extension of every base, in witness order.  Each base's witness
+    range is cut into chunks that `chunk_map` (the builtin map, or a process
+    pool's) hands to _extension_chunk."""
+    for base_cc in bases:
+        base = base_cc.code
+        total = _witness_count(base)
+        step = max(1, -(-total // (workers * 4)))
+        args = [
+            (spec.q, spec.m, base.ell, base.rows, c_reps, lo, min(lo + step, total))
+            for lo in range(0, total, step)
+        ]
+        for chunk in chunk_map(_extension_chunk, args):
+            for rows, trail_step in chunk:
+                yield RingCode(spec, base.ell + 2, rows), base_cc.trail + (trail_step,)
 
 
 class _Checkpoint:
@@ -608,7 +624,12 @@ def classify(
     expansions.  Exhaustive when the ring satisfies the classification
     hypotheses (char 2 or q = 1 mod 4; m prime with q primitive mod m);
     pass constructive=True to run a sampled, non-exhaustive search instead
-    of refusing when only the exhaustiveness hypotheses fail."""
+    of refusing when only the exhaustiveness hypotheses fail.
+
+    With workers > 1, a pool of that many processes generates the witnesses
+    of the exhaustive levels and applies the extensions, and nothing else:
+    expansions, fingerprints and deduplication run in the calling process,
+    in witness order, so the result does not depend on `workers`."""
     if target_ell < 2 or target_ell % 2:
         raise ValueError(f"classification targets positive even lengths, got {target_ell}")
     exhaustive = (
@@ -636,12 +657,13 @@ def classify(
         ckpt.append(
             {"event": "run", "q": spec.q, "m": spec.m, "target_ell": target_ell}
         )
-    c_reps = _norm_minus_one_orbit_reps(spec)
+    c_reps = tuple(_norm_minus_one_orbit_reps(spec))
     pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
+    chunk_map = map if pool is None else pool.map
     try:
         start_ell = 2
         done = sorted(e for e in levels if e <= target_ell)
@@ -649,34 +671,16 @@ def classify(
             start_ell = done[-1] + 2
         for ell in range(start_ell, target_ell + 1, 2):
             if ell == 2:
-                cands = (
-                    (code, trail, code.expansion()) for code, trail in _seed_candidates(spec)
-                )
-                reps = _dedup_level(spec, ell, cands, stats, candidate_budget, progress)
+                cands = _seed_candidates(spec)
             elif exhaustive:
-                reps = _level_step(
-                    spec,
-                    ell,
-                    levels[ell - 2],
-                    c_reps,
-                    stats,
-                    candidate_budget,
-                    pool,
-                    workers,
-                    progress,
+                cands = _extension_candidates(
+                    spec, levels[ell - 2], c_reps, workers, chunk_map
                 )
             else:
-                reps = _level_step_constructive(
-                    spec,
-                    ell,
-                    levels[ell - 2],
-                    c_reps,
-                    stats,
-                    candidate_budget,
-                    constructive_samples,
-                    rng,
-                    progress,
+                cands = _constructive_candidates(
+                    levels[ell - 2], c_reps, constructive_samples, rng
                 )
+            reps = _dedup_level(spec, ell, cands, stats, candidate_budget, progress)
             levels[ell] = reps
             stats.ring_classes_per_level[ell] = len(reps)
             if ckpt:
@@ -700,19 +704,9 @@ def classify(
             pool.shutdown()
     # final pass: collapse the structure-preserving classes into classes of
     # the expanded codes, which is the equivalence the counts are stated in
-    final = []
-    buckets: dict = {}
-    for cc in levels[target_ell]:
-        bucket = buckets.setdefault(cc.fingerprint.key(), [])
-        hit = False
-        for known in bucket:
-            stats.equivalence_checks += 1
-            if are_equivalent(cc.expansion, known.expansion):
-                hit = True
-                break
-        if not hit:
-            bucket.append(cc)
-            final.append(cc)
+    store = ClassStore()
+    final = [cc for cc in levels[target_ell] if store.add(cc.expansion, cc.fingerprint)]
+    stats.equivalence_checks += store.checks
     return ClassificationRun(
         spec=spec,
         target_ell=target_ell,
@@ -723,102 +717,33 @@ def classify(
 
 
 def _dedup_level(spec, ell, cands, stats, candidate_budget, progress):
-    """Stream candidates into structure-preserving equivalence classes."""
+    """Stream (code, trail) candidates into structure-preserving equivalence
+    classes; returns the representatives in order of first appearance."""
     seen_keys = set()
-    buckets: dict = {}
+    store = ClassStore(qc_blocks=(spec.m, ell))
     reps: list[ClassifiedCode] = []
-    for item in cands:
+    for code, trail in cands:
         stats.candidates += 1
         if stats.candidates > candidate_budget:
             raise BudgetExceeded(
                 "classification candidates", stats.candidates, candidate_budget
             )
-        code, trail, exp = item[0], item[1], item[2]
-        key = item[3] if len(item) > 3 else exp.key()
+        exp = code.expansion()
+        key = exp.key()
         if key in seen_keys:
             stats.exact_duplicates += 1
             continue
         seen_keys.add(key)
-        fp = item[4] if len(item) > 4 else fingerprint(exp)
-        bucket = buckets.setdefault(fp.key(), [])
-        hit = False
-        for known in bucket:
-            stats.equivalence_checks += 1
-            if are_equivalent(
-                exp, known.expansion, qc_blocks=(spec.m, ell)
-            ):
-                hit = True
-                break
-        if not hit:
-            cc = ClassifiedCode(code, exp, fp, trail)
-            bucket.append(cc)
-            reps.append(cc)
+        fp = fingerprint(exp)
+        if store.add(exp, fp):
+            reps.append(ClassifiedCode(code, exp, fp, trail))
         if progress is not None and stats.candidates % 5000 == 0:
             progress(
                 f"length {ell}: {stats.candidates} candidates, "
                 f"{len(reps)} ring classes"
             )
+    stats.equivalence_checks += store.checks
     return reps
-
-
-def _level_step(
-    spec, ell, bases, c_reps, stats, candidate_budget, pool, workers, progress
-):
-    def generate():
-        for base_cc in bases:
-            base = base_cc.code
-            total = _witness_count(base)
-            if pool is None:
-                chunks = [(0, total)]
-            else:
-                step = max(1, -(-total // (workers * 4)))
-                chunks = [
-                    (lo, min(lo + step, total)) for lo in range(0, total, step)
-                ]
-            if pool is None:
-                for lo, hi in chunks:
-                    for wit in _iter_extension_witnesses(base, c_reps, lo, hi):
-                        ext = wit.apply()
-                        step_rec = {
-                            "kind": "extend_i",
-                            "c": list(wit.c),
-                            "x": [list(e) for e in wit.x1],
-                        }
-                        yield ext, base_cc.trail + (step_rec,), ext.expansion()
-            else:
-                args = [
-                    (spec.q, spec.m, base.ell, base.rows, tuple(c_reps), lo, hi)
-                    for lo, hi in chunks
-                ]
-                for chunk in pool.map(_candidate_chunk, args):
-                    for rows, step_rec, key, fp in chunk:
-                        ext = RingCode(spec, ell, rows)
-                        yield (
-                            ext,
-                            base_cc.trail + (step_rec,),
-                            ext.expansion(),
-                            key,
-                            fp,
-                        )
-
-    return _dedup_level(spec, ell, generate(), stats, candidate_budget, progress)
-
-
-def _level_step_constructive(
-    spec, ell, bases, c_reps, stats, candidate_budget, samples, rng, progress
-):
-    def generate():
-        for base_cc in bases:
-            for wit in _constructive_witnesses(base_cc.code, c_reps, samples, rng):
-                ext = wit.apply()
-                step_rec = {
-                    "kind": "extend_i",
-                    "c": list(wit.c),
-                    "x": [list(e) for e in wit.x1],
-                }
-                yield ext, base_cc.trail + (step_rec,), ext.expansion()
-
-    return _dedup_level(spec, ell, generate(), stats, candidate_budget, progress)
 
 
 # -- reporting ----------------------------------------------------------------

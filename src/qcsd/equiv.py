@@ -15,11 +15,20 @@ verified by remapping one code's basis into the other's row space, so
 a positive answer is never wrong; negative answers are exact because
 the search is exhaustive.
 
-Each code's refinement profile (weight enumerator, refinement strata,
-their codewords and the incidence structures built on them) is computed
-once and kept on the code object itself (`FieldCode.cache`), so
-`fingerprint`, `are_equivalent` and `automorphism_order` share it and it
-is freed with the code.
+The structure has two halves.  What depends only on the shape (field,
+length and, for block-restricted equivalence, the block layout) is the
+slot set with its ratio mates, block successor and predecessor mates and
+base colors; it is built once per shape and shared by every code of that
+shape.  What depends on the code is its refinement profile: the weight
+enumerator, the refinement strata and the word-slot incidence of their
+codewords.  The profile is built once and kept on the code object itself
+(`FieldCode.cache`), so `fingerprint`, `are_equivalent` and
+`automorphism_order` share it, in every shape, and it is freed with the
+code.
+
+`ClassStore` is the one place that sorts codes into classes: it buckets
+codes by fingerprint and compares a new code first-fit against the
+representatives in its bucket, optionally under the block restriction.
 
 The automorphism group order comes from orbit-stabilizer along a base
 that refinement alone picks.  The levels are searched deepest first:
@@ -35,6 +44,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -95,11 +105,14 @@ def _select_strata(code: FieldCode, w, max_words: int):
 # -- incidence structure -----------------------------------------------------
 
 
-class _Structure:
-    # holds no reference to its code: profiles cache structures on the code
-    def __init__(self, code: FieldCode, strata_weights, words, succ_cols=None):
-        fld: FieldSpec = code.field
-        q, n = fld.q, code.n
+class _Shape:
+    """The slot structure fixed by (field, length, qc_blocks) alone: ratio
+    mates, block successor and predecessor mates, and base colors.  Built
+    once per shape and shared by every code of that shape; it holds no
+    reference to any code, so caching it pins none."""
+
+    def __init__(self, fld: FieldSpec, n: int, qc_blocks):
+        q = fld.q
         r = max(q - 1, 1)
         self.n = n
         self.r = r
@@ -112,11 +125,12 @@ class _Structure:
             v = vi + 1
             mates.append(tuple(j * r + (fld.mul(rho, v) - 1) for rho in ratios))
         self.mates = mates
-        if succ_cols is None:
+        if qc_blocks is None:
             self.succ_mate = None
             self.pred_mate = None
             self.base_colors = [0] * self.nslots
         else:
+            succ_cols = _succ_cols(n, qc_blocks)
             pred_cols = [0] * n
             for j, j2 in enumerate(succ_cols):
                 pred_cols[j2] = j
@@ -135,26 +149,36 @@ class _Structure:
                 rep = min(fld.mul(g, v) for g in square_one)
                 orbit[v] = rep
             self.base_colors = [orbit[(s % r) + 1] for s in range(self.nslots)]
-        wt_rank = {wt: i for i, wt in enumerate(strata_weights)}
-        self.word_slots: list[tuple] = []
-        self.word_stratum: list[int] = []
-        self.slot_words: list[list[int]] = [[] for _ in range(self.nslots)]
-        for row in words:
-            wt = sum(1 for v in row if v)
-            slots = tuple(j * r + (v - 1) for j, v in enumerate(row) if v)
-            wid = len(self.word_slots)
-            self.word_slots.append(slots)
-            self.word_stratum.append(wt_rank[wt])
-            for s in slots:
-                self.slot_words[s].append(wid)
-        self.stratum_sizes = Counter(self.word_stratum)
+
+
+@lru_cache(maxsize=None)
+def _shape(fld: FieldSpec, n: int, qc_blocks) -> _Shape:
+    return _Shape(fld, n, qc_blocks)
+
+
+def _incidence(code: FieldCode, strata_weights, words):
+    """Word-slot incidence of the strata words: each word's slots and
+    stratum rank, and each slot's words."""
+    r = max(code.field.q - 1, 1)
+    wt_rank = {wt: i for i, wt in enumerate(strata_weights)}
+    word_slots: list[tuple] = []
+    word_stratum: list[int] = []
+    slot_words: list[list[int]] = [[] for _ in range(code.n * r)]
+    for row in words:
+        wt = sum(1 for v in row if v)
+        slots = tuple(j * r + (v - 1) for j, v in enumerate(row) if v)
+        wid = len(word_slots)
+        word_slots.append(slots)
+        word_stratum.append(wt_rank[wt])
+        for s in slots:
+            slot_words[s].append(wid)
+    return word_slots, word_stratum, slot_words
 
 
 class _Profile:
     """What the engine derives from one code at one (budget, max_words):
-    the weight enumerator, the strata and their words, and the incidence
-    structures on them keyed by column successor map (None when
-    unrestricted)."""
+    the weight enumerator, the strata weights, and the word-slot incidence
+    of the strata words, which serves every shape the code is compared in."""
 
     def __init__(self, code: FieldCode, budget: int, max_words: int):
         total = code.field.q**code.k
@@ -164,8 +188,11 @@ class _Profile:
                 "codeword materialization for equivalence", total, _MATERIALIZE_LIMIT
             )
         self.enum = weight_enumerator(code, budget)
-        self.weights, self.rows = _select_strata(code, self.enum, max_words)
-        self.structures: dict = {}
+        self.weights, words = _select_strata(code, self.enum, max_words)
+        self.word_slots, self.word_stratum, self.slot_words = _incidence(
+            code, self.weights, words
+        )
+        self.stratum_sizes = Counter(self.word_stratum)
 
 
 def _profile(code: FieldCode, budget: int, max_words: int) -> _Profile:
@@ -176,47 +203,37 @@ def _profile(code: FieldCode, budget: int, max_words: int) -> _Profile:
     return prof
 
 
-def _structure(code: FieldCode, prof: _Profile, succ=None) -> _Structure:
-    key = tuple(succ) if succ is not None else None
-    S = prof.structures.get(key)
-    if S is None:
-        S = prof.structures[key] = _Structure(code, prof.weights, prof.rows, succ)
-    return S
-
-
-def _refine(structs, colors_list):
-    """Iterated joint recoloring; returns stable colors or None when the
-    color class sizes of the two structures diverge."""
-    pair = len(structs) == 2
+def _refine(shape: _Shape, profs, colors_list):
+    """Iterated joint recoloring of one or two profiles on a shared shape;
+    returns stable colors or None when the color class sizes of the two
+    diverge."""
+    pair = len(profs) == 2
+    mates, succ, pred = shape.mates, shape.succ_mate, shape.pred_mate
     while True:
         if pair and Counter(colors_list[0]) != Counter(colors_list[1]):
             return None
         wsigs_list = []
         allw = set()
-        for S, colors in zip(structs, colors_list):
+        for P, colors in zip(profs, colors_list):
             wsigs = [
-                (S.word_stratum[w],) + tuple(sorted(colors[s] for s in S.word_slots[w]))
-                for w in range(len(S.word_slots))
+                (P.word_stratum[w],) + tuple(sorted(colors[s] for s in P.word_slots[w]))
+                for w in range(len(P.word_slots))
             ]
             wsigs_list.append(wsigs)
             allw.update(wsigs)
         wrank = {sig: i for i, sig in enumerate(sorted(allw))}
         sigs_list = []
         alls = set()
-        for S, colors, wsigs in zip(structs, colors_list, wsigs_list):
+        for P, colors, wsigs in zip(profs, colors_list, wsigs_list):
             sigs = []
-            for s in range(S.nslots):
-                cyc = (
-                    (colors[S.succ_mate[s]], colors[S.pred_mate[s]])
-                    if S.succ_mate is not None
-                    else ()
-                )
+            for s in range(shape.nslots):
+                cyc = (colors[succ[s]], colors[pred[s]]) if succ is not None else ()
                 sigs.append(
                     (
                         colors[s],
-                        tuple(colors[mate] for mate in S.mates[s]),
+                        tuple(colors[mate] for mate in mates[s]),
                         cyc,
-                        tuple(sorted(wrank[wsigs[w]] for w in S.slot_words[s])),
+                        tuple(sorted(wrank[wsigs[w]] for w in P.slot_words[s])),
                     )
                 )
             sigs_list.append(sigs)
@@ -233,9 +250,10 @@ def _refine(structs, colors_list):
         colors_list = new_list
 
 
-def _pin_closure(SA, SB, pins):
+def _pin_closure(shape: _Shape, pins):
     """Expand pins through ratio mates and, in quasi-cyclic mode, along the
     cycle successor and predecessor; None on conflict or non-injectivity."""
+    mates, succ, pred = shape.mates, shape.succ_mate, shape.pred_mate
     mapping: dict[int, int] = {}
     queue = list(pins)
     while queue:
@@ -246,10 +264,10 @@ def _pin_closure(SA, SB, pins):
                 return None
             continue
         mapping[a] = b
-        queue.extend(zip(SA.mates[a], SB.mates[b]))
-        if SA.succ_mate is not None:
-            queue.append((SA.succ_mate[a], SB.succ_mate[b]))
-            queue.append((SA.pred_mate[a], SB.pred_mate[b]))
+        queue.extend(zip(mates[a], mates[b]))
+        if succ is not None:
+            queue.append((succ[a], succ[b]))
+            queue.append((pred[a], pred[b]))
     if len(set(mapping.values())) != len(mapping):
         return None
     return mapping
@@ -276,13 +294,13 @@ def apply_monomial(code: FieldCode, perm, scalars) -> FieldCode:
     return FieldCode(fld, n, rows)
 
 
-def _leaf_witness(SA, codes, cA, cB):
+def _leaf_witness(shape: _Shape, codes, cA, cB):
     """Read the unique candidate map off discrete colorings and verify it
     against the two codes."""
     where_b = {}
     for s, c in enumerate(cB):
         where_b[c] = s
-    n, r = SA.n, SA.r
+    n, r = shape.n, shape.r
     code_a, code_b = codes
     fld = code_a.field
     perm = [0] * n
@@ -307,7 +325,7 @@ def _leaf_witness(SA, codes, cA, cB):
     return EquivalenceResult(True, tuple(perm), tuple(scal))
 
 
-def _find_map(SA, SB, pins, state):
+def _find_map(shape: _Shape, profs, pins, state):
     state["nodes"] += 1
     if state["nodes"] > state["budget"]:
         raise BudgetExceeded(
@@ -315,23 +333,24 @@ def _find_map(SA, SB, pins, state):
             state["nodes"],
             state["budget"],
         )
-    mapping = _pin_closure(SA, SB, pins)
+    mapping = _pin_closure(shape, pins)
     if mapping is None:
         return None
-    keysA = [(c, 0) for c in SA.base_colors]
-    keysB = [(c, 0) for c in SB.base_colors]
+    base = shape.base_colors
+    keysA = [(c, 0) for c in base]
+    keysB = list(keysA)
     for i, (a, b) in enumerate(sorted(mapping.items())):
-        keysA[a] = (SA.base_colors[a], i + 1)
-        keysB[b] = (SB.base_colors[b], i + 1)
+        keysA[a] = (base[a], i + 1)
+        keysB[b] = (base[b], i + 1)
     rank = {t: i for i, t in enumerate(sorted(set(keysA) | set(keysB)))}
     colorsA = [rank[t] for t in keysA]
     colorsB = [rank[t] for t in keysB]
-    res = _refine([SA, SB], [colorsA, colorsB])
+    res = _refine(shape, profs, [colorsA, colorsB])
     if res is None:
         return None
     cA, cB = res
-    if len(set(cA)) == SA.nslots:
-        return _leaf_witness(SA, state["codes"], cA, cB)
+    if len(set(cA)) == shape.nslots:
+        return _leaf_witness(shape, state["codes"], cA, cB)
     classesA: dict[int, list] = {}
     for s, c in enumerate(cA):
         classesA.setdefault(c, []).append(s)
@@ -342,7 +361,7 @@ def _find_map(SA, SB, pins, state):
     a = slots[0]
     candidates = sorted(s for s, c in enumerate(cB) if c == color)
     for b in candidates:
-        res = _find_map(SA, SB, pins + [(a, b)], state)
+        res = _find_map(shape, profs, pins + [(a, b)], state)
         if res is not None:
             return res
     return None
@@ -356,18 +375,6 @@ def _succ_cols(n: int, qc_blocks) -> list:
     if m < 2 or m * ell != n:
         raise ValueError(f"block shape {qc_blocks} does not tile length {n}")
     return [((pos // ell + 1) % m) * ell + (pos % ell) for pos in range(n)]
-
-
-def _build_structures(d1: FieldCode, d2: FieldCode, budget, max_words, succ=None):
-    p1 = _profile(d1, budget, max_words)
-    p2 = _profile(d2, budget, max_words)
-    if p1.weights != p2.weights:
-        return None
-    S1 = _structure(d1, p1, succ)
-    S2 = _structure(d2, p2, succ)
-    if S1.stratum_sizes != S2.stratum_sizes:
-        return None
-    return S1, S2
 
 
 def are_equivalent(
@@ -390,13 +397,14 @@ def are_equivalent(
         return EquivalenceResult(False)
     if d1.k == 0:
         return EquivalenceResult(True, tuple(range(d1.n)), (1,) * d1.n)
-    succ = _succ_cols(d1.n, qc_blocks) if qc_blocks is not None else None
-    built = _build_structures(d1, d2, budget, max_words, succ=succ)
-    if built is None:
+    blocks = tuple(qc_blocks) if qc_blocks is not None else None
+    shape = _shape(d1.field, d1.n, blocks)
+    p1 = _profile(d1, budget, max_words)
+    p2 = _profile(d2, budget, max_words)
+    if p1.weights != p2.weights or p1.stratum_sizes != p2.stratum_sizes:
         return EquivalenceResult(False)
-    S1, S2 = built
     state = {"nodes": 0, "budget": node_budget, "codes": (d1, d2)}
-    res = _find_map(S1, S2, [], state)
+    res = _find_map(shape, (p1, p2), [], state)
     return res if res is not None else EquivalenceResult(False)
 
 
@@ -427,36 +435,79 @@ def fingerprint(
     nz = [(i, a) for i, a in enumerate(prof.enum.counts) if i > 0 and a]
     d = nz[0][0]
     prefix = tuple(nz[:4])
-    S = _structure(code, prof)
-    colors = [0] * S.nslots
-    (colors,) = _refine([S], [colors])
+    shape = _shape(code.field, code.n, None)
+    colors = [0] * shape.nslots
+    (colors,) = _refine(shape, (prof,), [colors])
     trace = (
         code.n,
         code.k,
         code.field.q,
         tuple(prof.weights),
-        tuple(sorted(S.stratum_sizes.items())),
+        tuple(sorted(prof.stratum_sizes.items())),
         tuple(sorted(Counter(colors).items())),
     )
     digest = hashlib.sha256(repr(trace).encode()).hexdigest()
     return CodeFingerprint(code.n, code.k, d, prefix, digest)
 
 
+# -- first-fit classes -------------------------------------------------------
+
+
+class ClassStore:
+    """Representatives of equivalence classes, kept first-fit.
+
+    A code is compared only with the representatives whose fingerprint it
+    shares, in the order they were added, and joins the first one it is
+    equivalent to (under the block restriction when qc_blocks is given);
+    otherwise it becomes a new representative.  `checks` counts the
+    `are_equivalent` calls made."""
+
+    def __init__(self, qc_blocks: tuple | None = None):
+        self.qc_blocks = qc_blocks
+        self.buckets: dict = {}
+        self.checks = 0
+
+    def add(self, code: FieldCode, fp: CodeFingerprint) -> bool:
+        """True when `code` starts a new class; `fp` is its fingerprint."""
+        bucket = self.buckets.setdefault(fp.key(), [])
+        for known in bucket:
+            self.checks += 1
+            if are_equivalent(code, known, qc_blocks=self.qc_blocks):
+                return False
+        bucket.append(code)
+        return True
+
+
 # -- automorphisms -----------------------------------------------------------
 
 
-def _automorphism_group_order(code: FieldCode, S: _Structure, node_budget) -> int:
+def automorphism_order(
+    code: FieldCode,
+    max_n: int = 24,
+    budget: int = DEFAULT_WEIGHT_BUDGET,
+    max_words: int = DEFAULT_MAX_WORDS,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> int:
+    """Order of the monomial automorphism group (permutations for q=2),
+    by orbit-stabilizer over the refinement structure."""
+    if code.n > max_n:
+        raise BudgetExceeded("automorphism group search", code.n, max_n)
+    if code.k == 0:
+        raise ValueError("automorphism group of the zero code is everything")
+    prof = _profile(code, budget, max_words)
+    S = _shape(code.field, code.n, None)
+    profs = (prof, prof)
     state = {"nodes": 0, "budget": node_budget, "codes": (code, code)}
     # the base, and the cell each base point is taken from, by refinement alone
     levels = []
     base: list[int] = []
     while True:
         pins = [(b, b) for b in base]
-        mapping = _pin_closure(S, S, pins)
+        mapping = _pin_closure(S, pins)
         colors = [0] * S.nslots
         for i, (a, _) in enumerate(sorted(mapping.items())):
             colors[a] = i + 1
-        (colors,) = _refine([S], [colors])
+        (colors,) = _refine(S, (prof,), [colors])
         classes: dict[int, list] = {}
         for s, c in enumerate(colors):
             classes.setdefault(c, []).append(s)
@@ -486,7 +537,7 @@ def _automorphism_group_order(code: FieldCode, S: _Structure, node_budget) -> in
             root = find(c)
             if root == find(b0) or root in {find(f) for f in failed}:
                 continue
-            witness = _find_map(S, S, pins + [(b0, c)], state)
+            witness = _find_map(S, profs, pins + [(b0, c)], state)
             if witness is None:
                 failed.append(c)
                 continue
@@ -497,19 +548,3 @@ def _automorphism_group_order(code: FieldCode, S: _Structure, node_budget) -> in
         order *= sum(1 for c in cell if find(c) == find(b0))
     return order
 
-
-def automorphism_order(
-    code: FieldCode,
-    max_n: int = 24,
-    budget: int = DEFAULT_WEIGHT_BUDGET,
-    max_words: int = DEFAULT_MAX_WORDS,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """Order of the monomial automorphism group (permutations for q=2),
-    by orbit-stabilizer over the refinement structure."""
-    if code.n > max_n:
-        raise BudgetExceeded("automorphism group search", code.n, max_n)
-    if code.k == 0:
-        raise ValueError("automorphism group of the zero code is everything")
-    S = _structure(code, _profile(code, budget, max_words))
-    return _automorphism_group_order(code, S, node_budget)

@@ -76,12 +76,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._inv[a]
 
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        for _ in range(e):
-            r = self._mul[r][a]
-        return r
-
     @property
     def minus_one(self) -> int:
         return self._neg[1]

@@ -88,14 +88,12 @@ class FieldCode:
     """A linear [n, k] code over F_q, stored by its canonical RREF basis.
 
     Two FieldCode objects compare equal exactly when they have the same
-    row space.  `qc_index` optionally records the shift step ell under
-    which the code is known to be invariant.  `cache` holds what other
-    modules derive from the row space and reuse (the equivalence engine's
-    refinement profiles); it is freed with the object and takes no part
-    in equality.
+    row space.  `cache` holds what other modules derive from the row space
+    and reuse (the equivalence engine's refinement profiles); it is freed
+    with the object and takes no part in equality.
     """
 
-    def __init__(self, fld: FieldSpec, n: int, rows, qc_index: int | None = None):
+    def __init__(self, fld: FieldSpec, n: int, rows):
         if n < 1:
             raise ValueError("length must be positive")
         rows = [tuple(r) for r in rows]
@@ -109,7 +107,6 @@ class FieldCode:
         self.n = n
         self.rows, self.pivots = rref(fld, n, rows)
         self.k = len(self.rows)
-        self.qc_index = qc_index
         self.cache: dict = {}
 
     def contains(self, word) -> bool:
@@ -192,7 +189,7 @@ def expand(rc) -> FieldCode:
                     out[i * ell + j] = entry[i]
             frows.append(tuple(out))
             shifted = tuple(spec.shift(e, 1) for e in shifted)
-    return FieldCode(spec.field, n, frows, qc_index=ell)
+    return FieldCode(spec.field, n, frows)
 
 
 def collapse(code: FieldCode, m: int, ell: int):

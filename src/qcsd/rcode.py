@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qc import FieldCode, expand, rref
+from .qc import FieldCode, expand, is_euclidean_self_dual, rref
 from .ring import CrtPair, RingSpec
 
 
@@ -30,10 +30,6 @@ class StandardForm:
     rows: tuple  # generator rows in block order, in the permuted coordinates
     col_perm: tuple  # col_perm[new_position] = original column index
     alpha_branch: str | None  # "Y-1" or "phi" when k3 > 0
-
-    @property
-    def rank_profile(self):
-        return (self.k1, self.k2, self.k3)
 
 
 class RingCode:
@@ -96,24 +92,7 @@ class RingCode:
     def is_self_dual(self) -> bool:
         """Self-dual under the hermitian product, decided in the field image:
         the expansion must be self-orthogonal of dimension m*ell/2."""
-        n = self.m * self.ell
-        if n % 2:
-            return False
-        exp = self.expansion()
-        if exp.k != n // 2:
-            return False
-        fld = self.spec.field
-        rows = exp.rows
-        for i in range(len(rows)):
-            ri = rows[i]
-            for j in range(i, len(rows)):
-                rj = rows[j]
-                acc = 0
-                for a, b in zip(ri, rj):
-                    acc = fld.add(acc, fld.mul(a, b))
-                if acc:
-                    return False
-        return True
+        return is_euclidean_self_dual(self.expansion())
 
     def standard_form(self) -> StandardForm:
         return _standard_form(self)

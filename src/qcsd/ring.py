@@ -66,13 +66,11 @@ class RingSpec:
         self.cyclotomic_ok = _is_prime(m) and _mult_order(f.q, m) == m - 1
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
-        self.phi = (1,) * m if m > 1 else (1,)  # 1 + Y + ... + Y^(m-1)
         self.y = ((0, 1) + (0,) * (m - 2)) if m > 1 else (1,)
         p_in_f = 0
         for _ in range(m):
             p_in_f = f.add(p_in_f, 1)
         self.p_in_field = p_in_f  # m as an element of F_q (nonzero: gcd(m, char)=1)
-        self._units = None
         self._norm_classes = None
         self._residue_field = None
 
@@ -169,11 +167,6 @@ class RingSpec:
             out[j] = fld.add(out[j], x)
         return r0, tuple(out)
 
-    def units(self):
-        if self._units is None:
-            self._units = tuple(a for a in self.elements() if self.is_unit(a))
-        return self._units
-
     # -- CRT -------------------------------------------------------------
 
     def _require_cyclotomic(self, what: str):
@@ -229,13 +222,6 @@ class RingSpec:
             out[i] = idx % q
             idx //= q
         return tuple(out)
-
-    def element_index(self, a) -> int:
-        q = self.field.q
-        idx = 0
-        for x in a:
-            idx = idx * q + x
-        return idx
 
     def norm_classes(self):
         """Map t -> sorted list of elements with a*conj(a) = t.  Cached."""

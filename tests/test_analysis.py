@@ -117,11 +117,10 @@ def test_min_distance_literals():
         min_distance(code, budget=2)
 
 
-def test_poly_str_and_csv():
+def test_poly_str():
     w = WeightEnum(n=4, counts=(1, 0, 3, 0, 1), complete=True, q=2, k=2)
     assert w.poly_str() == "1 + 3y^2 + y^4"
     assert w.poly_str(max_terms=2) == "1 + 3y^2"
-    assert w.csv_rows() == [(0, 1), (1, 0), (2, 3), (3, 0), (4, 1)]
     partial = WeightEnum(n=4, counts=(1, 0, 3), complete=False, q=2, k=2)
     assert partial.poly_str() == "1 + 3y^2 + ..."
 

@@ -167,7 +167,7 @@ def test_extend_ii_rejects_bad_witnesses():
         extend_ii(seeds_for(2, 3)[0], sp2.one, sp2.one, (sp2.one,) * 2, (sp2.one,) * 2)
 
 
-def test_witness_replay_and_log():
+def test_witness_replay():
     rng = random.Random(34)
     sp = ring(2, 5)
     base = seeds_for(2, 5)[0]
@@ -176,9 +176,6 @@ def test_witness_replay_and_log():
     wit = ExtensionWitness(branch="i", base=base, c=c, x1=x)
     direct = extend_i(base, c, x)
     assert wit.apply().rows == direct.rows
-    line = wit.log_line()
-    assert line.startswith("i; c = ")
-    assert "; x = (" in line
 
     sp3 = ring(3, 5)
     base3 = seeds_for(3, 5)[0]
@@ -190,7 +187,6 @@ def test_witness_replay_and_log():
             break
     wit2 = ExtensionWitness(branch="ii", base=base3, alpha=alpha, beta=beta, x1=x1, x2=x2)
     assert wit2.apply().rows == extend_ii(base3, alpha, beta, x1, x2).rows
-    assert wit2.log_line().startswith("ii; alpha = 1; beta = 1; x1 = (")
 
 
 def test_reduce_inverts_extend_i():

@@ -1,5 +1,7 @@
 """Classification driver: level build-up, CRT enumeration, checkpoints."""
 
+from dataclasses import asdict
+
 import pytest
 
 from qcsd.classify import (
@@ -200,8 +202,11 @@ def test_filter_report_automorphism_orders(q, m, ell, orders):
 
 def test_workers_give_identical_results():
     sp = ring(2, 3)
-    single = classify(sp, 4, workers=1)
-    multi = classify(sp, 4, workers=2)
+    single = classify(sp, 6, workers=1)
+    multi = classify(sp, 6, workers=2)
+    assert len(single.classes) == 3
+    assert [c.trail for c in multi.classes] == [c.trail for c in single.classes]
     assert [c.fingerprint for c in multi.classes] == [
         c.fingerprint for c in single.classes
     ]
+    assert asdict(multi.stats) == asdict(single.stats)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcsd.equiv import (
+    ClassStore,
     apply_monomial,
     are_equivalent,
     automorphism_order,
@@ -239,6 +240,7 @@ def test_profiles_are_freed_with_their_code():
     try:
         fingerprint(code)
         assert are_equivalent(code, moved)
+        assert are_equivalent(code, code, qc_blocks=(3, 4))
         assert automorphism_order(code) > 0
         assert code.cache
         ref = weakref.ref(code)
@@ -298,3 +300,53 @@ def test_qc_blocks_mode_is_a_restriction():
     moved = apply_monomial(code, perm, scalars)
     if are_equivalent(code, moved, qc_blocks=(rc.m, rc.ell)):
         assert are_equivalent(code, moved)
+
+
+def test_incidence_is_built_once_per_code(monkeypatch):
+    # the fingerprint and the block-restricted search share one word-slot
+    # incidence; only the shape data differs between them
+    import qcsd.equiv
+
+    built = []
+    incidence = qcsd.equiv._incidence
+
+    def counting(code, *args):
+        built.append(code)
+        return incidence(code, *args)
+
+    monkeypatch.setattr(qcsd.equiv, "_incidence", counting)
+    rc = random_self_dual(2, 3, 4, random.Random(57))
+    exp = rc.expansion()
+    fingerprint(exp)
+    assert are_equivalent(exp, exp, qc_blocks=(rc.m, rc.ell))
+    assert built == [exp]
+
+
+def test_class_store_matches_unbucketed_first_fit(monkeypatch):
+    import qcsd.equiv
+    from qcsd.buildup import norm_minus_one_elements
+    from qcsd.rcode import RingCode
+    from qcsd.ring import ring
+
+    sp = ring(4, 7)
+    codes = [
+        RingCode(sp, 2, [(sp.one, c)]).expansion()
+        for c in norm_minus_one_elements(sp)
+    ]
+    assert len(codes) == 63
+    pairwise = []
+    for code in codes:
+        if not any(are_equivalent(code, rep) for rep in pairwise):
+            pairwise.append(code)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return are_equivalent(*args, **kwargs)
+
+    monkeypatch.setattr(qcsd.equiv, "are_equivalent", counting)
+    store = ClassStore()
+    kept = [code for code in codes if store.add(code, fingerprint(code))]
+    assert len(kept) == 3
+    assert [id(c) for c in kept] == [id(c) for c in pairwise]
+    assert store.checks == len(calls) > 0

@@ -128,12 +128,6 @@ def test_shift_invariance():
     assert not is_shift_invariant(FieldCode(f, 4, [(1, 1, 0, 0)]), 2)
 
 
-def test_expand_sets_qc_index():
-    sp = ring(2, 3)
-    rc = RingCode(sp, 2, [((1, 0, 0), (0, 0, 1))])
-    assert rc.expansion().qc_index == 2
-
-
 def test_expand_collapse_roundtrip_exhaustive_single_generator():
     # every nonzero single-generator code over F_2[Y]/(Y^3 - 1), ell = 2
     sp = ring(2, 3)

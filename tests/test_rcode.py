@@ -146,7 +146,8 @@ def test_single_factor_rows_fill_k3():
     # generators living inside one maximal ideal only form the k3 block,
     # tagged with the ideal they came from
     sp = ring(2, 3)
-    rc = RingCode(sp, 2, [(sp.phi, sp.zero)])
+    phi = (1, 1, 1)
+    rc = RingCode(sp, 2, [(phi, sp.zero)])
     sf = rc.standard_form()
     assert (sf.k1, sf.k2, sf.k3) == (0, 0, 1)
     assert sf.alpha_branch == "phi"
@@ -162,7 +163,7 @@ def test_two_ideal_row_fills_k2():
     # by k2 and spans a full rank-m module
     sp = ring(2, 3)
     y_minus_1 = sp.sub(sp.y, sp.one)
-    rc = RingCode(sp, 2, [(y_minus_1, sp.phi)])
+    rc = RingCode(sp, 2, [(y_minus_1, (1, 1, 1))])
     sf = rc.standard_form()
     assert (sf.k1, sf.k2, sf.k3) == (0, 1, 0)
     assert rc.expansion().k == sp.m
