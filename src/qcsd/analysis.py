@@ -3,16 +3,28 @@
 Exact weight enumeration walks the whole message space with
 `codeword_blocks`, the one codeword walker (the equivalence engine
 collects its low-weight words with it too).  Binary and F_4 codes use
-bit-packed kernels: a table of all combinations of the first few
-generators is XORed against a Gray-code-ordered prefix, so each step
-costs one vectorised popcount pass.  F_3/F_5 codes use blocked matrix
-products mod q, which computes the same counts.
+bit-packed kernels.  The table is plane-major: one row per 64-bit word
+of a bit plane, one column per combination of the first 16 generators.
+It is XORed against a Gray-code-ordered prefix of the rest, so each
+block of 2^16 words costs a few contiguous XOR and popcount passes.
+F_3/F_5 codes use blocked matrix products mod q, which computes the same
+counts.  A binary code that contains the all-ones word 1 is C = S + <1>,
+where S is spanned by every RREF row but the first; only S is walked,
+and A_w(C) = A_w(S) + A_{n-w}(S).
 
 Above the enumeration budget, `min_distance_prefix` enumerates low
-message weights over a greedy chain of information sets.  With deficits
-d_1..d_s after exhausting message weight w in every set, any unseen
-codeword has weight at least sum(max(0, w+1-d_j)), which both bounds
-the distance and certifies exact counts strictly below that bound.
+message weights over a greedy chain of information sets (the
+Brouwer-Zimmermann bound).  With deficits d_1..d_s after exhausting
+message weight w in every set, any unseen codeword has weight at least
+sum(max(0, w+1-d_j)), which both bounds the distance and certifies exact
+counts strictly below that bound.  Each set is scanned with numpy.  For
+every s <= t, the sums of all s-subsets of its rows, under every nonzero
+scalar pattern, form a lex-ordered table, so the subsets that start at
+row a or later are a suffix of it; t is the largest size whose table
+has at most 2^16 columns.  A combination of message weight w is a head
+of max(1, w - t) rows (first scalar 1), built in Python, plus one table
+suffix, added in a single numpy pass; only words at or below the cut
+reach Python.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from .qc import FieldCode, gray_image, is_euclidean_self_dual, rref
 
 DEFAULT_WEIGHT_BUDGET = 1 << 28
 _TABLE_BITS = 16
+_SCAN_TABLE_COLUMNS = 1 << _TABLE_BITS
 
 
 @dataclass(frozen=True)
@@ -67,6 +80,25 @@ def _words(x: int, nwords: int):
     return [(x >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)]
 
 
+def _packed_column(q: int, n: int, row) -> list[int]:
+    """A word over F_2 or F_4 as 64-bit words: its bit plane over F_2; the
+    planes of the coefficients of 1 and of w over F_4."""
+    nwords = (n + 63) // 64
+    col = _words(_pack_bits([v & 1 for v in row], n), nwords)
+    if q == 4:
+        col += _words(_pack_bits([v >> 1 for v in row], n), nwords)
+    return col
+
+
+def _packed_weights(words, nwords: int):
+    """Symbol weights of plane-major packed words, shape (planes * nwords,
+    m): the popcount of the OR of the planes."""
+    support = words[:nwords] | words[nwords:] if len(words) > nwords else words
+    if nwords == 1:
+        return np.bitwise_count(support[0])
+    return np.bitwise_count(support).sum(axis=0, dtype=np.uint16)
+
+
 def _gray_flip_sequence(bits: int):
     """Index of the bit to flip at each Gray-code step (2^bits - 1 steps)."""
     for i in range(1, 1 << bits):
@@ -76,31 +108,28 @@ def _gray_flip_sequence(bits: int):
 def _walk_packed(gens: list[list[int]], nwords: int):
     """All XOR combinations of packed generators, in blocks.
 
-    Each generator is a list of 64-bit words: one bit plane of `nwords`
-    words over F_2, two planes (coefficients of 1 and of w) over F_4.  A
-    table of all combinations of the first generators is XORed against a
-    Gray-code-ordered prefix of the rest.  Yields (words, weights) with
-    words of shape (block, planes * nwords); the symbol weight is the
-    popcount of the OR of the planes.
+    Each generator is a `_packed_column`.  A plane-major table, shape
+    (planes * nwords, 2^t), of all combinations of the first t generators
+    is XORed against a Gray-code-ordered prefix of the rest.  Yields
+    (words, weights); words is the transposed view of the block, shape
+    (2^t, planes * nwords).
     """
     width = len(gens[0])
     t = min(len(gens), _TABLE_BITS)
-    tab = np.zeros((1, width), dtype=np.uint64)
+    tab = np.zeros((width, 1), dtype=np.uint64)
     for g in gens[:t]:
-        tab = np.concatenate([tab, tab ^ np.array(g, dtype=np.uint64)])
+        col = np.array(g, dtype=np.uint64)[:, None]
+        tab = np.concatenate([tab, tab ^ col], axis=1)
     rest = gens[t:]
-    prefix = np.zeros(width, dtype=np.uint64)
+    prefix = np.zeros((width, 1), dtype=np.uint64)
 
     def block():
         words = tab ^ prefix
-        support = words[:, :nwords] | words[:, nwords:] if width > nwords else words
-        if nwords == 1:
-            return words, np.bitwise_count(support[:, 0])
-        return words, np.bitwise_count(support).sum(axis=1, dtype=np.uint16)
+        return words.T, _packed_weights(words, nwords)
 
     yield block()
     for j in _gray_flip_sequence(len(rest)):
-        prefix = prefix ^ np.array(rest[j], dtype=np.uint64)
+        prefix = prefix ^ np.array(rest[j], dtype=np.uint64)[:, None]
         yield block()
 
 
@@ -132,33 +161,29 @@ def codeword_blocks(code: FieldCode):
     q, n = code.field.q, code.n
     if q not in (2, 4):
         return _walk_modq(code)
-    nwords = (n + 63) // 64
     gens = []
     for row in code.rows:
-        p0 = _pack_bits([v & 1 for v in row], n)
-        if q == 2:
-            gens.append(_words(p0, nwords))
-            continue
-        # F_4: the row and w times the row; multiplying by w maps the
-        # planes (p0, p1) to (p1, p0 XOR p1)
-        p1 = _pack_bits([v >> 1 for v in row], n)
-        gens.append(_words(p0, nwords) + _words(p1, nwords))
-        gens.append(_words(p1, nwords) + _words(p0 ^ p1, nwords))
-    return _walk_packed(gens, nwords)
+        gens.append(_packed_column(q, n, row))
+        if q == 4:  # over F_2, F_4 row spaces are spanned by row and w * row
+            gens.append(_packed_column(q, n, [code.field.mul(2, v) for v in row]))
+    return _walk_packed(gens, (n + 63) // 64)
+
+
+def _symbols(q: int, n: int, words):
+    """Symbol rows (m, n) of packed words of shape (m, planes * nwords)."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw, axis=1, bitorder="little")
+    if q == 2:
+        return bits[:, :n]
+    half = bits.shape[1] // 2
+    return bits[:, :n] | (bits[:, half:half + n] << 1)
 
 
 def decode_words(q: int, n: int, words) -> list[tuple]:
     """Symbol tuples of words taken from `codeword_blocks` blocks."""
     if q not in (2, 4):
         return [tuple(r) for r in words.tolist()]
-    raw = words.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")
-    if q == 2:
-        symbols = bits[:, :n]
-    else:
-        half = bits.shape[1] // 2
-        symbols = bits[:, :n] | (bits[:, half:half + n] << 1)
-    return [tuple(r) for r in symbols.tolist()]
+    return [tuple(r) for r in _symbols(q, n, words).tolist()]
 
 
 def weight_enumerator(code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET) -> WeightEnum:
@@ -172,13 +197,21 @@ def weight_enumerator(code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET) -> W
             total,
             budget,
         )
+    walked = code
+    # the RREF rows sum to the all-ones word exactly when it is a codeword
+    # (its pivot entries are all 1); then C = S + <1> with S spanned by the
+    # other rows, because only the first row has the first pivot
+    all_ones = q == 2 and k > 0 and all(sum(col) % 2 for col in zip(*code.rows))
+    if all_ones:
+        walked = FieldCode(code.field, n, code.rows[1:])
     counts = np.zeros(n + 1, dtype=np.int64)
-    if k == 0:
+    if walked.k == 0:
         counts[0] = 1
     else:
-        for _, weights in codeword_blocks(code):
-            w = weights.astype(np.int64, copy=False)
-            counts += np.bincount(w, minlength=n + 1)[: n + 1]
+        for _, weights in codeword_blocks(walked):
+            counts += np.bincount(weights, minlength=n + 1)
+    if all_ones:
+        counts = counts + counts[::-1]
     return WeightEnum(n=n, counts=tuple(int(c) for c in counts), complete=True, q=q, k=k)
 
 
@@ -203,6 +236,7 @@ class DistanceScan:
     exact: bool  # found is not None and found <= certified bound
     prefix: tuple  # exact A_0..A_cut (cut = certified bound - 1)
     deficits: tuple  # per information set
+    bound: int  # every codeword the scan did not see has weight >= bound
 
     @property
     def distance(self) -> int:
@@ -241,98 +275,101 @@ def _information_sets(code: FieldCode):
     return sets
 
 
-def _scan_set_q2(rows, n, w, cut, seen):
-    """Binary scan of one information set; returns the smallest weight
-    seen and records canonical words of weight <= cut in `seen`.
+class _ScanLayout:
+    """How the scan stores the words of one field, one word per column:
+    packed bit planes over F_2/F_4, where XOR adds; one uint8 symbol per
+    entry over F_3/F_5, added mod q."""
+
+    def __init__(self, fld, n: int):
+        q = fld.q
+        self.fld, self.q, self.n = fld, q, n
+        self.packed = q in (2, 4)
+        self.nwords = (n + 63) // 64
+        self.mul = np.array(
+            [[fld.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8
+        )
+        self.inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.uint8)
+
+    def scaled(self, row):
+        """The row times 1, 2, .., q-1, as columns."""
+        out = []
+        for c in range(1, self.q):
+            word = [self.fld.mul(c, v) for v in row]
+            if self.packed:
+                packed = _packed_column(self.q, self.n, word)
+                out.append(np.array(packed, dtype=np.uint64))
+            else:
+                out.append(np.array(word, dtype=np.uint8))
+        return out
+
+    def add(self, a, b):
+        if self.packed:
+            return a ^ b
+        s = a + b
+        # subtract q where s >= q; below q, s - q wraps above s
+        return np.minimum(s, s - self.q, out=s)
+
+    def weights(self, words):
+        if self.packed:
+            return _packed_weights(words, self.nwords)
+        return (words != 0).sum(axis=0, dtype=np.uint16)
+
+    def keys(self, words):
+        """Canonical bytes of each column word, scaled so its first nonzero
+        symbol is 1."""
+        sym = _symbols(self.q, self.n, words.T) if self.packed else words.T
+        if self.q != 2:
+            first = sym[np.arange(len(sym)), (sym != 0).argmax(axis=1)]
+            sym = self.mul[self.inv[first][:, None], sym]
+        return [row.tobytes() for row in np.ascontiguousarray(sym, dtype=np.uint8)]
+
+
+def _scan_set(layout: _ScanLayout, rows, w: int, cut: int, seen: dict) -> int:
+    """Scan every message of weight <= w over one information set; returns
+    the smallest weight seen and records canonical words of weight <= cut
+    in `seen`.
 
     Within one information set every codeword arises from exactly one
-    message, so no deduplication is needed here; `seen` deduplicates
-    across sets.
+    message, and each of its scalar classes from exactly one message
+    whose first nonzero scalar is 1, so no deduplication is needed here;
+    `seen` deduplicates across sets.
     """
-    packed = [_pack_bits(r, n) for r in rows]
-    found = n + 1
-    nbytes = (n + 7) // 8
+    q, k = layout.q, len(rows)
+    scaled = [layout.scaled(r) for r in rows]
+    t = 0
+    while t < min(w - 1, k) and (
+        comb(k, t + 1) * (q - 1) ** (t + 1) <= _SCAN_TABLE_COLUMNS
+    ):
+        t += 1
+    # tables[s]: the sums of every s-subset of rows under every nonzero
+    # scalar pattern, one column each, in lex order of the subsets; those
+    # whose first row is >= a are the columns from starts[s][a] on
+    zero = np.zeros_like(scaled[0][0])[:, None]
+    tables, starts = [zero], [[0] * (k + 1)]
+    for s in range(1, t + 1):
+        parts = [
+            layout.add(v[:, None], tables[-1][:, starts[-1][a + 1]:])
+            for a in range(k)
+            for v in scaled[a]
+        ]
+        tables.append(np.concatenate(parts, axis=1))
+        starts.append(np.cumsum([0] + [p.shape[1] for p in parts])[:: q - 1].tolist())
+    found = layout.n + 1
     for wt in range(1, w + 1):
-        for support in combinations(packed, wt):
-            x = 0
-            for g in support:
-                x ^= g
-            wx = x.bit_count()
-            if wx < found:
-                found = wx
-            if wx <= cut:
-                seen[x.to_bytes(nbytes, "little")] = wx
-    return found
-
-
-def _canon_f4_key(x, mask, n, nbytes):
-    """Scale a packed two-plane word so its first nonzero symbol is 1."""
-    p0, p1 = x & mask, x >> n
-    merged = p0 | p1
-    j = (merged & -merged).bit_length() - 1
-    sym = ((p0 >> j) & 1) | (((p1 >> j) & 1) << 1)
-    if sym == 2:  # divide by w: multiply by w^2 maps (p0,p1) to (p0^p1, p0)
-        p0, p1 = p0 ^ p1, p0
-    elif sym == 3:  # divide by w^2: multiply by w maps (p0,p1) to (p1, p0^p1)
-        p0, p1 = p1, p0 ^ p1
-    return (p0 | (p1 << n)).to_bytes(nbytes, "little")
-
-
-def _scan_set_q4(fld, rows, n, w, cut, seen):
-    """F_4 scan of one information set (packed planes, scalars 1/w/w^2)."""
-    mask = (1 << n) - 1
-    nbytes = (2 * n + 7) // 8
-    scaled = []
-    for r in rows:
-        variants = []
-        for s in (1, 2, 3):
-            rs = [fld.mul(s, v) for v in r]
-            p0 = _pack_bits([v & 1 for v in rs], n)
-            p1 = _pack_bits([v >> 1 for v in rs], n)
-            variants.append(p0 | (p1 << n))
-        scaled.append(variants)
-    found = n + 1
-    for wt in range(1, w + 1):
-        for sup in combinations(range(len(scaled)), wt):
-            first = scaled[sup[0]][0]
-            tail = sup[1:]
-            for pattern in product((0, 1, 2), repeat=wt - 1):
-                x = first
-                for i, s in zip(tail, pattern):
-                    x ^= scaled[i][s]
-                wx = ((x & mask) | (x >> n)).bit_count()
-                if wx < found:
-                    found = wx
-                if wx <= cut:
-                    seen[_canon_f4_key(x, mask, n, nbytes)] = wx
-    return found
-
-
-def _scan_set_modq(fld, rows, n, w, cut, seen):
-    """Prime-field scan; all scalar patterns of one support go through a
-    single matrix product."""
-    q = fld.q
-    k = len(rows)
-    G = np.array(rows, dtype=np.int64)
-    inv = [0] + [fld.inv(s) for s in range(1, q)]
-    found = n + 1
-    for wt in range(1, w + 1):
-        pats = np.array(
-            [(1,) + p for p in product(range(1, q), repeat=wt - 1)], dtype=np.int64
-        )
-        for sup in combinations(range(k), wt):
-            words = (pats @ G[list(sup)]) % q
-            wts = np.count_nonzero(words, axis=1)
-            m = int(wts.min())
-            if m < found:
-                found = m
-            if m <= cut:
-                for idx in np.flatnonzero(wts <= cut):
-                    word = words[idx]
-                    first = int(word[np.flatnonzero(word)[0]])
-                    if first != 1:
-                        word = (word * inv[first]) % q
-                    seen[word.astype(np.uint8).tobytes()] = int(wts[idx])
+        s = min(wt - 1, t)
+        table, start = tables[s], starts[s]
+        for head_rows in combinations(range(k - s), wt - s):
+            for pattern in product(range(q - 1), repeat=wt - s - 1):
+                head = scaled[head_rows[0]][0]
+                for i, c in zip(head_rows[1:], pattern):
+                    head = layout.add(head, scaled[i][c])
+                words = layout.add(head[:, None], table[:, start[head_rows[-1] + 1]:])
+                wts = layout.weights(words)
+                low = int(wts.min())
+                found = min(found, low)
+                if low <= cut:
+                    hits = np.flatnonzero(wts <= cut)
+                    seen.update(zip(layout.keys(words[:, hits]), wts[hits].tolist()))
     return found
 
 
@@ -356,13 +393,9 @@ def min_distance_prefix(
     cut = min(bound - 1, n)
     seen: dict[bytes, int] = {}
     found: int | None = None
+    layout = _ScanLayout(code.field, n)
     for rows, _deficit in sets:
-        if q == 2:
-            f = _scan_set_q2(rows, n, w, cut, seen)
-        elif q == 4:
-            f = _scan_set_q4(code.field, rows, n, w, cut, seen)
-        else:
-            f = _scan_set_modq(code.field, rows, n, w, cut, seen)
+        f = _scan_set(layout, rows, w, cut, seen)
         if f <= n and (found is None or f < found):
             found = f
     prefix = [0] * (cut + 1)
@@ -376,6 +409,7 @@ def min_distance_prefix(
         exact=exact,
         prefix=tuple(prefix),
         deficits=tuple(d for _, d in sets),
+        bound=bound,
     )
 
 
@@ -493,10 +527,25 @@ class WeightProfile:
     d_exact: bool
     templates: tuple | None  # matches, when the counts reach every exponent
     # that the templates for this length list
+    method: str  # "enumerate", or "scan" (an information-set scan)
+    message_weight: int | None = None  # the scan's message weight
+    deficits: tuple | None = None  # the scan's information-set deficits
+    bound: int | None = None  # the scan's certified bound
 
     @property
     def cut(self) -> int:
         return len(self.enum.counts) - 1
+
+    def certificate(self) -> dict:
+        """How the numbers were certified, as JSON-ready keys."""
+        if self.method == "enumerate":
+            return {"method": "enumerate"}
+        return {
+            "method": "scan",
+            "message_weight": self.message_weight,
+            "deficits": list(self.deficits),
+            "bound": self.bound,
+        }
 
 
 def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProfile:
@@ -508,11 +557,14 @@ def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProf
         w = weight_enumerator(code, budget=cap)
         d = next((i for i, a in enumerate(w.counts) if i and a), None)
         d_exact = True
+        how = {"method": "enumerate"}
     else:
         scan = min_distance_prefix(code, message_weight=message_weight)
         w = WeightEnum(n=n, counts=scan.prefix, complete=len(scan.prefix) > n, q=q, k=k)
         d = scan.found if scan.exact else scan.lower
         d_exact = scan.exact
+        how = {"method": "scan", "message_weight": message_weight,
+               "deficits": scan.deficits, "bound": scan.bound}
     needed = max(
         (t[0] for tpl in TEMPLATES.get(n, ()) for t in tpl.terms), default=None
     )
@@ -520,7 +572,7 @@ def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProf
     if needed is not None and needed < len(w.counts):
         full = list(w.counts) + [0] * (n + 1 - len(w.counts))
         templates = tuple(match_template(None, n=n, counts=full))
-    return WeightProfile(w, d, d_exact, templates)
+    return WeightProfile(w, d, d_exact, templates, **how)
 
 
 def macwilliams_transform(w: WeightEnum) -> WeightEnum:

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+import time
 
 from . import corpus
 from .analysis import DEFAULT_WEIGHT_BUDGET, divisibility_check, weight_profile
@@ -110,6 +111,7 @@ def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
         info["shift_invariant"] = is_shift_invariant(fc, ell)
     info["d"] = prof.d
     info["d_exact"] = prof.d_exact
+    info.update(prof.certificate())
     info["counts"] = list(prof.enum.counts)
     info["complete"] = prof.enum.complete
     if prof.templates is not None:
@@ -356,8 +358,11 @@ def cmd_verify_corpus(args) -> int:
     budget = args.budget
     reports = []
     all_ok = True
+    seconds = []
     for entry in entries:
+        start = time.perf_counter()
         rep = corpus.verify_entry(entry, exact=args.exact, budget=budget)
+        seconds.append(round(time.perf_counter() - start, 3))
         reports.append(rep)
         all_ok = all_ok and rep.passed
         if args.format == "json":
@@ -378,13 +383,14 @@ def cmd_verify_corpus(args) -> int:
             {
                 "name": r.name,
                 "passed": r.passed,
+                "seconds": secs,
                 "summary": r.summary,
                 "checks": [
                     {"label": c.label, "ok": c.ok, "detail": c.detail}
                     for c in r.checks
                 ],
             }
-            for r in reports
+            for r, secs in zip(reports, seconds)
         ]
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")

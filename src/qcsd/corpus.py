@@ -59,7 +59,8 @@ class CheckResult:
 class CorpusReport:
     name: str
     checks: tuple
-    summary: dict  # computed values: n, k, d, d_exact, a {exponent: count}
+    summary: dict  # computed values: n, k, d, d_exact, a {exponent: count},
+    # and how they were certified (WeightProfile.certificate)
 
     @property
     def passed(self) -> bool:
@@ -351,6 +352,7 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
     counts, cut = prof.enum.counts, prof.cut
     summary["d"] = prof.d
     summary["d_exact"] = prof.d_exact
+    summary.update(prof.certificate())
     if prof.d_exact:
         _check(checks, "minimum distance", prof.d == exp["d"],
                f"got {prof.d}, want {exp['d']}")

@@ -2,10 +2,12 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcsd import analysis
 from qcsd.analysis import (
     WeightEnum,
     divisibility_check,
@@ -101,6 +103,79 @@ def test_collected_words_wide_binary_code():
     _check_collected_words(FieldCode(field(2), 70, rows), set(range(1, 26)))
 
 
+def test_collected_words_wide_f4_code():
+    # n > 64 over F_4: each of the two bit planes takes two machine words
+    rng = random.Random(72)
+    rows = [tuple(rng.randrange(4) for _ in range(70)) for _ in range(5)]
+    _check_collected_words(FieldCode(field(4), 70, rows), set(range(1, 71)))
+
+
+def _binary_dual(code):
+    """The dual of a binary code, from its RREF basis and pivots."""
+    rows = []
+    for j in range(code.n):
+        if j in code.pivots:
+            continue
+        v = [0] * code.n
+        v[j] = 1
+        for piv, row in zip(code.pivots, code.rows):
+            v[piv] = row[j]
+        rows.append(tuple(v))
+    return FieldCode(code.field, code.n, rows)
+
+
+def _walked_dimensions(monkeypatch):
+    """Record the dimension of every code `weight_enumerator` walks."""
+    dims = []
+    walk = analysis.codeword_blocks
+
+    def recording(code):
+        dims.append(code.k)
+        return walk(code)
+
+    monkeypatch.setattr(analysis, "codeword_blocks", recording)
+    return dims
+
+
+def test_all_ones_split_matches_naive_enumeration(monkeypatch):
+    dims = _walked_dimensions(monkeypatch)
+    rng = random.Random(73)
+    f2 = field(2)
+    codes = [FieldCode(f2, 5, [(1,) * 5])]  # C = <1>: S is the zero code
+    for with_ones in (True, False) * 6:
+        n = rng.randrange(2, 14)
+        k = rng.randrange(1, 8)
+        rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)]
+        codes.append(FieldCode(f2, n, rows + [(1,) * n] * with_ones))
+    for m, ell in [(3, 4), (5, 2), (7, 2)]:
+        codes.append(random_self_dual(2, m, ell, rng).expansion())
+    for code in codes:
+        walked_k = code.k - code.contains((1,) * code.n)
+        dims.clear()
+        assert weight_enumerator(code).counts == naive_weight_enumerator(code)
+        assert dims == ([walked_k] if walked_k else [])
+
+
+def test_all_ones_split_matches_dual_macwilliams(monkeypatch):
+    # k = 18 walks more than one 2^16-word block, with and without 1
+    dims = _walked_dimensions(monkeypatch)
+    rng = random.Random(74)
+    f2 = field(2)
+    n, k = 22, 18
+    for with_ones in (True, False):
+        while True:
+            rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)]
+            code = FieldCode(f2, n, rows)
+            if code.k == k and code.contains((1,) * n) is with_ones:
+                break
+        dual = _binary_dual(code)
+        dual_enum = WeightEnum(n=n, counts=naive_weight_enumerator(dual),
+                               complete=True, q=2, k=dual.k)
+        dims.clear()
+        assert weight_enumerator(code).counts == macwilliams_transform(dual_enum).counts
+        assert dims == [k - 1 if with_ones else k]
+
+
 def test_weight_enumerator_budget():
     f2 = field(2)
     rows = [tuple(1 if i == j else 0 for i in range(30)) for j in range(30)]
@@ -141,6 +216,37 @@ def test_distance_scan_agrees_with_full_enumeration():
         if scan.found is not None:
             assert scan.found >= true_d
             assert exact.counts[scan.found] > 0
+
+
+def _check_scan(code, w):
+    exact = weight_enumerator(code).counts
+    true_d = next(i for i in range(1, code.n + 1) if exact[i])
+    scan = min_distance_prefix(code, message_weight=w)
+    cut = len(scan.prefix) - 1
+    assert cut == min(scan.bound - 1, code.n)
+    assert scan.prefix == exact[: cut + 1]
+    assert scan.lower <= true_d
+    assert scan.found is not None and scan.found >= true_d and exact[scan.found] > 0
+    if scan.exact:
+        assert scan.distance == true_d
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_codes(), st.integers(1, 9), st.sampled_from([1, 3, 8, 1 << 16]))
+def test_distance_scan_property(code, w, table_columns):
+    # small tables make the tail size t small, so messages of weight w > t + 1
+    # run the head loop; large ones put every weight on one table suffix
+    if code.k == 0:
+        return
+    with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
+        _check_scan(code, w)
+
+
+def test_distance_scan_wide_binary_code():
+    # n > 64 packs each scanned word into two machine words
+    rng = random.Random(76)
+    rows = [tuple(rng.randrange(2) for _ in range(70)) for _ in range(14)]
+    _check_scan(FieldCode(field(2), 70, rows), 4)
 
 
 def test_distance_scan_certifies_known_code():

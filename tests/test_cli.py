@@ -90,6 +90,7 @@ def test_analyze_json_and_csv(capsys):
     assert info["n"] == 42 and info["k"] == 21 and info["d"] == 8
     assert info["self_dual"] is True
     assert info["divisibility_ok"] is True
+    assert info["method"] == "enumerate" and "bound" not in info
 
     code, out, err = run(
         capsys, "analyze", data_file("G_14.rc"), "--format", "csv"
@@ -133,6 +134,27 @@ def test_verify_corpus_json(capsys):
     data = json.loads(out)
     assert data[0]["name"] == "K_2"
     assert data[0]["passed"] is True
+    assert data[0]["seconds"] >= 0
+    assert data[0]["summary"]["method"] == "enumerate"
+
+
+def test_scan_certificates_in_json(capsys):
+    # G_20 is a binary [60, 30] code, past the default enumeration budget
+    code, out, err = run(
+        capsys, "verify-corpus", "--name", "G_20", "--format", "json"
+    )
+    assert code == OK
+    summary = json.loads(out)[0]["summary"]
+    assert "seconds" not in summary
+    assert summary["method"] == "scan" and summary["message_weight"] == 6
+    assert summary["d"] == 10 and summary["d_exact"] is True
+    assert summary["bound"] == sum(max(0, 7 - d) for d in summary["deficits"])
+
+    code, out, err = run(capsys, "analyze", data_file("G_20.rc"), "--format", "json")
+    assert code == OK
+    info = json.loads(out)
+    assert info["method"] == "scan" and info["d"] == 10
+    assert len(info["counts"]) == min(info["bound"], info["n"] + 1)
 
 
 def test_classify_text_output_and_artifacts(capsys, tmp_path):

@@ -24,6 +24,20 @@ def test_every_entry_verifies_at_default_budget():
     assert failures == []
 
 
+def test_summary_records_how_numbers_were_certified():
+    for name in ["K_2", "G_20", "J_6", "N_4", "I_8"]:
+        entry = corpus.get(name)
+        s = corpus.verify_entry(entry).summary
+        fc = corpus.field_form(entry)
+        if fc.field.q ** fc.k <= corpus.DEFAULT_WEIGHT_BUDGET:
+            assert s["method"] == "enumerate" and "bound" not in s, name
+            continue
+        w = entry.scan_weight
+        assert s["method"] == "scan" and s["message_weight"] == w, name
+        assert s["bound"] == sum(max(0, w + 1 - d) for d in s["deficits"]), name
+        assert s["d_exact"] and s["d"] <= s["bound"], name
+
+
 def test_headline_format():
     report = corpus.verify_entry(corpus.get("G_16"))
     assert report.headline() == "PASS: [48,24,10], A_10=768, A_12=8592"
