@@ -2,15 +2,18 @@
 
 Exact weight enumeration walks the whole message space with
 `codeword_blocks`, the one codeword walker (the equivalence engine
-collects its low-weight words with it too).  Binary and F_4 codes use
-bit-packed kernels.  The table is plane-major: one row per 64-bit word
-of a bit plane, one column per combination of the first 16 generators.
-It is XORed against a Gray-code-ordered prefix of the rest, so each
-block of 2^16 words costs a few contiguous XOR and popcount passes.
-F_3/F_5 codes use blocked matrix products mod q, which computes the same
-counts.  A binary code that contains the all-ones word 1 is C = S + <1>,
-where S is spanned by every RREF row but the first; only S is walked,
-and A_w(C) = A_w(S) + A_{n-w}(S).
+collects its low-weight words with it too).  It keeps words as the
+distance scan does (`_ScanLayout`), one per column: plane-major 64-bit
+bit planes over F_2/F_4, where XOR adds, and uint8 symbols over F_3/F_5,
+added mod q.  Over the prime field F_p, a table of every combination of
+the first t generators (p^t <= 2^16 columns) is added to each
+combination of the rest in p-ary modular Gray order (Knuth, TAOCP 4A,
+7.2.1.1), in which each step adds one generator once.  Each block of
+p^t words costs one addition and one weight pass over the table; for
+p = 2 the order is the binary reflected Gray code.  A binary code that
+contains the all-ones word 1 is C = S + <1>, where S is spanned by every
+RREF row but the first; only S is walked, and A_w(C) = A_w(S) +
+A_{n-w}(S).
 
 Above the enumeration budget, `min_distance_prefix` enumerates low
 message weights over a greedy chain of information sets (the
@@ -39,8 +42,7 @@ from .errors import BudgetExceeded
 from .qc import FieldCode, gray_image, is_euclidean_self_dual, rref
 
 DEFAULT_WEIGHT_BUDGET = 1 << 28
-_TABLE_BITS = 16
-_SCAN_TABLE_COLUMNS = 1 << _TABLE_BITS
+_SCAN_TABLE_COLUMNS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,122 +70,109 @@ class WeightEnum:
         return s
 
 
-def _pack_bits(row, n):
-    x = 0
-    for j, v in enumerate(row):
-        if v:
-            x |= 1 << j
-    return x
+class _ScanLayout:
+    """How the walker and the scan store the words of one field, one word
+    per column: plane-major packed bit planes over F_2/F_4, where XOR
+    adds (over F_4 the planes of the coefficients of 1 and of w); one
+    uint8 symbol per entry over F_3/F_5, added mod q."""
 
+    def __init__(self, fld, n: int):
+        q = fld.q
+        self.q, self.n = q, n
+        self.packed = q in (2, 4)
+        self.p = 2 if self.packed else q  # the characteristic
+        self.planes = 2 if q == 4 else 1
+        self.nwords = (n + 63) // 64
+        self.mul = np.array(
+            [[fld.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8
+        )
+        self.inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.uint8)
 
-def _words(x: int, nwords: int):
-    return [(x >> (64 * w)) & 0xFFFFFFFFFFFFFFFF for w in range(nwords)]
+    def scaled(self, rows):
+        """Every row times 1, 2, .., q-1, as columns: shape (rows, q - 1,
+        column length)."""
+        words = np.moveaxis(self.mul[1:, np.array(rows, dtype=np.intp)], 0, 1)
+        if not self.packed:
+            return words
+        planes = np.stack([words & 1, words >> 1], axis=2)[:, :, : self.planes]
+        bits = np.zeros(planes.shape[:3] + (64 * self.nwords,), dtype=np.uint8)
+        bits[..., : self.n] = planes
+        packed = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+        return packed.reshape(len(rows), self.q - 1, -1).astype(np.uint64)
 
+    def add(self, a, b):
+        if self.packed:
+            return a ^ b
+        s = a + b
+        # subtract q where s >= q; below q, s - q wraps above s
+        return np.minimum(s, s - self.q, out=s)
 
-def _packed_column(q: int, n: int, row) -> list[int]:
-    """A word over F_2 or F_4 as 64-bit words: its bit plane over F_2; the
-    planes of the coefficients of 1 and of w over F_4."""
-    nwords = (n + 63) // 64
-    col = _words(_pack_bits([v & 1 for v in row], n), nwords)
-    if q == 4:
-        col += _words(_pack_bits([v >> 1 for v in row], n), nwords)
-    return col
+    def weights(self, words):
+        if not self.packed:
+            return (words != 0).sum(axis=0, dtype=np.uint16)
+        nw = self.nwords
+        # a symbol is nonzero where any of its planes has a bit
+        support = words[:nw] | words[nw:] if self.planes == 2 else words
+        if nw == 1:
+            return np.bitwise_count(support[0])
+        return np.bitwise_count(support).sum(axis=0, dtype=np.uint16)
 
+    def symbols(self, words):
+        """The symbols of column words, one row each, shape (m, n)."""
+        if not self.packed:
+            return words.T
+        raw = np.ascontiguousarray(words.T, dtype="<u8").view(np.uint8)
+        bits = np.unpackbits(raw, axis=1, bitorder="little")
+        if self.planes == 1:
+            return bits[:, : self.n]
+        half = bits.shape[1] // 2
+        return bits[:, : self.n] | (bits[:, half : half + self.n] << 1)
 
-def _packed_weights(words, nwords: int):
-    """Symbol weights of plane-major packed words, shape (planes * nwords,
-    m): the popcount of the OR of the planes."""
-    support = words[:nwords] | words[nwords:] if len(words) > nwords else words
-    if nwords == 1:
-        return np.bitwise_count(support[0])
-    return np.bitwise_count(support).sum(axis=0, dtype=np.uint16)
-
-
-def _gray_flip_sequence(bits: int):
-    """Index of the bit to flip at each Gray-code step (2^bits - 1 steps)."""
-    for i in range(1, 1 << bits):
-        yield (i & -i).bit_length() - 1
-
-
-def _walk_packed(gens: list[list[int]], nwords: int):
-    """All XOR combinations of packed generators, in blocks.
-
-    Each generator is a `_packed_column`.  A plane-major table, shape
-    (planes * nwords, 2^t), of all combinations of the first t generators
-    is XORed against a Gray-code-ordered prefix of the rest.  Yields
-    (words, weights); words is the transposed view of the block, shape
-    (2^t, planes * nwords).
-    """
-    width = len(gens[0])
-    t = min(len(gens), _TABLE_BITS)
-    tab = np.zeros((width, 1), dtype=np.uint64)
-    for g in gens[:t]:
-        col = np.array(g, dtype=np.uint64)[:, None]
-        tab = np.concatenate([tab, tab ^ col], axis=1)
-    rest = gens[t:]
-    prefix = np.zeros((width, 1), dtype=np.uint64)
-
-    def block():
-        words = tab ^ prefix
-        return words.T, _packed_weights(words, nwords)
-
-    yield block()
-    for j in _gray_flip_sequence(len(rest)):
-        prefix = prefix ^ np.array(rest[j], dtype=np.uint64)[:, None]
-        yield block()
-
-
-def _walk_modq(code: FieldCode):
-    """All codewords over a prime field via blocked products mod q.
-
-    Yields (words, weights) with words of shape (block, n).
-    """
-    q, k = code.field.q, code.k
-    G = np.array(code.rows, dtype=np.int64)
-    total = q**k
-    block = 1 << 16
-    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    for lo in range(0, total, block):
-        hi = min(lo + block, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        digits = (idx[:, None] // powers) % q
-        words = (digits @ G) % q
-        yield words, np.count_nonzero(words, axis=1)
+    def keys(self, words):
+        """Canonical bytes of each column word, scaled so its first nonzero
+        symbol is 1."""
+        sym = self.symbols(words)
+        if self.q != 2:
+            first = sym[np.arange(len(sym)), (sym != 0).argmax(axis=1)]
+            sym = self.mul[self.inv[first][:, None], sym]
+        return [row.tobytes() for row in np.ascontiguousarray(sym, dtype=np.uint8)]
 
 
 def codeword_blocks(code: FieldCode):
     """Walk all q^k codewords of a code with k >= 1, in blocks.
 
-    Yields (words, weights) pairs; `decode_words` turns selected words
-    back into symbol tuples.  Every codeword, zero included, appears
-    exactly once.
+    The generators are taken over the prime field F_p: the rows, and over
+    F_4 also w times each row.  A table of all p^t combinations of the
+    first t generators, at most `_SCAN_TABLE_COLUMNS` columns, is added to
+    each combination of the rest in p-ary modular Gray order: step i adds
+    one more copy of the generator whose index is the number of times p
+    divides i.  Yields (words, weights) with the words in the
+    `_ScanLayout` form, one per column; `_ScanLayout.symbols` decodes
+    them.  Every codeword, zero included, appears exactly once.
     """
-    q, n = code.field.q, code.n
-    if q not in (2, 4):
-        return _walk_modq(code)
-    gens = []
-    for row in code.rows:
-        gens.append(_packed_column(q, n, row))
-        if q == 4:  # over F_2, F_4 row spaces are spanned by row and w * row
-            gens.append(_packed_column(q, n, [code.field.mul(2, v) for v in row]))
-    return _walk_packed(gens, (n + 63) // 64)
-
-
-def _symbols(q: int, n: int, words):
-    """Symbol rows (m, n) of packed words of shape (m, planes * nwords)."""
-    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
-    bits = np.unpackbits(raw, axis=1, bitorder="little")
-    if q == 2:
-        return bits[:, :n]
-    half = bits.shape[1] // 2
-    return bits[:, :n] | (bits[:, half:half + n] << 1)
-
-
-def decode_words(q: int, n: int, words) -> list[tuple]:
-    """Symbol tuples of words taken from `codeword_blocks` blocks."""
-    if q not in (2, 4):
-        return [tuple(r) for r in words.tolist()]
-    return [tuple(r) for r in _symbols(q, n, words).tolist()]
+    layout = _ScanLayout(code.field, code.n)
+    p = layout.p
+    # 1 and w (stored as 2) span F_4 over F_2
+    gens = layout.scaled(code.rows)[:, : layout.planes]
+    gens = gens.reshape(-1, gens.shape[-1])
+    t = 0
+    while t < len(gens) and p ** (t + 1) <= _SCAN_TABLE_COLUMNS:
+        t += 1
+    words = np.zeros_like(gens[0])[:, None]
+    for g in gens[:t]:
+        parts = [words]
+        for _ in range(p - 1):
+            parts.append(layout.add(parts[-1], g[:, None]))
+        words = np.concatenate(parts, axis=1)
+    rest = gens[t:]
+    yield words, layout.weights(words)
+    for i in range(1, p ** len(rest)):
+        j = 0
+        while i % p == 0:
+            i //= p
+            j += 1
+        words = layout.add(words, rest[j][:, None])
+        yield words, layout.weights(words)
 
 
 def weight_enumerator(code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET) -> WeightEnum:
@@ -275,55 +264,6 @@ def _information_sets(code: FieldCode):
     return sets
 
 
-class _ScanLayout:
-    """How the scan stores the words of one field, one word per column:
-    packed bit planes over F_2/F_4, where XOR adds; one uint8 symbol per
-    entry over F_3/F_5, added mod q."""
-
-    def __init__(self, fld, n: int):
-        q = fld.q
-        self.fld, self.q, self.n = fld, q, n
-        self.packed = q in (2, 4)
-        self.nwords = (n + 63) // 64
-        self.mul = np.array(
-            [[fld.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8
-        )
-        self.inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.uint8)
-
-    def scaled(self, row):
-        """The row times 1, 2, .., q-1, as columns."""
-        out = []
-        for c in range(1, self.q):
-            word = [self.fld.mul(c, v) for v in row]
-            if self.packed:
-                packed = _packed_column(self.q, self.n, word)
-                out.append(np.array(packed, dtype=np.uint64))
-            else:
-                out.append(np.array(word, dtype=np.uint8))
-        return out
-
-    def add(self, a, b):
-        if self.packed:
-            return a ^ b
-        s = a + b
-        # subtract q where s >= q; below q, s - q wraps above s
-        return np.minimum(s, s - self.q, out=s)
-
-    def weights(self, words):
-        if self.packed:
-            return _packed_weights(words, self.nwords)
-        return (words != 0).sum(axis=0, dtype=np.uint16)
-
-    def keys(self, words):
-        """Canonical bytes of each column word, scaled so its first nonzero
-        symbol is 1."""
-        sym = _symbols(self.q, self.n, words.T) if self.packed else words.T
-        if self.q != 2:
-            first = sym[np.arange(len(sym)), (sym != 0).argmax(axis=1)]
-            sym = self.mul[self.inv[first][:, None], sym]
-        return [row.tobytes() for row in np.ascontiguousarray(sym, dtype=np.uint8)]
-
-
 def _scan_set(layout: _ScanLayout, rows, w: int, cut: int, seen: dict) -> int:
     """Scan every message of weight <= w over one information set; returns
     the smallest weight seen and records canonical words of weight <= cut
@@ -335,7 +275,7 @@ def _scan_set(layout: _ScanLayout, rows, w: int, cut: int, seen: dict) -> int:
     `seen` deduplicates across sets.
     """
     q, k = layout.q, len(rows)
-    scaled = [layout.scaled(r) for r in rows]
+    scaled = [list(s) for s in layout.scaled(rows)]
     t = 0
     while t < min(w - 1, k) and (
         comb(k, t + 1) * (q - 1) ** (t + 1) <= _SCAN_TABLE_COLUMNS

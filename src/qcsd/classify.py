@@ -544,6 +544,11 @@ class _Checkpoint:
     def __init__(self, path):
         self.path = path
 
+    def start(self, header):
+        """Begin a fresh log: a run that resumes no level keeps nothing."""
+        open(self.path, "w").close()
+        self.append(header)
+
     def append(self, record):
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
@@ -654,7 +659,7 @@ def classify(
     if ckpt and resume:
         levels = _resume_levels(spec, target_ell, ckpt, stats)
     if ckpt and not levels:
-        ckpt.append(
+        ckpt.start(
             {"event": "run", "q": spec.q, "m": spec.m, "target_ell": target_ell}
         )
     c_reps = tuple(_norm_minus_one_orbit_reps(spec))

@@ -410,15 +410,3 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
                "row space equality")
     return CorpusReport(entry.name, tuple(checks), summary)
 
-
-def verify_all(names_filter=None, exact: bool = False,
-               budget: int = DEFAULT_WEIGHT_BUDGET, progress=None):
-    reports = []
-    for entry in ENTRIES:
-        if names_filter and entry.name not in names_filter:
-            continue
-        rep = verify_entry(entry, exact=exact, budget=budget)
-        if progress:
-            progress(rep)
-        reports.append(rep)
-    return reports

@@ -50,8 +50,8 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_WEIGHT_BUDGET,
+    _ScanLayout,
     codeword_blocks,
-    decode_words,
     weight_enumerator,
 )
 from .errors import BudgetExceeded, UnsupportedCase
@@ -67,24 +67,29 @@ _MATERIALIZE_LIMIT = 1 << 24
 
 
 def _collect_words(code: FieldCode, wanted: set[int], cap: int):
-    """All codewords of the listed (nonzero) weights, as symbol tuples."""
-    q = code.field.q
+    """All codewords of the listed (nonzero) weights, in walk order: their
+    symbols, one row each, and their weights."""
+    layout = _ScanLayout(code.field, code.n)
     wanted_arr = sorted(wanted)
-    out = []
+    rows, row_weights = [], []
+    total = 0
     for words, weights in codeword_blocks(code):
-        picked = words[np.isin(weights, wanted_arr)]
-        if len(out) + len(picked) > cap:
+        hits = np.isin(weights, wanted_arr)
+        total += int(hits.sum())
+        if total > cap:
             raise UnsupportedCase(
                 f"more than {cap} low-weight codewords; equivalence undecided"
             )
-        out.extend(decode_words(q, code.n, picked))
-    return out
+        rows.append(layout.symbols(words[:, hits]))
+        row_weights.append(weights[hits])
+    return np.concatenate(rows), np.concatenate(row_weights)
 
 
 def _select_strata(code: FieldCode, w, max_words: int):
     """Weights of the strata used for refinement, smallest first, adding
-    strata until they span the code (or words run out); `w` is the code's
-    weight enumerator."""
+    strata until they span the code (or words run out), and their words
+    as symbol tuples; `w` is the code's weight enumerator.  The words of
+    every stratum that fits under `max_words` are collected in one walk."""
     weights = [i for i in range(1, code.n + 1) if w.counts[i]]
     chosen: list[int] = []
     words_total = 0
@@ -93,13 +98,16 @@ def _select_strata(code: FieldCode, w, max_words: int):
             break
         chosen.append(wt)
         words_total += w.counts[wt]
+    rows, row_weights = _collect_words(code, set(chosen), max_words)
+    words_total = 0
+    for i, wt in enumerate(chosen):
+        words_total += w.counts[wt]
         if words_total >= code.k:
-            rows = _collect_words(code, set(chosen), max_words)
-            basis, _ = rref(code.field, code.n, rows)
+            basis, _ = rref(code.field, code.n, rows[row_weights <= wt].tolist())
             if len(basis) == code.k:
-                return chosen, rows
-    rows = _collect_words(code, set(chosen), max_words)
-    return chosen, rows
+                chosen = chosen[: i + 1]
+                break
+    return chosen, [tuple(r) for r in rows[row_weights <= chosen[-1]].tolist()]
 
 
 # -- incidence structure -----------------------------------------------------

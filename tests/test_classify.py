@@ -113,6 +113,17 @@ def test_checkpoint_resume_extends_partial_run(tmp_path):
     assert extended.stats.candidates < fresh.stats.candidates
 
 
+def test_fresh_run_restarts_the_checkpoint(tmp_path):
+    # a second fresh run to the same path must not append to the first's log
+    sp = ring(2, 3)
+    ck = str(tmp_path / "checkpoint.jsonl")
+    classify(sp, 2, checkpoint_path=ck)
+    classify(sp, 2, checkpoint_path=ck)
+    resumed = classify(sp, 4, checkpoint_path=ck, resume=True)
+    fresh = classify(sp, 4)
+    assert [c.trail for c in resumed.classes] == [c.trail for c in fresh.classes]
+
+
 def test_checkpoint_resume_ignores_truncated_last_line(tmp_path):
     # a crash in the middle of a write leaves a partial last record
     sp = ring(2, 3)

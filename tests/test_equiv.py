@@ -232,6 +232,28 @@ def test_code_too_large_to_materialize_fails_before_any_walk(monkeypatch):
     assert exc.value.required == 2**k and exc.value.budget == 2**24
 
 
+def test_profile_collects_its_strata_in_one_walk(monkeypatch):
+    import qcsd.analysis
+    import qcsd.equiv
+
+    calls = []
+    walk = qcsd.analysis.codeword_blocks
+
+    def counting(code):
+        calls.append(code.k)
+        return walk(code)
+
+    monkeypatch.setattr(qcsd.analysis, "codeword_blocks", counting)
+    monkeypatch.setattr(qcsd.equiv, "codeword_blocks", counting)
+    # the three weight-2 words span only a plane; weight 7 completes the span
+    rows = [(1, 1) + (0,) * 8, (0, 1, 1) + (0,) * 7, (0,) * 3 + (1,) * 7]
+    code = FieldCode(field(2), 10, rows)
+    prof = qcsd.equiv._profile(code, 1 << 20, 100)
+    assert prof.weights == [2, 7]
+    assert sorted(prof.stratum_sizes.values()) == [1, 3]
+    assert calls == [3, 3]  # the enumerator's walk and the strata's
+
+
 def test_profiles_are_freed_with_their_code():
     rng = random.Random(56)
     code = random_self_dual(2, 3, 4, rng).expansion()
