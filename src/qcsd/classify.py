@@ -10,7 +10,7 @@ adjoining two columns and one row for a witness pair (c, x) with
 c*conj(c) = -1 and <x, x> = -1, and conversely every self-dual code of the
 longer length arises this way.  Iterating from the length-2 seeds therefore
 visits every class, provided no reachable base class is lost at an
-intermediate level.  Three exact reductions shrink the witness space; each
+intermediate level.  Four exact reductions shrink the witness space; each
 is realized by a map that only permutes blocks, rotates within blocks, or
 scales blocks by square-one scalars on the expanded code, so it never
 merges classes that the block-preserving equivalence keeps apart:
@@ -26,7 +26,20 @@ merges classes that the block-preserving equivalence keeps apart:
 * within a fixed coset x + C of the base code, the extension depends only
   on the value t = <r, x_0 + r> - <r, x_0> of the pairing functional, so x
   ranges over coset representatives and, per coset, over the finitely many
-  functional offsets t compatible with <x, x> = -1.
+  functional offsets t compatible with <x, x> = -1;
+* a block map g with g(C) = C gives extend_i(C, c, g(x)) =
+  (id + g)(extend_i(C, c, x)), so the witnesses x of one base matter only
+  up to the base's block automorphism group.  The group's generators come
+  from one search per base class; a candidate whose expansion already lies
+  in the orbit of an earlier one under those generators, lifted to the two
+  new blocks, is skipped before its fingerprint.  The first candidate of
+  each class is the first of its orbit, so representatives and trails are
+  those of the unpruned search.
+
+The same searches give |Aut_G(C)| for the block group G_ell of each ring
+class, and over F_2 every level is certified complete by the mass identity:
+the sum of |G_ell| / |Aut_G(C)| over the classes is the number of self-dual
+codes over R, a product of closed-form counts.
 
 Cosets are enumerated through the idempotent splitting: a self-dual base
 splits into an evaluation-at-one component over F_q and a residue component
@@ -42,8 +55,10 @@ and deduplicates the expansions; agreement with classify is a test target.
 """
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 import itertools
 import json
+import math
 import os
 import random
 
@@ -52,7 +67,13 @@ from .ring import RingSpec, ring, CrtPair
 from .qc import FieldCode, rref
 from .rcode import RingCode
 from .buildup import ExtensionWitness, extend_i, norm_minus_one_elements
-from .equiv import ClassStore, CodeFingerprint, fingerprint
+from .equiv import (
+    ClassStore,
+    CodeFingerprint,
+    apply_monomial,
+    automorphism_group,
+    fingerprint,
+)
 
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
 
@@ -292,10 +313,23 @@ class ClassifiedCode:
 
 @dataclass
 class RunStats:
+    """Counters of one run.
+
+    `candidates` counts every generated candidate.  `exact_duplicates`
+    counts the candidates skipped before fingerprinting because their
+    expansion is the image of an earlier candidate under the automorphisms
+    of that candidate's base, lifted to the longer length; a repeat of an
+    earlier candidate's code is one such image.  `mass_per_level` holds,
+    per level, the mass sum of |G_ell| / |Aut_G(C)| over the ring classes,
+    checked against the closed-form count of self-dual codes; it is
+    recorded for exhaustive runs over F_2 only, the one base field with a
+    closed form for the evaluation component here."""
+
     candidates: int = 0
     exact_duplicates: int = 0
     equivalence_checks: int = 0
     ring_classes_per_level: dict = dc_field(default_factory=dict)
+    mass_per_level: dict = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -481,7 +515,7 @@ def _seed_candidates(spec: RingSpec):
     for c in norm_minus_one_elements(spec):
         code = RingCode(spec, 2, [(spec.one, c)])
         trail = ({"kind": "seed", "c": list(c)},)
-        yield code, trail
+        yield code, trail, ()
 
 
 def _constructive_witnesses(base: RingCode, c_reps, samples: int, rng):
@@ -507,7 +541,7 @@ def _constructive_witnesses(base: RingCode, c_reps, samples: int, rng):
 def _constructive_candidates(bases, c_reps, samples: int, rng):
     for base_cc in bases:
         for wit in _constructive_witnesses(base_cc.code, c_reps, samples, rng):
-            yield wit.apply(), base_cc.trail + (_trail_step(wit),)
+            yield wit.apply(), base_cc.trail + (_trail_step(wit),), ()
 
 
 def _extension_chunk(args):
@@ -521,11 +555,14 @@ def _extension_chunk(args):
     ]
 
 
-def _extension_candidates(spec: RingSpec, bases, c_reps, workers: int, chunk_map):
-    """Every extension of every base, in witness order.  Each base's witness
-    range is cut into chunks that `chunk_map` (the builtin map, or a process
-    pool's) hands to _extension_chunk."""
-    for base_cc in bases:
+def _extension_candidates(
+    spec: RingSpec, bases, lifted, c_reps, workers: int, chunk_map
+):
+    """Every extension of every base, in witness order, each with its base's
+    automorphisms lifted to the longer length (`lifted`, one tuple per
+    base).  Each base's witness range is cut into chunks that `chunk_map`
+    (the builtin map, or a process pool's) hands to _extension_chunk."""
+    for base_cc, gens in zip(bases, lifted):
         base = base_cc.code
         total = _witness_count(base)
         step = max(1, -(-total // (workers * 4)))
@@ -535,7 +572,52 @@ def _extension_candidates(spec: RingSpec, bases, c_reps, workers: int, chunk_map
         ]
         for chunk in chunk_map(_extension_chunk, args):
             for rows, trail_step in chunk:
-                yield RingCode(spec, base.ell + 2, rows), base_cc.trail + (trail_step,)
+                yield (
+                    RingCode(spec, base.ell + 2, rows),
+                    base_cc.trail + (trail_step,),
+                    gens,
+                )
+
+
+def _lift(generators, m: int, ell: int):
+    """Block maps of a length-ell code, as maps of length ell + 2 that fix
+    the two new leading blocks: base position i*ell + j goes to
+    i*(ell + 2) + j + 2."""
+
+    def pos(p):
+        i, j = divmod(p, ell)
+        return i * (ell + 2) + j + 2
+
+    n = m * (ell + 2)
+    out = []
+    for perm, scalars in generators:
+        lifted_perm, lifted_scalars = list(range(n)), [1] * n
+        for p in range(m * ell):
+            lifted_perm[pos(p)] = pos(perm[p])
+            lifted_scalars[pos(p)] = scalars[p]
+        out.append((tuple(lifted_perm), tuple(lifted_scalars)))
+    return tuple(out)
+
+
+def _check_mass(spec: RingSpec, ell: int, aut_orders, stats: RunStats):
+    """Completeness certificate of one level over F_2: the ring classes, each
+    weighted by |G_ell| / |Aut_G(C)| with |G_ell| = ell! * m^ell, must add up
+    to the number of self-dual codes over R, the product of the closed-form
+    counts of their two idempotent components.  Other base fields have no
+    closed form here and are not checked."""
+    if spec.q != 2:
+        return
+    group = math.factorial(ell) * spec.m**ell
+    mass = sum(Fraction(group, order) for order in aut_orders)
+    expected = euclidean_self_dual_count(spec.q, ell) * hermitian_self_dual_count(
+        spec.q ** ((spec.m - 1) // 2), ell
+    )
+    if mass != expected:
+        raise RuntimeError(
+            f"length {ell}: the ring classes have mass {mass}, but there are "
+            f"{expected} self-dual codes; the classification is incomplete"
+        )
+    stats.mass_per_level[ell] = expected
 
 
 class _Checkpoint:
@@ -585,26 +667,34 @@ def _resume_levels(spec, target_ell, ckpt: _Checkpoint, stats: RunStats):
         or header[0]["m"] != spec.m
     ):
         raise ValueError("checkpoint belongs to a different ring")
-    done_levels = {r["ell"]: r["count"] for r in records if r.get("event") == "level"}
-    pending: dict[int, list] = {}
+    # a level's class records are written in one batch just before its
+    # level record; class records before that batch were left by an
+    # interrupted attempt at the same level
+    trails: dict[int, list] = {}
+    since_level: list = []
     for r in records:
-        if r.get("event") == "class" and r["ell"] in done_levels:
-            pending.setdefault(r["ell"], []).append(r["trail"])
+        if r.get("event") == "class":
+            since_level.append(r)
+        elif r.get("event") == "level":
+            own = since_level[len(since_level) - r["count"] :]
+            if len(own) != r["count"] or any(c["ell"] != r["ell"] for c in own):
+                raise ValueError(
+                    f"checkpoint level {r['ell']} records {r['count']} classes, "
+                    f"but the records before it are not that many class "
+                    f"records of that level"
+                )
+            trails[r["ell"]] = [c["trail"] for c in own]
+            since_level = []
     levels: dict[int, list] = {}
-    for ell in sorted(done_levels):
+    for ell in sorted(trails):
         if ell > target_ell:
             continue
         reps = []
-        for trail in pending.get(ell, []):
+        for trail in trails[ell]:
             code = replay_trail(spec, tuple(trail))
             exp = code.expansion()
             reps.append(
                 ClassifiedCode(code, exp, fingerprint(exp), tuple(trail))
-            )
-        if len(reps) != done_levels[ell]:
-            raise ValueError(
-                f"checkpoint level {ell} replays {len(reps)} classes, "
-                f"recorded {done_levels[ell]}"
             )
         levels[ell] = reps
         stats.ring_classes_per_level[ell] = len(reps)
@@ -670,40 +760,51 @@ def classify(
         pool = ProcessPoolExecutor(max_workers=workers)
     chunk_map = map if pool is None else pool.map
     try:
-        start_ell = 2
-        done = sorted(e for e in levels if e <= target_ell)
-        if done:
-            start_ell = done[-1] + 2
-        for ell in range(start_ell, target_ell + 1, 2):
-            if ell == 2:
-                cands = _seed_candidates(spec)
-            elif exhaustive:
-                cands = _extension_candidates(
-                    spec, levels[ell - 2], c_reps, workers, chunk_map
-                )
-            else:
-                cands = _constructive_candidates(
-                    levels[ell - 2], c_reps, constructive_samples, rng
-                )
-            reps = _dedup_level(spec, ell, cands, stats, candidate_budget, progress)
-            levels[ell] = reps
-            stats.ring_classes_per_level[ell] = len(reps)
-            if ckpt:
-                for cc in reps:
-                    ckpt.append(
-                        {
-                            "event": "class",
-                            "ell": ell,
-                            "trail": list(cc.trail),
-                            "fingerprint": cc.fingerprint.refinement_signature,
-                        }
+        lifted: list = []
+        for ell in range(2, target_ell + 1, 2):
+            if ell not in levels:
+                if ell == 2:
+                    cands = _seed_candidates(spec)
+                elif exhaustive:
+                    cands = _extension_candidates(
+                        spec, levels[ell - 2], lifted, c_reps, workers, chunk_map
                     )
-                ckpt.append({"event": "level", "ell": ell, "count": len(reps)})
-            if progress is not None:
-                progress(
-                    f"length {ell}: {len(reps)} ring classes "
-                    f"({stats.candidates} candidates so far)"
+                else:
+                    cands = _constructive_candidates(
+                        levels[ell - 2], c_reps, constructive_samples, rng
+                    )
+                reps = _dedup_level(
+                    spec, ell, cands, stats, candidate_budget, progress
                 )
+                levels[ell] = reps
+                stats.ring_classes_per_level[ell] = len(reps)
+                if ckpt:
+                    for cc in reps:
+                        ckpt.append(
+                            {
+                                "event": "class",
+                                "ell": ell,
+                                "trail": list(cc.trail),
+                                "fingerprint": cc.fingerprint.refinement_signature,
+                            }
+                        )
+                    ckpt.append({"event": "level", "ell": ell, "count": len(reps)})
+                if progress is not None:
+                    progress(
+                        f"length {ell}: {len(reps)} ring classes "
+                        f"({stats.candidates} candidates so far, "
+                        f"{stats.exact_duplicates} pruned as orbit images)"
+                    )
+            # the block automorphisms of each class: generators to prune the
+            # next level's witnesses, orders for the mass identity
+            extends = ell < target_ell and ell + 2 not in levels
+            if exhaustive and (extends or spec.q == 2):
+                groups = [
+                    automorphism_group(cc.expansion, qc_blocks=(spec.m, ell))
+                    for cc in levels[ell]
+                ]
+                _check_mass(spec, ell, [g.order for g in groups], stats)
+                lifted = [_lift(g.generators, spec.m, ell) for g in groups]
     finally:
         if pool is not None:
             pool.shutdown()
@@ -721,30 +822,52 @@ def classify(
     )
 
 
+def _orbit_keys(code: FieldCode, maps):
+    """Keys of every image of `code` under the group the monomial `maps`
+    generate, by breadth-first search."""
+    keys = {code.key()}
+    frontier = [code]
+    while frontier:
+        current = frontier.pop()
+        for perm, scalars in maps:
+            image = apply_monomial(current, perm, scalars)
+            key = image.key()
+            if key not in keys:
+                keys.add(key)
+                frontier.append(image)
+    return keys
+
+
 def _dedup_level(spec, ell, cands, stats, candidate_budget, progress):
-    """Stream (code, trail) candidates into structure-preserving equivalence
-    classes; returns the representatives in order of first appearance."""
-    seen_keys = set()
+    """Stream (code, trail, lifted base automorphisms) candidates into
+    structure-preserving equivalence classes; returns the representatives in
+    order of first appearance.
+
+    A candidate whose expansion lies in the orbit of an earlier candidate
+    under that candidate's lifted base automorphisms is skipped before its
+    fingerprint: it is a block image of a code already sorted, so it adds no
+    class, and the first candidate of each class is never skipped."""
+    orbits = set()
     store = ClassStore(qc_blocks=(spec.m, ell))
     reps: list[ClassifiedCode] = []
-    for code, trail in cands:
+    for code, trail, maps in cands:
         stats.candidates += 1
         if stats.candidates > candidate_budget:
             raise BudgetExceeded(
                 "classification candidates", stats.candidates, candidate_budget
             )
         exp = code.expansion()
-        key = exp.key()
-        if key in seen_keys:
+        if exp.key() in orbits:
             stats.exact_duplicates += 1
             continue
-        seen_keys.add(key)
+        orbits |= _orbit_keys(exp, maps)
         fp = fingerprint(exp)
         if store.add(exp, fp):
             reps.append(ClassifiedCode(code, exp, fp, trail))
         if progress is not None and stats.candidates % 5000 == 0:
             progress(
                 f"length {ell}: {stats.candidates} candidates, "
+                f"{stats.exact_duplicates} pruned as orbit images, "
                 f"{len(reps)} ring classes"
             )
     stats.equivalence_checks += store.checks

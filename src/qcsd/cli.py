@@ -319,6 +319,7 @@ def cmd_classify(args) -> int:
                 "exact_duplicates": run.stats.exact_duplicates,
                 "equivalence_checks": run.stats.equivalence_checks,
                 "ring_classes_per_level": run.stats.ring_classes_per_level,
+                "mass_per_level": run.stats.mass_per_level,
             },
             "classes": [
                 dict(row.to_dict(), file=class_files[row.index], trail=list(cc.trail))

@@ -36,7 +36,10 @@ every automorphism found fixes the base above the current level, so the
 orbits of those found so far (a union-find over slots) already decide
 many candidate images, as in McKay & Piperno's and Leon's searches.  A
 candidate in the base point's orbit needs no search, nor does one in an
-orbit where a search already failed.
+orbit where a search already failed.  The maps the search verifies generate
+the group; `automorphism_group` returns them with the order, also under the
+block restriction (qc_blocks), where they are block maps that `classify`
+uses to prune a base's extension witnesses.
 """
 
 from __future__ import annotations
@@ -281,6 +284,19 @@ def _pin_closure(shape: _Shape, pins):
     return mapping
 
 
+def _pinned_colors(shape: _Shape, mapping):
+    """Initial colors of the two sides of a search node: the base colors,
+    with each pinned pair split off in a color of its own."""
+    base = shape.base_colors
+    keysA = [(c, 0) for c in base]
+    keysB = list(keysA)
+    for i, (a, b) in enumerate(sorted(mapping.items())):
+        keysA[a] = (base[a], i + 1)
+        keysB[b] = (base[b], i + 1)
+    rank = {t: i for i, t in enumerate(sorted(set(keysA) | set(keysB)))}
+    return [rank[t] for t in keysA], [rank[t] for t in keysB]
+
+
 @dataclass(frozen=True)
 class EquivalenceResult:
     equivalent: bool
@@ -344,16 +360,7 @@ def _find_map(shape: _Shape, profs, pins, state):
     mapping = _pin_closure(shape, pins)
     if mapping is None:
         return None
-    base = shape.base_colors
-    keysA = [(c, 0) for c in base]
-    keysB = list(keysA)
-    for i, (a, b) in enumerate(sorted(mapping.items())):
-        keysA[a] = (base[a], i + 1)
-        keysB[b] = (base[b], i + 1)
-    rank = {t: i for i, t in enumerate(sorted(set(keysA) | set(keysB)))}
-    colorsA = [rank[t] for t in keysA]
-    colorsB = [rank[t] for t in keysB]
-    res = _refine(shape, profs, [colorsA, colorsB])
+    res = _refine(shape, profs, list(_pinned_colors(shape, mapping)))
     if res is None:
         return None
     cA, cB = res
@@ -489,21 +496,32 @@ class ClassStore:
 # -- automorphisms -----------------------------------------------------------
 
 
-def automorphism_order(
+@dataclass(frozen=True)
+class AutomorphismGroup:
+    """The order of a code's automorphism group and verified generators,
+    each a (perm, scalars) pair in `EquivalenceResult`'s notation that maps
+    the code onto itself."""
+
+    order: int
+    generators: tuple
+
+
+def automorphism_group(
     code: FieldCode,
-    max_n: int = 24,
+    qc_blocks: tuple | None = None,
     budget: int = DEFAULT_WEIGHT_BUDGET,
     max_words: int = DEFAULT_MAX_WORDS,
     node_budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """Order of the monomial automorphism group (permutations for q=2),
-    by orbit-stabilizer over the refinement structure."""
-    if code.n > max_n:
-        raise BudgetExceeded("automorphism group search", code.n, max_n)
+) -> AutomorphismGroup:
+    """The monomial automorphism group (permutations for q=2), restricted
+    to block maps when qc_blocks=(m, ell) as in `are_equivalent`, by
+    orbit-stabilizer over the refinement structure.  The generators are
+    the maps the search verified; together they generate the group."""
     if code.k == 0:
         raise ValueError("automorphism group of the zero code is everything")
     prof = _profile(code, budget, max_words)
-    S = _shape(code.field, code.n, None)
+    blocks = tuple(qc_blocks) if qc_blocks is not None else None
+    S = _shape(code.field, code.n, blocks)
     profs = (prof, prof)
     state = {"nodes": 0, "budget": node_budget, "codes": (code, code)}
     # the base, and the cell each base point is taken from, by refinement alone
@@ -511,10 +529,7 @@ def automorphism_order(
     base: list[int] = []
     while True:
         pins = [(b, b) for b in base]
-        mapping = _pin_closure(S, pins)
-        colors = [0] * S.nslots
-        for i, (a, _) in enumerate(sorted(mapping.items())):
-            colors[a] = i + 1
+        colors, _ = _pinned_colors(S, _pin_closure(S, pins))
         (colors,) = _refine(S, (prof,), [colors])
         classes: dict[int, list] = {}
         for s, c in enumerate(colors):
@@ -536,6 +551,7 @@ def automorphism_order(
 
     fld, r = code.field, S.r
     order = 1
+    generators = []
     for pins, cell in reversed(levels):
         b0 = cell[0]
         failed: list[int] = []
@@ -549,10 +565,26 @@ def automorphism_order(
             if witness is None:
                 failed.append(c)
                 continue
+            generators.append((witness.perm, witness.scalars))
             for s in range(S.nslots):
                 j, vi = divmod(s, r)
                 t = witness.perm[j] * r + fld.mul(witness.scalars[j], vi + 1) - 1
                 parent[find(s)] = find(t)
         order *= sum(1 for c in cell if find(c) == find(b0))
-    return order
+    return AutomorphismGroup(order, tuple(generators))
 
+
+def automorphism_order(
+    code: FieldCode,
+    max_n: int = 24,
+    budget: int = DEFAULT_WEIGHT_BUDGET,
+    max_words: int = DEFAULT_MAX_WORDS,
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> int:
+    """Order of the monomial automorphism group (permutations for q=2);
+    refuses codes longer than max_n."""
+    if code.n > max_n:
+        raise BudgetExceeded("automorphism group search", code.n, max_n)
+    return automorphism_group(
+        code, budget=budget, max_words=max_words, node_budget=node_budget
+    ).order

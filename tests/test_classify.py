@@ -1,10 +1,15 @@
 """Classification driver: level build-up, CRT enumeration, checkpoints."""
 
 from dataclasses import asdict
+import importlib
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qcsd.buildup import extend_i, norm_minus_one_elements
 from qcsd.classify import (
+    _lift,
     classify,
     component_self_dual_codes,
     enumerate_via_crt,
@@ -13,9 +18,16 @@ from qcsd.classify import (
     hermitian_self_dual_count,
     replay_trail,
 )
-from qcsd.equiv import are_equivalent
+from qcsd.equiv import (
+    AutomorphismGroup,
+    apply_monomial,
+    are_equivalent,
+    automorphism_group,
+)
 from qcsd.errors import UnsupportedCase
 from qcsd.ring import ring
+
+from conftest import random_norm_minus_one_vector, random_self_dual
 
 
 def test_self_dual_mass_formulas():
@@ -145,6 +157,25 @@ def test_checkpoint_resume_ignores_truncated_last_line(tmp_path):
         classify(sp, 6, checkpoint_path=str(ck), resume=True)
 
 
+def test_checkpoint_resume_after_an_interrupted_level(tmp_path):
+    # a run cut after some class records of a level, before its level record
+    sp = ring(2, 3)
+    ck = tmp_path / "checkpoint.jsonl"
+    fresh = classify(sp, 4, checkpoint_path=str(ck))
+    lines = ck.read_text().splitlines(keepends=True)
+    assert json.loads(lines[-1]) == {"event": "level", "ell": 4, "count": 2}
+    ck.write_text("".join(lines[:-1]))
+    for _ in range(2):
+        resumed = classify(sp, 4, checkpoint_path=str(ck), resume=True)
+        assert [c.trail for c in resumed.classes] == [c.trail for c in fresh.classes]
+    assert resumed.stats.candidates == 0
+    # a level record claiming more classes than were written before it
+    lines = ck.read_text().splitlines(keepends=True)
+    ck.write_text("".join(lines[:-1]) + '{"event": "level", "ell": 4, "count": 5}\n')
+    with pytest.raises(ValueError, match="records 5 classes"):
+        classify(sp, 4, checkpoint_path=str(ck), resume=True)
+
+
 def test_checkpoint_rejects_other_ring(tmp_path):
     ck = str(tmp_path / "checkpoint.jsonl")
     classify(ring(2, 3), 2, checkpoint_path=ck)
@@ -209,6 +240,125 @@ def test_filter_report_structure():
 def test_filter_report_automorphism_orders(q, m, ell, orders):
     rep = filter_report(classify(ring(q, m), ell))
     assert [row.aut_order for row in rep.rows] == orders
+
+
+@pytest.mark.parametrize(
+    "q, m, ell, masses",
+    [
+        (2, 3, 6, {2: 3, 4: 81, 6: 13365}),
+        (2, 5, 4, {2: 5, 4: 975}),
+        (2, 11, 2, {2: 33}),
+        (5, 2, 4, {}),  # no closed form for the count over F_5
+    ],
+)
+def test_mass_identity_per_level(q, m, ell, masses):
+    run = classify(ring(q, m), ell)
+    assert run.stats.mass_per_level == masses
+
+
+def test_mass_identity_mismatch_raises(monkeypatch):
+    module = importlib.import_module("qcsd.classify")
+    search = module.automorphism_group
+
+    def doubled(code, **kwargs):
+        group = search(code, **kwargs)
+        return AutomorphismGroup(2 * group.order, group.generators)
+
+    monkeypatch.setattr(module, "automorphism_group", doubled)
+    with pytest.raises(RuntimeError, match="incomplete"):
+        classify(ring(2, 3), 2)
+
+
+@pytest.mark.parametrize("q, m, ell", [(2, 3, 6), (2, 5, 4), (5, 2, 4)])
+def test_witness_pruning_changes_no_answer(monkeypatch, q, m, ell):
+    sp = ring(q, m)
+    messages = []
+    pruned = classify(sp, ell, progress=messages.append)
+    assert pruned.stats.exact_duplicates > 0
+    assert f"{pruned.stats.exact_duplicates} pruned as orbit images" in messages[-1]
+    module = importlib.import_module("qcsd.classify")
+    search = module.automorphism_group
+
+    def no_generators(code, **kwargs):
+        return AutomorphismGroup(search(code, **kwargs).order, ())
+
+    monkeypatch.setattr(module, "automorphism_group", no_generators)
+    unpruned = classify(sp, ell)
+    assert unpruned.stats.exact_duplicates == 0
+    assert unpruned.stats.candidates == pruned.stats.candidates
+    assert [c.trail for c in unpruned.classes] == [c.trail for c in pruned.classes]
+    assert [c.fingerprint for c in unpruned.classes] == [
+        c.fingerprint for c in pruned.classes
+    ]
+    assert (
+        unpruned.stats.ring_classes_per_level == pruned.stats.ring_classes_per_level
+    )
+    assert filter_report(unpruned).to_dict() == filter_report(pruned).to_dict()
+
+
+def _map_ring_vector(sp, x, perm, scalars):
+    """The image of x in R^ell under a monomial map of its expansion."""
+    ell = len(x)
+    image = [0] * (sp.m * ell)
+    for j, entry in enumerate(x):
+        for i in range(sp.m):
+            p = i * ell + j
+            image[perm[p]] = sp.field.mul(scalars[p], entry[i])
+    return tuple(tuple(image[i * ell + j] for i in range(sp.m)) for j in range(ell))
+
+
+def _generated_order(fld, generators, n):
+    """Order of the group of monomial maps the generators generate."""
+    identity = (tuple(range(n)), (1,) * n)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        perm, scalars = frontier.pop()
+        for gperm, gscalars in generators:
+            # apply (perm, scalars), then the generator
+            new = (
+                tuple(gperm[perm[p]] for p in range(n)),
+                tuple(fld.mul(scalars[p], gscalars[perm[p]]) for p in range(n)),
+            )
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    return len(seen)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 5), (5, 2)]),
+    st.sampled_from([2, 4]),
+    st.randoms(use_true_random=False),
+)
+def test_block_automorphism_generators_lift_to_extensions(qm, ell, rng):
+    q, m = qm
+    sp = ring(q, m)
+    code = random_self_dual(q, m, ell, rng)
+    exp = code.expansion()
+    group = automorphism_group(exp, qc_blocks=(m, ell))
+    square_one = [g for g in range(1, q) if sp.field.mul(g, g) == 1]
+    for perm, scalars in group.generators:
+        assert apply_monomial(exp, perm, scalars) == exp
+        # block j goes to block perm[j] % ell, rotated by perm[j] // ell and
+        # scaled by one square-one scalar
+        for j in range(ell):
+            shift, block = divmod(perm[j], ell)
+            assert scalars[j] in square_one
+            for i in range(m):
+                assert perm[i * ell + j] == ((i + shift) % m) * ell + block
+                assert scalars[i * ell + j] == scalars[j]
+        (lifted,) = _lift([(perm, scalars)], m, ell)
+        for _ in range(2):
+            c = rng.choice(norm_minus_one_elements(sp))
+            x = random_norm_minus_one_vector(sp, ell, rng)
+            moved = extend_i(code, c, _map_ring_vector(sp, x, perm, scalars))
+            assert moved.expansion() == apply_monomial(
+                extend_i(code, c, x).expansion(), *lifted
+            )
+    if group.order <= 2000:
+        assert _generated_order(sp.field, group.generators, exp.n) == group.order
 
 
 def test_workers_give_identical_results():

@@ -169,6 +169,7 @@ def test_classify_text_output_and_artifacts(capsys, tmp_path):
     assert run_manifest["q"] == 2 and run_manifest["ell"] == 4
     assert run_manifest["class_count"] == 2
     assert run_manifest["complete"] is True
+    assert run_manifest["stats"]["mass_per_level"] == {"2": 3, "4": 81}
     csv_lines = open(os.path.join(out_dir, "summary.csv")).read().splitlines()
     assert csv_lines[0] == "index,n,k,d,weight_family,beta,divisibility_ok,aut_order,file"
     assert len(csv_lines) == 3
