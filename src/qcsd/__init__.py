@@ -16,7 +16,6 @@ from .buildup import ExtensionWitness, extend_i, extend_ii, reduce, seed
 from .classify import (
     ClassificationRun,
     classify,
-    enumerate_via_crt,
     filter_report,
     replay_trail,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "classify",
     "collapse",
     "divisibility_check",
-    "enumerate_via_crt",
     "expand",
     "extend_i",
     "extend_ii",

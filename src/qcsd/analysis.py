@@ -537,10 +537,6 @@ def macwilliams_transform(w: WeightEnum) -> WeightEnum:
     return WeightEnum(n=n, counts=tuple(dual_counts), complete=True, q=q, k=n - w.k)
 
 
-def macwilliams_self_consistent(w: WeightEnum) -> bool:
-    return macwilliams_transform(w).counts == w.counts
-
-
 # -- Type II ---------------------------------------------------------------
 
 

@@ -1,7 +1,6 @@
 """Classification of self-dual codes presented over the cyclic polynomial
 ring: an exhaustive building-up search with structure-preserving
-deduplication, plus an independent enumeration that splits the ring through
-its idempotents and rebuilds every self-dual code from field components.
+deduplication, certified complete at every level by the mass identity.
 
 How the search stays complete and affordable
 --------------------------------------------
@@ -37,26 +36,22 @@ merges classes that the block-preserving equivalence keeps apart:
   those of the unpruned search.
 
 The same searches give |Aut_G(C)| for the block group G_ell of each ring
-class, and over F_2 every level is certified complete by the mass identity:
-the sum of |G_ell| / |Aut_G(C)| over the classes is the number of self-dual
-codes over R, a product of closed-form counts.
+class, and every level of an exhaustive run is certified complete by the
+mass identity: the sum of |G_ell| / |Aut_G(C)| over the classes is the
+number of self-dual codes over R, a product of closed-form counts of
+self-dual codes over the two idempotent components.  Exhaustive runs have
+q = 2 or q = 5 (q = 4 is never primitive modulo an odd prime, and q = 3 is
+3 mod 4), and both have closed forms.
 
 Cosets are enumerated through the idempotent splitting: a self-dual base
 splits into an evaluation-at-one component over F_q and a residue component
 over the field F_q[Y]/Phi, and a coset of the base is a pair of field-level
 cosets, one per component.  The two components are computed with the ring's
 base field and with RingSpec.residue_field(), and echelonised by qc.rref.
-
-The independent oracle enumerate_via_crt walks the complete sets of
-Euclidean self-dual component codes over F_q and Hermitian self-dual
-component codes over the residue field (neighbor search certified complete
-against closed-form counts), recombines every pair through the idempotents,
-and deduplicates the expansions; agreement with classify is a test target.
 """
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-import itertools
 import json
 import math
 import os
@@ -78,215 +73,38 @@ from .equiv import (
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
 
 
-# -- linear algebra over the two idempotent factors ---------------------------
-# F is the ring's base field (trivial conjugation) or its residue field.
-
-
-def _f_ip(F, conj, u, v):
-    """Hermitian inner product over a factor field."""
-    acc = F.zero
-    for x, y in zip(u, v):
-        acc = F.add(acc, F.mul(x, conj(y)))
-    return acc
-
-
-def _f_nullspace(F, n, rows):
-    """Basis of the right kernel of the matrix whose rows are given (no
-    conjugation applied here; callers conjugate their rows first)."""
-    basis, pivots = rref(F, n, rows)
-    free = [j for j in range(n) if j not in pivots]
-    out = []
-    for f in free:
-        v = [F.zero] * n
-        v[f] = F.one
-        for i, p in enumerate(pivots):
-            v[p] = F.neg(basis[i][f])
-        out.append(tuple(v))
-    return out
-
-
-# -- complete sets of self-dual component codes -------------------------------
+# -- closed-form counts of self-dual codes ------------------------------------
 
 
 def euclidean_self_dual_count(q: int, n: int) -> int:
-    """Closed-form count of Euclidean self-dual codes of even length n over
-    F_q, used as a completeness certificate for the component search.
-    Implemented for q = 2."""
-    if q != 2:
+    """Closed-form count of Euclidean self-dual codes of length n over F_q:
+    prod_{i=1}^{n/2-1} (2^i + 1) for q = 2, and 2 * prod_{i=1}^{n/2-1}
+    (q^i + 1) for q = 1 mod 4 (Pless 1968; MacWilliams-Sloane, ch. 19).
+    Other fields raise UnsupportedCase."""
+    if q == 2:
+        out = 1
+    elif q % 4 == 1:
+        out = 2
+    else:
         raise UnsupportedCase(
-            f"no completeness certificate for Euclidean self-dual codes over F_{q}"
+            f"no closed-form count of Euclidean self-dual codes over F_{q}"
         )
     if n % 2:
         return 0
-    out = 1
     for i in range(1, n // 2):
-        out *= 2**i + 1
+        out *= q**i + 1
     return out
 
 
 def hermitian_self_dual_count(r: int, n: int) -> int:
     """Closed-form count of Hermitian self-dual codes of even length n over
-    F_{r^2} (conjugation x -> x^r), the completeness certificate for the
-    residue component search."""
+    F_{r^2} (conjugation x -> x^r)."""
     if n % 2:
         return 0
     out = 1
     for i in range(1, n // 2 + 1):
         out *= r ** (2 * i - 1) + 1
     return out
-
-
-def _self_dual_start(F, conj, n):
-    u = None
-    for a in F.elements():
-        if F.add(F.one, F.mul(a, conj(a))) == F.zero:
-            u = a
-            break
-    if u is None:
-        raise UnsupportedCase(
-            "no length-2 self-dual code over this component field"
-        )
-    rows = []
-    for i in range(n // 2):
-        row = [F.zero] * n
-        row[2 * i] = F.one
-        row[2 * i + 1] = u
-        rows.append(tuple(row))
-    basis, _ = rref(F, n, rows)
-    return tuple(basis)
-
-
-def _sd_neighbors(F, conj, n, code):
-    """All self-dual codes meeting the given one in codimension <= 1."""
-    k = len(code)
-    out = []
-    # normalized functionals on the code: first nonzero entry is one
-    for i0 in range(k):
-        for tail in itertools.product(F.elements(), repeat=k - 1 - i0):
-            f = [F.zero] * k
-            f[i0] = F.one
-            for idx, val in enumerate(tail):
-                f[i0 + 1 + idx] = val
-            # kernel of f: rows r_i - f_i * r_{i0} for i != i0
-            sub = []
-            for i in range(k):
-                if i == i0:
-                    continue
-                if f[i] == F.zero:
-                    sub.append(code[i])
-                else:
-                    sub.append(
-                        tuple(
-                            F.sub(x, F.mul(f[i], y))
-                            for x, y in zip(code[i], code[i0])
-                        )
-                    )
-            # dual of the subcode: right kernel of the conjugated rows
-            conj_rows = [tuple(conj(x) for x in r) for r in sub]
-            null = _f_nullspace(F, n, conj_rows)
-            # two completion directions past the subcode
-            cur, _ = rref(F, n, sub)
-            comp = []
-            for v in null:
-                trial, _ = rref(F, n, list(cur) + [v])
-                if len(trial) > len(cur):
-                    comp.append(v)
-                    cur = trial
-                    if len(comp) == 2:
-                        break
-            p, qv = comp
-            cands = [(F.one, b) for b in F.elements()] + [(F.zero, F.one)]
-            for a, b in cands:
-                w = tuple(
-                    F.add(F.mul(a, x), F.mul(b, y)) for x, y in zip(p, qv)
-                )
-                if _f_ip(F, conj, w, w) != F.zero:
-                    continue
-                basis, piv = rref(F, n, list(sub) + [w])
-                if len(basis) == k:
-                    out.append(tuple(basis))
-    return out
-
-
-def _all_self_dual(F, conj, n, expected=None):
-    """All self-dual codes over the factor field by neighbor search, checked
-    against the closed-form count when one is available."""
-    start = _self_dual_start(F, conj, n)
-    seen = {start}
-    stack = [start]
-    out = []
-    while stack:
-        code = stack.pop()
-        out.append(code)
-        for nb in _sd_neighbors(F, conj, n, code):
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if expected is not None and len(out) != expected:
-        raise RuntimeError(
-            f"component search found {len(out)} self-dual codes, "
-            f"the closed-form count says {expected}"
-        )
-    return sorted(out)
-
-
-def component_self_dual_codes(spec: RingSpec, ell: int):
-    """Complete lists of (Euclidean, Hermitian) self-dual component codes of
-    length ell for the two idempotent factors of the ring.  Restricted to
-    the residue fields with four and sixteen elements over the binary field;
-    the search is a desk-scale oracle, not a general engine."""
-    if not spec.cyclotomic_ok:
-        raise UnsupportedCase(
-            "idempotent splitting needs m prime with q primitive modulo m"
-        )
-    if (spec.q, spec.m) not in ((2, 3), (2, 5)):
-        raise UnsupportedCase(
-            "residue component enumeration is implemented for the residue "
-            f"fields F_4 and F_16 over F_2 only; got q = {spec.q}, m = {spec.m}"
-        )
-    if ell % 2 or ell < 2:
-        raise ValueError(f"self-dual codes need positive even length, got {ell}")
-    res = spec.residue_field()
-    r = spec.q ** ((spec.m - 1) // 2)
-    c1 = _all_self_dual(
-        spec.field, lambda a: a, ell, expected=euclidean_self_dual_count(spec.q, ell)
-    )
-    c2 = _all_self_dual(res, res.conj, ell, expected=hermitian_self_dual_count(r, ell))
-    return c1, c2
-
-
-def enumerate_via_crt(spec: RingSpec, ell: int, progress=None):
-    """Every self-dual code over R of length ell, built by combining each
-    Euclidean self-dual component with each Hermitian self-dual component
-    through the idempotents, then deduplicated by equivalence of the
-    expansions.  Returns one ring code per equivalence class."""
-    c1s, c2s = component_self_dual_codes(spec, ell)
-    zerophi = spec.residue_field().zero
-    reps: list[RingCode] = []
-    store = ClassStore()
-    total = len(c1s) * len(c2s)
-    done = 0
-    for c1 in c1s:
-        for c2 in c2s:
-            rows = []
-            for u in c1:
-                rows.append(
-                    tuple(spec.crt_combine(CrtPair(x, zerophi)) for x in u)
-                )
-            for v in c2:
-                rows.append(tuple(spec.crt_combine(CrtPair(0, x)) for x in v))
-            cand = RingCode(spec, ell, rows)
-            if not cand.is_self_dual():
-                raise RuntimeError(
-                    "component recombination produced a non-self-dual code"
-                )
-            exp = cand.expansion()
-            if store.add(exp, fingerprint(exp)):
-                reps.append(cand)
-            done += 1
-            if progress is not None and done % 500 == 0:
-                progress(f"recombined {done}/{total}, {len(reps)} classes")
-    return reps
 
 
 # -- the classification driver ------------------------------------------------
@@ -322,8 +140,7 @@ class RunStats:
     earlier candidate's code is one such image.  `mass_per_level` holds,
     per level, the mass sum of |G_ell| / |Aut_G(C)| over the ring classes,
     checked against the closed-form count of self-dual codes; it is
-    recorded for exhaustive runs over F_2 only, the one base field with a
-    closed form for the evaluation component here."""
+    recorded at every level of every exhaustive run."""
 
     candidates: int = 0
     exact_duplicates: int = 0
@@ -600,18 +417,21 @@ def _lift(generators, m: int, ell: int):
 
 
 def _check_mass(spec: RingSpec, ell: int, aut_orders, stats: RunStats):
-    """Completeness certificate of one level over F_2: the ring classes, each
-    weighted by |G_ell| / |Aut_G(C)| with |G_ell| = ell! * m^ell, must add up
-    to the number of self-dual codes over R, the product of the closed-form
-    counts of their two idempotent components.  Other base fields have no
-    closed form here and are not checked."""
-    if spec.q != 2:
-        return
-    group = math.factorial(ell) * spec.m**ell
+    """Completeness certificate of one level: the ring classes, each weighted
+    by |G_ell| / |Aut_G(C)|, must add up to the number of self-dual codes
+    over R.  G_ell permutes the ell blocks and acts on each by one of the
+    m * s block-rotation units (s square-one scalars), so |G_ell| =
+    ell! * (m * s)^ell.  The count is the product of the closed-form counts
+    of the two idempotent components: Euclidean over F_q for the evaluation
+    at one, and over the residue field Hermitian for m odd, Euclidean for
+    m = 2, where conjugation is trivial on F_q[Y]/(Y + 1)."""
+    group = math.factorial(ell) * len(_square_one_block_units(spec)) ** ell
     mass = sum(Fraction(group, order) for order in aut_orders)
-    expected = euclidean_self_dual_count(spec.q, ell) * hermitian_self_dual_count(
-        spec.q ** ((spec.m - 1) // 2), ell
-    )
+    if spec.m == 2:
+        residue = euclidean_self_dual_count(spec.q, ell)
+    else:
+        residue = hermitian_self_dual_count(spec.q ** ((spec.m - 1) // 2), ell)
+    expected = euclidean_self_dual_count(spec.q, ell) * residue
     if mass != expected:
         raise RuntimeError(
             f"length {ell}: the ring classes have mass {mass}, but there are "
@@ -797,8 +617,7 @@ def classify(
                     )
             # the block automorphisms of each class: generators to prune the
             # next level's witnesses, orders for the mass identity
-            extends = ell < target_ell and ell + 2 not in levels
-            if exhaustive and (extends or spec.q == 2):
+            if exhaustive:
                 groups = [
                     automorphism_group(cc.expansion, qc_blocks=(spec.m, ell))
                     for cc in levels[ell]

@@ -62,6 +62,7 @@ class RingCode:
         self.ell = ell
         self.rows = tuple(clean)
         self._expansion = None
+        self._self_dual = None
 
     @property
     def q(self):
@@ -92,7 +93,9 @@ class RingCode:
     def is_self_dual(self) -> bool:
         """Self-dual under the hermitian product, decided in the field image:
         the expansion must be self-orthogonal of dimension m*ell/2."""
-        return is_euclidean_self_dual(self.expansion())
+        if self._self_dual is None:
+            self._self_dual = is_euclidean_self_dual(self.expansion())
+        return self._self_dual
 
     def standard_form(self) -> StandardForm:
         return _standard_form(self)

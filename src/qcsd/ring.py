@@ -248,33 +248,6 @@ class RingSpec:
                 terms.append(ypow if c == 1 else f"{fld.element_str(c)}*{ypow}")
         return " + ".join(terms) if terms else "0"
 
-    def parse_poly(self, text: str):
-        fld = self.field
-        out = [0] * self.m
-        t = text.strip()
-        if t == "0":
-            return tuple(out)
-        for term in t.split("+"):
-            term = term.strip().replace(" ", "")
-            if not term:
-                raise ValueError(f"empty term in {text!r}")
-            if "Y" in term:
-                coef_s, _, pow_s = term.partition("Y")
-                coef_s = coef_s.rstrip("*")
-                c = 1 if coef_s == "" else fld.parse_element(coef_s)
-                if pow_s == "":
-                    i = 1
-                elif pow_s.startswith("^"):
-                    i = int(pow_s[1:])
-                else:
-                    raise ValueError(f"bad power in term {term!r}")
-            else:
-                c, i = fld.parse_element(term), 0
-            if not 0 <= i < self.m:
-                raise ValueError(f"power Y^{i} out of range for m={self.m}")
-            out[i] = fld.add(out[i], c)
-        return tuple(out)
-
     def __repr__(self):
         return f"RingSpec(q={self.field.q}, m={self.m})"
 

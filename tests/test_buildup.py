@@ -126,6 +126,26 @@ def test_extend_i_rejects_bad_witnesses():
         extend_i(seeds_for(3, 5)[0], sp3.one, (sp3.one,) * 4)
 
 
+def test_extend_i_checks_its_base_once(monkeypatch):
+    # the base's self-duality is decided once, not once per witness
+    from qcsd import rcode
+
+    sp = ring(2, 5)
+    base = RingCode(sp, 2, [(sp.one, norm_minus_one_elements(sp)[0])])
+    check = rcode.is_euclidean_self_dual
+    checked = []
+
+    def counting(code):
+        checked.append(code)
+        return check(code)
+
+    monkeypatch.setattr(rcode, "is_euclidean_self_dual", counting)
+    rng = random.Random(33)
+    for _ in range(50):
+        random_extension_i(base, rng)
+    assert sum(code is base.expansion() for code in checked) == 1
+
+
 def test_extend_ii_grows_by_four_and_preserves_self_duality():
     rng = random.Random(32)
     for q, m in [(3, 5), (3, 7)]:

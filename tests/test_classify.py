@@ -1,7 +1,8 @@
-"""Classification driver: level build-up, CRT enumeration, checkpoints."""
+"""Classification driver: level build-up, mass identity, checkpoints."""
 
 from dataclasses import asdict
 import importlib
+import itertools
 import json
 
 import pytest
@@ -11,8 +12,6 @@ from qcsd.buildup import extend_i, norm_minus_one_elements
 from qcsd.classify import (
     _lift,
     classify,
-    component_self_dual_codes,
-    enumerate_via_crt,
     euclidean_self_dual_count,
     filter_report,
     hermitian_self_dual_count,
@@ -21,10 +20,10 @@ from qcsd.classify import (
 from qcsd.equiv import (
     AutomorphismGroup,
     apply_monomial,
-    are_equivalent,
     automorphism_group,
 )
 from qcsd.errors import UnsupportedCase
+from qcsd.gf import field
 from qcsd.ring import ring
 
 from conftest import random_norm_minus_one_vector, random_self_dual
@@ -36,24 +35,63 @@ def test_self_dual_mass_formulas():
     assert euclidean_self_dual_count(2, 4) == 3
     assert euclidean_self_dual_count(2, 6) == 15
     assert euclidean_self_dual_count(2, 8) == 135
-    # Hermitian counts over F_4 and F_16
+    # Euclidean counts over F_5
+    assert [euclidean_self_dual_count(5, n) for n in (2, 4, 6)] == [2, 12, 312]
+    # Hermitian counts over F_4, F_16 and F_25
     assert hermitian_self_dual_count(2, 2) == 3
     assert hermitian_self_dual_count(2, 4) == 27
     assert hermitian_self_dual_count(4, 2) == 5
+    assert [hermitian_self_dual_count(5, n) for n in (2, 4)] == [6, 756]
+    for q in (3, 4):
+        with pytest.raises(UnsupportedCase):
+            euclidean_self_dual_count(q, 4)
 
 
-def test_component_lists_are_complete_and_self_dual():
-    sp = ring(2, 3)
-    c1s, c2s = component_self_dual_codes(sp, 4)
-    assert len(c1s) == euclidean_self_dual_count(2, 4)
-    assert len(c2s) == hermitian_self_dual_count(2, 4)
-    assert len(set(map(tuple, (map(tuple, c) for c in c1s)))) == len(c1s)
-    with pytest.raises(UnsupportedCase):
-        component_self_dual_codes(ring(2, 7), 2)
-    with pytest.raises(UnsupportedCase):
-        component_self_dual_codes(ring(5, 7), 2)
-    with pytest.raises(ValueError):
-        component_self_dual_codes(sp, 3)
+def _brute_force_self_dual_count(fld, conj, n):
+    """Self-dual codes of length n under sum u_i * conj(v_i), counted over
+    every n/2-dimensional subspace of F^n in reduced row echelon form."""
+    k = n // 2
+    count = 0
+    for pivots in itertools.combinations(range(n), k):
+        slots = [
+            (i, j)
+            for i, p in enumerate(pivots)
+            for j in range(p + 1, n)
+            if j not in pivots
+        ]
+        for values in itertools.product(fld.elements(), repeat=len(slots)):
+            rows = [[0] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, j), v in zip(slots, values):
+                rows[i][j] = v
+            count += all(
+                _form(fld, conj, u, w) == 0
+                for u, w in itertools.combinations_with_replacement(rows, 2)
+            )
+    return count
+
+
+def _form(fld, conj, u, w):
+    acc = 0
+    for a, b in zip(u, w):
+        acc = fld.add(acc, fld.mul(a, conj(b)))
+    return acc
+
+
+def test_closed_form_counts_match_brute_force():
+    f2, f4, f5 = field(2), field(4), field(5)
+    for n in (2, 4, 6):
+        assert _brute_force_self_dual_count(f2, lambda a: a, n) == (
+            euclidean_self_dual_count(2, n)
+        )
+    for n in (2, 4):
+        assert _brute_force_self_dual_count(f5, lambda a: a, n) == (
+            euclidean_self_dual_count(5, n)
+        )
+        assert _brute_force_self_dual_count(f4, lambda a: f4.mul(a, a), n) == (
+            hermitian_self_dual_count(2, n)
+        )
 
 
 def test_classify_small_counts():
@@ -66,20 +104,6 @@ def test_classify_small_counts():
     for cc in list(run.classes) + list(run5.classes):
         assert cc.code.is_self_dual()
         assert cc.expansion.k * 2 == cc.expansion.n
-
-
-def test_classify_matches_crt_enumeration():
-    sp = ring(2, 3)
-    for ell in (2, 4):
-        by_extension = classify(sp, ell).classes
-        by_crt = enumerate_via_crt(sp, ell)
-        assert len(by_extension) == len(by_crt)
-        # the two lists are matched one-to-one by equivalence
-        for cc in by_extension:
-            hits = sum(
-                1 for rep in by_crt if are_equivalent(cc.expansion, rep.expansion())
-            )
-            assert hits == 1
 
 
 def test_classify_is_deterministic():
@@ -203,15 +227,6 @@ def test_constructive_mode_builds_self_dual_codes():
         assert replay_trail(ring(4, 3), cc.trail).rows == cc.code.rows
 
 
-def test_enumerate_via_crt_counts():
-    sp = ring(2, 3)
-    assert len(enumerate_via_crt(sp, 2)) == 1
-    with pytest.raises(UnsupportedCase):
-        enumerate_via_crt(ring(4, 3), 2)
-    with pytest.raises(UnsupportedCase):
-        enumerate_via_crt(ring(5, 7), 2)
-
-
 def test_filter_report_structure():
     run = classify(ring(2, 3), 4)
     rep = filter_report(run)
@@ -248,7 +263,8 @@ def test_filter_report_automorphism_orders(q, m, ell, orders):
         (2, 3, 6, {2: 3, 4: 81, 6: 13365}),
         (2, 5, 4, {2: 5, 4: 975}),
         (2, 11, 2, {2: 33}),
-        (5, 2, 4, {}),  # no closed form for the count over F_5
+        (5, 2, 4, {2: 4, 4: 144}),
+        (5, 3, 2, {2: 12}),
     ],
 )
 def test_mass_identity_per_level(q, m, ell, masses):
@@ -265,8 +281,9 @@ def test_mass_identity_mismatch_raises(monkeypatch):
         return AutomorphismGroup(2 * group.order, group.generators)
 
     monkeypatch.setattr(module, "automorphism_group", doubled)
-    with pytest.raises(RuntimeError, match="incomplete"):
-        classify(ring(2, 3), 2)
+    for q, m in [(2, 3), (5, 2)]:
+        with pytest.raises(RuntimeError, match="incomplete"):
+            classify(ring(q, m), 2)
 
 
 @pytest.mark.parametrize("q, m, ell", [(2, 3, 6), (2, 5, 4), (5, 2, 4)])
