@@ -21,10 +21,22 @@ slot set with its ratio mates, block successor and predecessor mates and
 base colors; it is built once per shape and shared by every code of that
 shape.  What depends on the code is its refinement profile: the weight
 enumerator, the refinement strata and the word-slot incidence of their
-codewords.  The profile is built once and kept on the code object itself
-(`FieldCode.cache`), so `fingerprint`, `are_equivalent` and
-`automorphism_order` share it, in every shape, and it is freed with the
-code.
+codewords, kept as int32 arrays (a words-by-weight matrix of slots per
+stratum, and a padded slots-by-degree matrix of words).  The profile is
+built once and kept on the code object itself (`FieldCode.cache`), so
+`fingerprint`, `are_equivalent` and `automorphism_order` share it, in every
+shape, and it is freed with the code.
+
+A refinement round works on whole arrays, in the spirit of McKay &
+Piperno's refinement (Practical graph isomorphism II, 2014): one
+`np.lexsort` ranks every word of a stratum, on both sides of a comparison
+at once, by the sorted colors of its slots; a second ranks every slot by its
+color, its mates' colors and its sorted word ranks, and those ranks are the
+new colors.  Slots meet different numbers of words, so their rows are padded
+with -1.  Every rank is at least 0, so a padded row sorts exactly where its
+unpadded tuple would: a row that is a prefix of another comes first.  The
+colors, and with them fingerprints, witnesses and automorphism generators,
+are those a tuple sort of the signatures gives.
 
 `ClassStore` is the one place that sorts codes into classes: it buckets
 codes by fingerprint and compares a new code first-fit against the
@@ -90,9 +102,11 @@ def _collect_words(code: FieldCode, wanted: set[int], cap: int):
 
 def _select_strata(code: FieldCode, w, max_words: int):
     """Weights of the strata used for refinement, smallest first, adding
-    strata until they span the code (or words run out), and their words
-    as symbol tuples; `w` is the code's weight enumerator.  The words of
-    every stratum that fits under `max_words` are collected in one walk."""
+    strata until they span the code (or words run out), and their words,
+    one symbol row each; `w` is the code's weight enumerator.  The words of
+    every stratum that fits under `max_words` are collected in one walk.
+    The span is tested on the words scaled to a leading 1, a chunk at a
+    time, and the test stops as soon as k independent words are found."""
     weights = [i for i in range(1, code.n + 1) if w.counts[i]]
     chosen: list[int] = []
     words_total = 0
@@ -102,15 +116,19 @@ def _select_strata(code: FieldCode, w, max_words: int):
         chosen.append(wt)
         words_total += w.counts[wt]
     rows, row_weights = _collect_words(code, set(chosen), max_words)
-    words_total = 0
+    leading_one = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] == 1
+    basis: tuple = ()
     for i, wt in enumerate(chosen):
-        words_total += w.counts[wt]
-        if words_total >= code.k:
-            basis, _ = rref(code.field, code.n, rows[row_weights <= wt].tolist())
+        stratum = rows[(row_weights == wt) & leading_one].tolist()
+        for at in range(0, len(stratum), code.k):
+            chunk = stratum[at : at + code.k]
+            basis, _ = rref(code.field, code.n, list(basis) + chunk)
             if len(basis) == code.k:
-                chosen = chosen[: i + 1]
                 break
-    return chosen, [tuple(r) for r in rows[row_weights <= chosen[-1]].tolist()]
+        if len(basis) == code.k:
+            chosen = chosen[: i + 1]
+            break
+    return chosen, rows[row_weights <= chosen[-1]]
 
 
 # -- incidence structure -----------------------------------------------------
@@ -160,6 +178,12 @@ class _Shape:
                 rep = min(fld.mul(g, v) for g in square_one)
                 orbit[v] = rep
             self.base_colors = [orbit[(s % r) + 1] for s in range(self.nslots)]
+        # the slots whose colors lead each slot's refinement row: the slot
+        # itself, its ratio mates, then its block successor and predecessor
+        columns = [np.arange(self.nslots), *np.reshape(mates, (self.nslots, -1)).T]
+        if qc_blocks is not None:
+            columns += [self.succ_mate, self.pred_mate]
+        self.neighbors = np.array(columns, dtype=np.int32).T
 
 
 @lru_cache(maxsize=None)
@@ -168,28 +192,37 @@ def _shape(fld: FieldSpec, n: int, qc_blocks) -> _Shape:
 
 
 def _incidence(code: FieldCode, strata_weights, words):
-    """Word-slot incidence of the strata words: each word's slots and
-    stratum rank, and each slot's words."""
+    """Word-slot incidence of the strata words, as int32 arrays: per
+    stratum, a (words x weight) matrix of each word's slots; and an
+    (nslots x max degree) matrix of each slot's words, padded with the word
+    count.  Words are numbered stratum by stratum."""
     r = max(code.field.q - 1, 1)
-    wt_rank = {wt: i for i, wt in enumerate(strata_weights)}
-    word_slots: list[tuple] = []
-    word_stratum: list[int] = []
-    slot_words: list[list[int]] = [[] for _ in range(code.n * r)]
-    for row in words:
-        wt = sum(1 for v in row if v)
-        slots = tuple(j * r + (v - 1) for j, v in enumerate(row) if v)
-        wid = len(word_slots)
-        word_slots.append(slots)
-        word_stratum.append(wt_rank[wt])
-        for s in slots:
-            slot_words[s].append(wid)
-    return word_slots, word_stratum, slot_words
+    nonzero = words != 0
+    weights = nonzero.sum(axis=1)
+    slot_ids = np.arange(code.n, dtype=np.int32) * r + words.astype(np.int32) - 1
+    strata = []
+    for wt in strata_weights:
+        rows = weights == wt
+        strata.append(slot_ids[rows][nonzero[rows]].reshape(-1, wt))
+    sizes = [len(st) for st in strata]
+    slots = np.concatenate([st.ravel() for st in strata])
+    word_of = np.repeat(
+        np.arange(sum(sizes), dtype=np.int32), np.repeat(strata_weights, sizes)
+    )
+    order = np.argsort(slots, kind="stable")
+    slots = slots[order]
+    degree = np.bincount(slots, minlength=code.n * r)
+    first = np.cumsum(degree) - degree
+    slot_words = np.full((code.n * r, degree.max()), sum(sizes), dtype=np.int32)
+    slot_words[slots, np.arange(len(slots)) - first[slots]] = word_of[order]
+    return strata, slot_words
 
 
 class _Profile:
     """What the engine derives from one code at one (budget, max_words):
     the weight enumerator, the strata weights, and the word-slot incidence
-    of the strata words, which serves every shape the code is compared in."""
+    of the strata words (see `_incidence`), which serves every shape the
+    code is compared in."""
 
     def __init__(self, code: FieldCode, budget: int, max_words: int):
         total = code.field.q**code.k
@@ -200,10 +233,8 @@ class _Profile:
             )
         self.enum = weight_enumerator(code, budget)
         self.weights, words = _select_strata(code, self.enum, max_words)
-        self.word_slots, self.word_stratum, self.slot_words = _incidence(
-            code, self.weights, words
-        )
-        self.stratum_sizes = Counter(self.word_stratum)
+        self.strata, self.slot_words = _incidence(code, self.weights, words)
+        self.stratum_sizes = {i: len(st) for i, st in enumerate(self.strata)}
 
 
 def _profile(code: FieldCode, budget: int, max_words: int) -> _Profile:
@@ -214,51 +245,71 @@ def _profile(code: FieldCode, budget: int, max_words: int) -> _Profile:
     return prof
 
 
-def _refine(shape: _Shape, profs, colors_list):
-    """Iterated joint recoloring of one or two profiles on a shared shape;
-    returns stable colors or None when the color class sizes of the two
-    diverge."""
-    pair = len(profs) == 2
-    mates, succ, pred = shape.mates, shape.succ_mate, shape.pred_mate
+_NO_WORD = np.iinfo(np.int32).max
+
+
+def _dense_rank(rows):
+    """The rank of each row of an integer matrix among its distinct rows in
+    lexicographic order, and the number of distinct rows."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    step = np.ones(len(rows), dtype=bool)
+    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(rows), dtype=np.int32)
+    ranks[order] = np.cumsum(step) - 1
+    return ranks, int(ranks[order[-1]]) + 1
+
+
+def _refine(shape: _Shape, profs, colors):
+    """Iterated joint recoloring of one or two profiles on a shared shape.
+
+    `colors` holds one row of slot colors per profile.  Each round ranks
+    every word of a stratum on both sides at once by the sorted colors of
+    its slots, strata in order, then ranks every slot by the row of its
+    color, its mate colors, its successor and predecessor colors and its
+    sorted word ranks; the slot ranks are the new colors.  Rows are padded
+    with -1 to one width, and -1 lies below every rank, so a row that is a
+    prefix of another ranks first, as in tuple order.  Returns the stable
+    colors as an int32 array, or None when the color class sizes of the
+    two sides diverge."""
+    colors = np.asarray(colors, dtype=np.int32)
+    nslots = shape.nslots
+    width = max(P.slot_words.shape[1] for P in profs)
+    sizes = [np.bincount(c) for c in colors]
+    if len(profs) == 2 and not np.array_equal(*sizes):
+        return None
+    distinct = [int(np.count_nonzero(z)) for z in sizes]
     while True:
-        if pair and Counter(colors_list[0]) != Counter(colors_list[1]):
+        # word ranks, stratum by stratum, offset past the earlier strata
+        word_ranks: list[list] = [[] for _ in profs]
+        offset = 0
+        for strata in zip(*(P.strata for P in profs)):
+            parts = [c[st] for c, st in zip(colors, strata)]
+            ranks, count = _dense_rank(np.sort(np.concatenate(parts), axis=1))
+            ranks += offset
+            offset += count
+            at = 0
+            for side, part in zip(word_ranks, parts):
+                side.append(ranks[at : at + len(part)])
+                at += len(part)
+        # slot rows; the padding of slot_words sorts last, then reads -1
+        rows = []
+        for c, P, side in zip(colors, profs, word_ranks):
+            by_word = np.concatenate(side + [np.full(1, _NO_WORD, dtype=np.int32)])
+            incident = by_word[P.slot_words]
+            incident.sort(axis=1)
+            incident[incident == _NO_WORD] = -1
+            pad = np.full((nslots, width - incident.shape[1]), -1, dtype=np.int32)
+            rows.append(np.concatenate([c[shape.neighbors], incident, pad], axis=1))
+        new, count = _dense_rank(np.concatenate(rows))
+        new = new.reshape(len(profs), nslots)
+        sizes = [np.bincount(c, minlength=count) for c in new]
+        if len(profs) == 2 and not np.array_equal(*sizes):
             return None
-        wsigs_list = []
-        allw = set()
-        for P, colors in zip(profs, colors_list):
-            wsigs = [
-                (P.word_stratum[w],) + tuple(sorted(colors[s] for s in P.word_slots[w]))
-                for w in range(len(P.word_slots))
-            ]
-            wsigs_list.append(wsigs)
-            allw.update(wsigs)
-        wrank = {sig: i for i, sig in enumerate(sorted(allw))}
-        sigs_list = []
-        alls = set()
-        for P, colors, wsigs in zip(profs, colors_list, wsigs_list):
-            sigs = []
-            for s in range(shape.nslots):
-                cyc = (colors[succ[s]], colors[pred[s]]) if succ is not None else ()
-                sigs.append(
-                    (
-                        colors[s],
-                        tuple(colors[mate] for mate in mates[s]),
-                        cyc,
-                        tuple(sorted(wrank[wsigs[w]] for w in P.slot_words[s])),
-                    )
-                )
-            sigs_list.append(sigs)
-            alls.update(sigs)
-        srank = {sig: i for i, sig in enumerate(sorted(alls))}
-        new_list = [[srank[sig] for sig in sigs] for sigs in sigs_list]
-        if all(
-            len(set(new)) == len(set(old))
-            for new, old in zip(new_list, colors_list)
-        ):
-            if pair and Counter(new_list[0]) != Counter(new_list[1]):
-                return None
-            return new_list
-        colors_list = new_list
+        new_distinct = [int(np.count_nonzero(z)) for z in sizes]
+        if new_distinct == distinct:
+            return new
+        colors, distinct = new, new_distinct
 
 
 def _pin_closure(shape: _Shape, pins):
@@ -360,10 +411,10 @@ def _find_map(shape: _Shape, profs, pins, state):
     mapping = _pin_closure(shape, pins)
     if mapping is None:
         return None
-    res = _refine(shape, profs, list(_pinned_colors(shape, mapping)))
+    res = _refine(shape, profs, _pinned_colors(shape, mapping))
     if res is None:
         return None
-    cA, cB = res
+    cA, cB = res.tolist()
     if len(set(cA)) == shape.nslots:
         return _leaf_witness(shape, state["codes"], cA, cB)
     classesA: dict[int, list] = {}
@@ -451,8 +502,8 @@ def fingerprint(
     d = nz[0][0]
     prefix = tuple(nz[:4])
     shape = _shape(code.field, code.n, None)
-    colors = [0] * shape.nslots
-    (colors,) = _refine(shape, (prof,), [colors])
+    start = np.zeros((1, shape.nslots), dtype=np.int32)
+    (colors,) = _refine(shape, (prof,), start).tolist()
     trace = (
         code.n,
         code.k,
@@ -530,7 +581,7 @@ def automorphism_group(
     while True:
         pins = [(b, b) for b in base]
         colors, _ = _pinned_colors(S, _pin_closure(S, pins))
-        (colors,) = _refine(S, (prof,), [colors])
+        (colors,) = _refine(S, (prof,), [colors]).tolist()
         classes: dict[int, list] = {}
         for s, c in enumerate(colors):
             classes.setdefault(c, []).append(s)
