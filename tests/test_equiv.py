@@ -372,3 +372,122 @@ def test_class_store_matches_unbucketed_first_fit(monkeypatch):
     assert len(kept) == 3
     assert [id(c) for c in kept] == [id(c) for c in pairwise]
     assert store.checks == len(calls) > 0
+
+
+def tuple_sort_refine(shape, profs, colors_list):
+    """Refinement by sorting signature tuples over list incidence, the
+    reference that the lexsort ranking of `equiv._refine` must agree with."""
+    from collections import Counter
+
+    incidence = []
+    for P in profs:
+        word_slots = [tuple(row) for st in P.strata for row in st.tolist()]
+        word_stratum = [i for i, st in enumerate(P.strata) for _ in range(len(st))]
+        nwords = len(word_slots)
+        slot_words = [[w for w in row if w != nwords] for row in P.slot_words.tolist()]
+        incidence.append((word_slots, word_stratum, slot_words))
+    pair = len(profs) == 2
+    mates, succ, pred = shape.mates, shape.succ_mate, shape.pred_mate
+    while True:
+        if pair and Counter(colors_list[0]) != Counter(colors_list[1]):
+            return None
+        wsigs_list = []
+        for (word_slots, word_stratum, _), colors in zip(incidence, colors_list):
+            wsigs_list.append([
+                (word_stratum[w],) + tuple(sorted(colors[s] for s in slots))
+                for w, slots in enumerate(word_slots)
+            ])
+        wrank = {sig: i for i, sig in enumerate(sorted(set().union(*wsigs_list)))}
+        sigs_list = []
+        for (*_, slot_words), colors, wsigs in zip(incidence, colors_list, wsigs_list):
+            sigs_list.append([
+                (
+                    colors[s],
+                    tuple(colors[t] for t in mates[s]),
+                    (colors[succ[s]], colors[pred[s]]) if succ is not None else (),
+                    tuple(sorted(wrank[wsigs[w]] for w in slot_words[s])),
+                )
+                for s in range(shape.nslots)
+            ])
+        srank = {sig: i for i, sig in enumerate(sorted(set().union(*sigs_list)))}
+        new_list = [[srank[sig] for sig in sigs] for sigs in sigs_list]
+        if all(len(set(a)) == len(set(b)) for a, b in zip(new_list, colors_list)):
+            if pair and Counter(new_list[0]) != Counter(new_list[1]):
+                return None
+            return new_list
+        colors_list = new_list
+
+
+@st.composite
+def codes_for_refinement(draw):
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    m = draw(st.integers(2, 3))
+    ell = draw(st.integers(2, 4))
+    n = m * ell
+    k = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, q - 1)] * n), min_size=k, max_size=k
+    ))
+    perm = draw(st.permutations(range(n)))
+    scalars = draw(st.tuples(*[st.integers(1, q - 1)] * n))
+    blocks = draw(st.sampled_from([None, (m, ell)]))
+    slot = st.integers(0, n * (q - 1) - 1)
+    pin = draw(st.tuples(slot, slot))
+    return FieldCode(field(q), n, rows), perm, scalars, blocks, pin
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_for_refinement())
+def test_refine_matches_tuple_sort_reference(case):
+    import qcsd.equiv as E
+
+    code, perm, scalars, blocks, pin = case
+    if code.k == 0:
+        return
+    moved = apply_monomial(code, perm, scalars)
+    shape = E._shape(code.field, code.n, blocks)
+    profs = tuple(E._profile(c, 1 << 20, E.DEFAULT_MAX_WORDS) for c in (code, moved))
+    start = [[0] * shape.nslots]
+    assert E._refine(shape, profs[:1], start).tolist() == tuple_sort_refine(
+        shape, profs[:1], start
+    )
+    mapping = E._pin_closure(shape, [pin])
+    if mapping is None:
+        return
+    start = list(E._pinned_colors(shape, mapping))
+    got = E._refine(shape, profs, start)
+    want = tuple_sort_refine(shape, profs, start)
+    assert (got if got is None else got.tolist()) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(codes_for_refinement())
+def test_strata_are_the_shortest_spanning_prefix(case):
+    import qcsd.equiv as E
+    from qcsd.analysis import weight_enumerator
+    from qcsd.qc import rref
+
+    code, _, _, _, _ = case
+    if code.k == 0:
+        return
+    cap = 30
+    enum = weight_enumerator(code)
+    counts = enum.counts
+    if counts[min(i for i in range(1, code.n + 1) if counts[i])] > cap:
+        with pytest.raises(UnsupportedCase):
+            E._select_strata(code, enum, cap)
+        return
+    chosen, words = E._select_strata(code, enum, cap)
+    weights = (words != 0).sum(axis=1)
+    assert sorted(set(weights.tolist())) == chosen
+
+    def rank(upto):
+        return len(rref(code.field, code.n, words[weights <= upto].tolist())[0])
+
+    # the strata span the code, or the next stratum would pass the cap
+    later = [i for i in range(chosen[-1] + 1, code.n + 1) if counts[i]]
+    spans = rank(chosen[-1]) == code.k
+    assert spans or not later or len(words) + counts[later[0]] > cap
+    # and no shorter prefix spans it
+    if len(chosen) > 1:
+        assert rank(chosen[-2]) < code.k
