@@ -1,18 +1,24 @@
 """Weight distributions, minimum distance, and enumerator diagnostics.
 
-Exact weight enumeration walks the whole message space with
-`codeword_blocks`, the one codeword walker (the equivalence engine
-collects its low-weight words with it too).  It keeps words as the
-distance scan does (`_ScanLayout`), one per column: plane-major 64-bit
-bit planes over F_2/F_4, where XOR adds, and uint8 symbols over F_3/F_5,
-added mod q.  Over the prime field F_p, a table of every combination of
-the first t generators (p^t <= 2^16 columns) is added to each
-combination of the rest in p-ary modular Gray order (Knuth, TAOCP 4A,
-7.2.1.1), in which each step adds one generator once.  Each block of
-p^t words costs one addition and one weight pass over the table; for
-p = 2 the order is the binary reflected Gray code.  A binary code that
-contains the all-ones word 1 is C = S + <1>, where S is spanned by every
-RREF row but the first; only S is walked, and A_w(C) = A_w(S) +
+Exact weight enumeration walks the code projectively with
+`codeword_blocks`, the one codeword walker: the q - 1 nonzero multiples
+of a word share its weight, so only the words whose first nonzero symbol
+is 1 are walked, (q^k - 1)/(q - 1) of them, and each is counted q - 1
+times (the information-set scan below likewise counts one word per scalar
+class).  The equivalence engine keeps its low-weight words during the
+same walk.  The walker keeps words as the distance scan does
+(`_ScanLayout`), one per column: plane-major 64-bit bit planes over
+F_2/F_4, where XOR adds, and uint8 symbols over F_3/F_5, added mod q.
+With the rows in RREF, the words with leading symbol 1 are row i plus the
+span of the rows after it, for each i.  Over the prime field F_p, a table
+of every combination of the last t generators (p^t <= 2^16 columns), or
+its prefix that spans the rows after row i, is shifted by row i and added
+to each combination of the remaining generators in p-ary modular Gray
+order (Knuth, TAOCP 4A, 7.2.1.1), in which each step adds one generator
+once.  Each block of up to p^t words costs one addition and one weight
+pass; for p = 2 the order is the binary reflected Gray code.  A binary
+code that contains the all-ones word 1 is C = S + <1>, where S is spanned
+by every RREF row but the first; only S is walked, and A_w(C) = A_w(S) +
 A_{n-w}(S).
 
 Above the enumeration budget, `min_distance_prefix` enumerates low
@@ -139,44 +145,75 @@ class _ScanLayout:
 
 
 def codeword_blocks(code: FieldCode):
-    """Walk all q^k codewords of a code with k >= 1, in blocks.
+    """Walk the nonzero codewords of a code with k >= 1 whose first nonzero
+    symbol is 1, each exactly once, in blocks; over F_2 that is every
+    nonzero codeword.
 
-    The generators are taken over the prime field F_p: the rows, and over
-    F_4 also w times each row.  A table of all p^t combinations of the
-    first t generators, at most `_SCAN_TABLE_COLUMNS` columns, is added to
-    each combination of the rest in p-ary modular Gray order: step i adds
-    one more copy of the generator whose index is the number of times p
-    divides i.  Yields (words, weights) with the words in the
-    `_ScanLayout` form, one per column; `_ScanLayout.symbols` decodes
-    them.  Every codeword, zero included, appears exactly once.
+    The rows are in RREF, so these words are the messages whose first
+    nonzero coefficient is 1: row i plus each word of the span of the rows
+    after it.  That span is walked over the prime field F_p, whose
+    generators are those rows and, over F_4, also w times each row.  A
+    table of all p^t combinations of the last t generators, at most
+    `_SCAN_TABLE_COLUMNS` columns, is built so that the combinations of the
+    last s <= t generators are its first p^s columns.  Row i is added to
+    the table, or to the prefix that spans the rows after it, and that is
+    added to each combination of the generators left over in p-ary modular
+    Gray order: step j adds one more copy of the generator whose index is
+    the number of times p divides j.  Yields (words, weights) with the
+    words in the `_ScanLayout` form, one per column; `_ScanLayout.symbols`
+    decodes them.
     """
     layout = _ScanLayout(code.field, code.n)
-    p = layout.p
+    p, planes = layout.p, layout.planes
     # 1 and w (stored as 2) span F_4 over F_2
-    gens = layout.scaled(code.rows)[:, : layout.planes]
+    gens = layout.scaled(code.rows)[:, :planes]
+    heads = gens[:, 0]
     gens = gens.reshape(-1, gens.shape[-1])
     t = 0
     while t < len(gens) and p ** (t + 1) <= _SCAN_TABLE_COLUMNS:
         t += 1
-    words = np.zeros_like(gens[0])[:, None]
-    for g in gens[:t]:
-        parts = [words]
+    split = len(gens) - t
+    table = np.zeros_like(gens[0])[:, None]
+    for g in gens[split:][::-1]:
+        parts = [table]
         for _ in range(p - 1):
             parts.append(layout.add(parts[-1], g[:, None]))
-        words = np.concatenate(parts, axis=1)
-    rest = gens[t:]
-    yield words, layout.weights(words)
-    for i in range(1, p ** len(rest)):
-        j = 0
-        while i % p == 0:
-            i //= p
-            j += 1
-        words = layout.add(words, rest[j][:, None])
+        table = np.concatenate(parts, axis=1)
+    for i, head in enumerate(heads):
+        after = planes * (i + 1)  # the generators of the rows after row i
+        span = table[:, : p ** (len(gens) - max(after, split))]
+        words = layout.add(span, head[:, None])
         yield words, layout.weights(words)
+        rest = gens[after:split]
+        for j in range(1, p ** len(rest)):
+            v = 0
+            while j % p == 0:
+                j //= p
+                v += 1
+            words = layout.add(words, rest[v][:, None])
+            yield words, layout.weights(words)
 
 
-def weight_enumerator(code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET) -> WeightEnum:
-    """Exact weight distribution by full message enumeration."""
+def _splits_off_ones(code: FieldCode) -> bool:
+    """Whether a binary code contains the all-ones word 1, so that the
+    enumerator walks S, spanned by every RREF row but the first, and
+    C = S + <1>.  The RREF rows sum to 1 exactly when it is a codeword (its
+    pivot entries are all 1), and only the first row has the first pivot."""
+    return code.field.q == 2 and code.k > 0 and all(sum(col) % 2 for col in zip(*code.rows))
+
+
+def weight_enumerator(
+    code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET, *, _visit=None
+) -> WeightEnum:
+    """Exact weight distribution by full enumeration.
+
+    `budget` bounds the q^k codewords, although the walk takes only the
+    (q^k - 1)/(q - 1) whose first nonzero symbol is 1 (half as many over F_2
+    when the code contains 1) and counts each for its q - 1 nonzero
+    multiples, which share its weight.  The equivalence engine passes
+    `_visit(words, weights, counts)`, which sees every walked block with the
+    running counts A_0..A_n of the code's words accounted for so far.
+    """
     q, k, n = code.field.q, code.k, code.n
     total = q**k
     if total > budget:
@@ -187,20 +224,23 @@ def weight_enumerator(code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET) -> W
             budget,
         )
     walked = code
-    # the RREF rows sum to the all-ones word exactly when it is a codeword
-    # (its pivot entries are all 1); then C = S + <1> with S spanned by the
-    # other rows, because only the first row has the first pivot
-    all_ones = q == 2 and k > 0 and all(sum(col) % 2 for col in zip(*code.rows))
+    all_ones = _splits_off_ones(code)
     if all_ones:
         walked = FieldCode(code.field, n, code.rows[1:])
-    counts = np.zeros(n + 1, dtype=np.int64)
-    if walked.k == 0:
+
+    def whole(walked_counts):
+        counts = walked_counts * (q - 1)
         counts[0] = 1
-    else:
-        for _, weights in codeword_blocks(walked):
+        # each word s of S stands for s and its complement s + 1 in C
+        return counts + counts[::-1] if all_ones else counts
+
+    counts = np.zeros(n + 1, dtype=np.int64)
+    if walked.k:
+        for words, weights in codeword_blocks(walked):
             counts += np.bincount(weights, minlength=n + 1)
-    if all_ones:
-        counts = counts + counts[::-1]
+            if _visit is not None:
+                _visit(words, weights, whole(counts))
+    counts = whole(counts)
     return WeightEnum(n=n, counts=tuple(int(c) for c in counts), complete=True, q=q, k=k)
 
 

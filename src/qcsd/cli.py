@@ -423,7 +423,9 @@ def cmd_equiv(args) -> int:
 
 def _add_budget(p):
     p.add_argument("--budget", type=int, default=DEFAULT_WEIGHT_BUDGET,
-                   help="enumeration budget (words)")
+                   help="enumerate when the code's q^k codewords fit in "
+                        "this budget (the walk visits about q^k/(q-1) of "
+                        "them), else scan information sets")
 
 
 def build_parser() -> argparse.ArgumentParser:

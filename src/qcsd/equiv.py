@@ -22,10 +22,16 @@ base colors; it is built once per shape and shared by every code of that
 shape.  What depends on the code is its refinement profile: the weight
 enumerator, the refinement strata and the word-slot incidence of their
 codewords, kept as int32 arrays (a words-by-weight matrix of slots per
-stratum, and a padded slots-by-degree matrix of words).  The profile is
-built once and kept on the code object itself (`FieldCode.cache`), so
-`fingerprint`, `are_equivalent` and `automorphism_order` share it, in every
-shape, and it is freed with the code.
+stratum, and a padded slots-by-degree matrix of words).  The enumerator
+and the strata words come from one walk, the enumerator's: it walks one
+word per scalar class (first nonzero symbol 1; over F_2 the words of S
+when C = S + <1>), and the lightest words are kept as it goes, a weight
+being dropped once the running count of the words up to it passes
+`max_words`, then scaled by every nonzero scalar (and complemented) at
+the end.  The profile is built once and kept on the code object itself
+(`FieldCode.cache`), so `fingerprint`, `are_equivalent` and
+`automorphism_order` share it, in every shape, and it is freed with the
+code.
 
 A refinement round works on whole arrays, in the spirit of McKay &
 Piperno's refinement (Practical graph isomorphism II, 2014): one
@@ -66,6 +72,7 @@ import numpy as np
 from .analysis import (
     DEFAULT_WEIGHT_BUDGET,
     _ScanLayout,
+    _splits_off_ones,
     codeword_blocks,
     weight_enumerator,
 )
@@ -81,45 +88,110 @@ _MATERIALIZE_LIMIT = 1 << 24
 # -- codeword materialization ------------------------------------------------
 
 
+class _LowWords:
+    """The codewords of the lightest weights, kept while `weight_enumerator`
+    walks the code.
+
+    The walk takes one word per scalar class, its first nonzero symbol 1;
+    over F_2, when the code contains 1, it walks S with C = S + <1>, so each
+    walked word also stands for its complement.  A weight is dropped, with
+    every heavier one, once the running count of the nonzero words of it
+    and all lighter weights exceeds `cap`.  Those counts only grow, so no
+    word of a weight whose final count stays within the cap is ever
+    dropped, and the words kept stand for at most `cap` codewords."""
+
+    def __init__(self, code: FieldCode, cap: int):
+        n = code.n
+        self.layout = _ScanLayout(code.field, n)
+        self.cap = cap
+        self.kept = np.arange(n + 1) > 0  # by weight
+        self.complements = _splits_off_ones(code)
+        self.words = np.zeros((0, n), dtype=np.uint8)
+        self.weights = np.zeros(0, dtype=np.uint16)
+
+    def _keeps(self, weights):
+        keep = self.kept[weights]
+        if self.complements:
+            keep |= self.kept[self.layout.n - weights]
+        return keep
+
+    def _settle(self, counts):
+        """Drop the weights that the counts so far put past the cap."""
+        kept = self.kept & (np.cumsum(counts) - counts[0] <= self.cap)
+        if (kept != self.kept).any():
+            self.kept = kept
+            keep = self._keeps(self.weights)
+            self.words, self.weights = self.words[keep], self.weights[keep]
+
+    def __call__(self, words, weights, counts):
+        self._settle(counts)
+        hits = np.flatnonzero(self._keeps(weights))
+        if len(hits):
+            new = self.layout.symbols(words[:, hits])
+            self.words = np.concatenate([self.words, new])
+            self.weights = np.concatenate([self.weights, weights[hits]])
+
+    def classes(self, counts):
+        """The kept words, one per scalar class (first nonzero symbol 1),
+        one symbol row each, and their weights; `counts` is the finished
+        enumerator."""
+        self._settle(np.array(counts))
+        own = self.kept[self.weights]
+        words, weights = [self.words[own]], [self.weights[own]]
+        if self.complements:
+            n = self.layout.n
+            mates = self.kept[n - self.weights]
+            words.append(self.words[mates] ^ 1)
+            weights.append(n - self.weights[mates])
+            if self.kept[n]:  # the complement of the zero word of S
+                words.append(np.ones((1, n), dtype=np.uint8))
+                weights.append(np.full(1, n, dtype=np.uint16))
+        return np.concatenate(words), np.concatenate(weights)
+
+
+def _multiples(layout: _ScanLayout, words, weights):
+    """Each word times 1, .., q - 1, one symbol row each, and their weights."""
+    scaled = layout.mul[1:, words].reshape(-1, layout.n)
+    return scaled, np.tile(weights, layout.q - 1)
+
+
+def _refuse(cap: int) -> UnsupportedCase:
+    return UnsupportedCase(f"more than {cap} low-weight codewords; equivalence undecided")
+
+
 def _collect_words(code: FieldCode, wanted: set[int], cap: int):
-    """All codewords of the listed (nonzero) weights, in walk order: their
-    symbols, one row each, and their weights."""
+    """All codewords of the listed (nonzero) weights, straight from the
+    walker: each walked word and its multiples, their symbols, one row
+    each, and their weights."""
     layout = _ScanLayout(code.field, code.n)
     wanted_arr = sorted(wanted)
     rows, row_weights = [], []
     total = 0
     for words, weights in codeword_blocks(code):
         hits = np.isin(weights, wanted_arr)
-        total += int(hits.sum())
+        total += int(hits.sum()) * (code.field.q - 1)
         if total > cap:
-            raise UnsupportedCase(
-                f"more than {cap} low-weight codewords; equivalence undecided"
-            )
+            raise _refuse(cap)
         rows.append(layout.symbols(words[:, hits]))
         row_weights.append(weights[hits])
-    return np.concatenate(rows), np.concatenate(row_weights)
+    return _multiples(layout, np.concatenate(rows), np.concatenate(row_weights))
 
 
-def _select_strata(code: FieldCode, w, max_words: int):
-    """Weights of the strata used for refinement, smallest first, adding
-    strata until they span the code (or words run out), and their words,
-    one symbol row each; `w` is the code's weight enumerator.  The words of
-    every stratum that fits under `max_words` are collected in one walk.
-    The span is tested on the words scaled to a leading 1, a chunk at a
-    time, and the test stops as soon as k independent words are found."""
-    weights = [i for i in range(1, code.n + 1) if w.counts[i]]
-    chosen: list[int] = []
-    words_total = 0
-    for wt in weights:
-        if chosen and words_total + w.counts[wt] > max_words:
-            break
-        chosen.append(wt)
-        words_total += w.counts[wt]
-    rows, row_weights = _collect_words(code, set(chosen), max_words)
-    leading_one = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] == 1
+def _select_strata(code: FieldCode, budget: int, max_words: int):
+    """The weight enumerator, the weights of the strata used for
+    refinement, smallest first, adding strata until they span the code (or
+    words run out), and their words, one symbol row each, all from one walk.
+    The span is tested on one word per scalar class, a chunk at a time, and
+    the test stops as soon as k independent words are found."""
+    low = _LowWords(code, max_words)
+    w = weight_enumerator(code, budget, _visit=low)
+    words, word_weights = low.classes(w.counts)
+    chosen = [wt for wt in range(1, code.n + 1) if w.counts[wt] and low.kept[wt]]
+    if not chosen:
+        raise _refuse(max_words)
     basis: tuple = ()
     for i, wt in enumerate(chosen):
-        stratum = rows[(row_weights == wt) & leading_one].tolist()
+        stratum = words[word_weights == wt].tolist()
         for at in range(0, len(stratum), code.k):
             chunk = stratum[at : at + code.k]
             basis, _ = rref(code.field, code.n, list(basis) + chunk)
@@ -128,7 +200,9 @@ def _select_strata(code: FieldCode, w, max_words: int):
         if len(basis) == code.k:
             chosen = chosen[: i + 1]
             break
-    return chosen, rows[row_weights <= chosen[-1]]
+    low_enough = word_weights <= chosen[-1]
+    rows, _ = _multiples(low.layout, words[low_enough], word_weights[low_enough])
+    return w, chosen, rows
 
 
 # -- incidence structure -----------------------------------------------------
@@ -231,8 +305,7 @@ class _Profile:
             raise BudgetExceeded(
                 "codeword materialization for equivalence", total, _MATERIALIZE_LIMIT
             )
-        self.enum = weight_enumerator(code, budget)
-        self.weights, words = _select_strata(code, self.enum, max_words)
+        self.enum, self.weights, words = _select_strata(code, budget, max_words)
         self.strata, self.slot_words = _incidence(code, self.weights, words)
         self.stratum_sizes = {i: len(st) for i, st in enumerate(self.strata)}
 

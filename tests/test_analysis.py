@@ -76,6 +76,66 @@ def small_codes(draw):
     return FieldCode(field(q), n, rows)
 
 
+def naive_codewords(code):
+    """Every codeword, zero included, by pure-Python message enumeration."""
+    fld = code.field
+    words = set()
+    for msg in itertools.product(range(fld.q), repeat=code.k):
+        word = [0] * code.n
+        for c, row in zip(msg, code.rows):
+            for j, v in enumerate(row):
+                word[j] = fld.add(word[j], fld.mul(c, v))
+        words.add(tuple(word))
+    return words
+
+
+def _check_walk(code):
+    """The walker yields each nonzero codeword with leading symbol 1 exactly
+    once, with its weight; with their q - 1 multiples and zero, those are
+    all q^k codewords."""
+    fld = code.field
+    layout = analysis._ScanLayout(fld, code.n)
+    walked = []
+    for words, weights in analysis.codeword_blocks(code):
+        rows = layout.symbols(words).tolist()
+        assert len(rows) == len(weights)
+        for word, wt in zip(rows, weights.tolist()):
+            nonzero = [v for v in word if v]
+            assert nonzero and nonzero[0] == 1 and code.contains(word)
+            assert wt == len(nonzero)
+            walked.append(tuple(word))
+    assert len(set(walked)) == len(walked)
+    scaled = {
+        tuple(fld.mul(c, v) for v in word) for word in walked for c in range(1, fld.q)
+    }
+    assert len(scaled) == (fld.q - 1) * len(walked)
+    assert scaled | {(0,) * code.n} == naive_codewords(code)
+    assert len(walked) == (fld.q**code.k - 1) // (fld.q - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_codes(), st.sampled_from([1, 3, 8, 1 << 16]))
+def test_walker_yields_each_leading_one_word_once(code, table_columns):
+    # small tables leave several generators to the p-ary Gray walk
+    if not code.k:
+        return
+    with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
+        _check_walk(code)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("table_columns", [1, 8, 1 << 16])
+def test_walker_wide_codes(q, table_columns):
+    # n > 64: several uint8 symbols per column over F_3, two machine words
+    # per bit plane over F_4
+    rng = random.Random(75 + q)
+    rows = [tuple(rng.randrange(q) for _ in range(70)) for _ in range(5)]
+    code = FieldCode(field(q), 70, rows)
+    assert code.k == 5
+    with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
+        _check_walk(code)
+
+
 def _check_collected_words(code, wanted):
     w = weight_enumerator(code)
     rows, weights = _collect_words(code, wanted, cap=sum(w.counts))

@@ -38,6 +38,43 @@ def test_summary_records_how_numbers_were_certified():
         assert s["d_exact"] and s["d"] <= s["bound"], name
 
 
+# full weight enumerators A_0..A_n of every corpus code over F_3, F_4 or F_5
+# within the default budget, recorded from the all-messages walk
+Q_ABOVE_2_ENUMERATORS = {
+    "I_4": (1, 0, 0, 0, 0, 0, 120, 0, 0, 4360, 0, 0, 26280, 0, 0, 25728, 0, 0,
+            2560, 0, 0),
+    "J_2": (1, 0, 0, 0, 15, 60, 165, 240, 300, 180, 63),
+    "J_4": (1, 0, 0, 0, 0, 0, 0, 0, 855, 4560, 10260, 21660, 70965, 123120,
+            164160, 217512, 201780, 136800, 71820, 21660, 3423),
+    "M_2": (1, 0, 0, 0, 0, 0, 168, 546, 1155, 2226, 3738, 3990, 2940, 1302,
+            318),
+    "M_4": (1, 0, 0, 0, 0, 0, 0, 0, 0, 630, 2877, 11760, 68271, 229320,
+            645330, 2091516, 4995291, 9907548, 19212228, 30287460, 39715032,
+            46310808, 44337006, 34230084, 21570780, 10368078, 3569727,
+            796908, 84801),
+    "N_2": (1, 0, 0, 0, 0, 0, 252, 392, 3472, 4872, 16324, 15848, 22708,
+            10528, 3728),
+}
+Q_ABOVE_2_ENUMERATORS["SSD_28_4"] = Q_ABOVE_2_ENUMERATORS["M_4"]
+
+
+def test_q_above_2_enumerators_are_pinned():
+    from qcsd.analysis import weight_profile
+
+    enumerated = set()
+    for name in corpus.names():
+        fc = corpus.field_form(corpus.get(name))
+        if fc.field.q > 2 and fc.field.q ** fc.k <= corpus.DEFAULT_WEIGHT_BUDGET:
+            enumerated.add(name)
+    assert enumerated == set(Q_ABOVE_2_ENUMERATORS)
+    for name, want in Q_ABOVE_2_ENUMERATORS.items():
+        entry = corpus.get(name)
+        fc = corpus.field_form(entry)
+        prof = weight_profile(fc, corpus.DEFAULT_WEIGHT_BUDGET, entry.scan_weight)
+        assert prof.certificate() == {"method": "enumerate"}, name
+        assert prof.enum.counts == want, name
+
+
 def test_headline_format():
     report = corpus.verify_entry(corpus.get("G_16"))
     assert report.headline() == "PASS: [48,24,10], A_10=768, A_12=8592"

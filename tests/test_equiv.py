@@ -251,7 +251,81 @@ def test_profile_collects_its_strata_in_one_walk(monkeypatch):
     prof = qcsd.equiv._profile(code, 1 << 20, 100)
     assert prof.weights == [2, 7]
     assert sorted(prof.stratum_sizes.values()) == [1, 3]
-    assert calls == [3, 3]  # the enumerator's walk and the strata's
+    assert calls == [3]  # one walk gives the enumerator and the strata
+
+
+def naive_strata(code, cap):
+    """The strata by pure-Python enumeration: the lightest weights while the
+    words up to each stay within `cap`, cut at the first prefix that spans
+    the code; and the words of those weights, by weight."""
+    from itertools import product
+
+    from qcsd.qc import rref
+
+    fld = code.field
+    by_weight = {}
+    for msg in product(range(fld.q), repeat=code.k):
+        word = [0] * code.n
+        for c, row in zip(msg, code.rows):
+            for j, v in enumerate(row):
+                word[j] = fld.add(word[j], fld.mul(c, v))
+        wt = sum(1 for v in word if v)
+        if wt:
+            by_weight.setdefault(wt, set()).add(tuple(word))
+    chosen, total = [], 0
+    for wt in sorted(by_weight):
+        total += len(by_weight[wt])
+        if total > cap:
+            break
+        chosen.append(wt)
+    for i in range(len(chosen)):
+        words = [w for wt in chosen[: i + 1] for w in by_weight[wt]]
+        if len(rref(fld, code.n, words)[0]) == code.k:
+            chosen = chosen[: i + 1]
+            break
+    return chosen, {wt: by_weight[wt] for wt in chosen}
+
+
+@pytest.mark.parametrize(
+    "q, m, ell, cap",
+    [(2, 3, 4, 20000), (2, 3, 8, 20000), (2, 3, 8, 400), (2, 3, 8, None),
+     (2, 7, 2, 20000), (4, 3, 4, 20000), (4, 3, 4, 300), (4, 3, 4, None),
+     (5, 2, 4, 20000)],
+)
+def test_profile_strata_match_naive_collection(monkeypatch, q, m, ell, cap):
+    # cap None: exactly the words of the two lightest weights, the edge at
+    # which the second stratum is still kept
+    import qcsd.analysis
+    import qcsd.equiv as E
+
+    calls = []
+    walk = qcsd.analysis.codeword_blocks
+
+    def counting(code):
+        calls.append(code.k)
+        return walk(code)
+
+    code = random_self_dual(q, m, ell, random.Random(57 + q * m * ell)).expansion()
+    if cap is None:
+        cap = sum(sorted(len(ws) for ws in naive_strata(code, 1 << 20)[1].values())[:2])
+    chosen, want = naive_strata(code, cap)
+    monkeypatch.setattr(qcsd.analysis, "codeword_blocks", counting)
+    _, weights, words = E._select_strata(code, 1 << 28, cap)
+    assert weights == chosen
+    got = {}
+    for row in words.tolist():
+        got.setdefault(sum(1 for v in row if v), []).append(tuple(row))
+    assert {wt: sorted(ws) for wt, ws in got.items()} == {
+        wt: sorted(ws) for wt, ws in want.items()
+    }
+    # a binary self-dual code contains 1, so the walk is of S, at k - 1
+    walked_k = code.k - 1 if q == 2 else code.k
+    assert calls == [walked_k]
+    calls.clear()
+    prof = E._Profile(code, 1 << 28, cap)
+    assert calls == [walked_k]
+    assert prof.weights == chosen
+    assert sorted(prof.stratum_sizes.values()) == sorted(len(ws) for ws in want.values())
 
 
 def test_profiles_are_freed_with_their_code():
@@ -475,9 +549,10 @@ def test_strata_are_the_shortest_spanning_prefix(case):
     counts = enum.counts
     if counts[min(i for i in range(1, code.n + 1) if counts[i])] > cap:
         with pytest.raises(UnsupportedCase):
-            E._select_strata(code, enum, cap)
+            E._select_strata(code, 1 << 28, cap)
         return
-    chosen, words = E._select_strata(code, enum, cap)
+    walked_enum, chosen, words = E._select_strata(code, 1 << 28, cap)
+    assert walked_enum == enum
     weights = (words != 0).sum(axis=1)
     assert sorted(set(weights.tolist())) == chosen
 
