@@ -71,6 +71,7 @@ from .equiv import (
 )
 
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
+CONSTRUCTIVE_SEED = 20260814  # seeds the witness sampling of constructive runs
 
 
 # -- closed-form counts of self-dual codes ------------------------------------
@@ -526,7 +527,6 @@ def classify(
     target_ell: int,
     constructive: bool = False,
     constructive_samples: int = 400,
-    rng_seed: int = 20260814,
     candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -562,7 +562,7 @@ def classify(
                 f"modulo m; (q, m) = ({spec.q}, {spec.m}) fails that, pass "
                 "constructive=True for a non-exhaustive construction run"
             )
-    rng = random.Random(rng_seed)
+    rng = random.Random(CONSTRUCTIVE_SEED)
     stats = RunStats()
     ckpt = _Checkpoint(checkpoint_path) if checkpoint_path else None
     levels: dict[int, list] = {}
@@ -748,15 +748,15 @@ class FilterReport:
         return out
 
 
-def filter_report(run: ClassificationRun, aut_max_n: int = 24) -> FilterReport:
+def filter_report(run: ClassificationRun) -> FilterReport:
     """Per-class parameters, weight-family match, divisibility check, and the
-    automorphism group order where the length stays within budget."""
+    automorphism group order where the length is at most AUT_MAX_N."""
     from .analysis import (
         divisibility_check,
         match_template,
         weight_enumerator,
     )
-    from .equiv import automorphism_order
+    from .equiv import AUT_MAX_N, automorphism_order
 
     rows = []
     dist: dict[int, int] = {}
@@ -770,7 +770,7 @@ def filter_report(run: ClassificationRun, aut_max_n: int = 24) -> FilterReport:
             best = next((m for m in matches if m.in_listed_range), matches[0])
             family, beta = best.family, best.beta
         div_ok = divisibility_check(w, run.spec.m)
-        aut = automorphism_order(exp) if exp.n <= aut_max_n else None
+        aut = automorphism_order(exp) if exp.n <= AUT_MAX_N else None
         rows.append(
             ClassReport(i, exp.n, exp.k, d, family, beta, div_ok, aut)
         )

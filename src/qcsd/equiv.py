@@ -73,7 +73,6 @@ from .analysis import (
     DEFAULT_WEIGHT_BUDGET,
     _ScanLayout,
     _splits_off_ones,
-    codeword_blocks,
     weight_enumerator,
 )
 from .errors import BudgetExceeded, UnsupportedCase
@@ -82,6 +81,7 @@ from .qc import FieldCode, rref
 
 DEFAULT_NODE_BUDGET = 500000
 DEFAULT_MAX_WORDS = 20000
+AUT_MAX_N = 24  # longest code `automorphism_order` searches by default
 _MATERIALIZE_LIMIT = 1 << 24
 
 
@@ -149,34 +149,6 @@ class _LowWords:
         return np.concatenate(words), np.concatenate(weights)
 
 
-def _multiples(layout: _ScanLayout, words, weights):
-    """Each word times 1, .., q - 1, one symbol row each, and their weights."""
-    scaled = layout.mul[1:, words].reshape(-1, layout.n)
-    return scaled, np.tile(weights, layout.q - 1)
-
-
-def _refuse(cap: int) -> UnsupportedCase:
-    return UnsupportedCase(f"more than {cap} low-weight codewords; equivalence undecided")
-
-
-def _collect_words(code: FieldCode, wanted: set[int], cap: int):
-    """All codewords of the listed (nonzero) weights, straight from the
-    walker: each walked word and its multiples, their symbols, one row
-    each, and their weights."""
-    layout = _ScanLayout(code.field, code.n)
-    wanted_arr = sorted(wanted)
-    rows, row_weights = [], []
-    total = 0
-    for words, weights in codeword_blocks(code):
-        hits = np.isin(weights, wanted_arr)
-        total += int(hits.sum()) * (code.field.q - 1)
-        if total > cap:
-            raise _refuse(cap)
-        rows.append(layout.symbols(words[:, hits]))
-        row_weights.append(weights[hits])
-    return _multiples(layout, np.concatenate(rows), np.concatenate(row_weights))
-
-
 def _select_strata(code: FieldCode, budget: int, max_words: int):
     """The weight enumerator, the weights of the strata used for
     refinement, smallest first, adding strata until they span the code (or
@@ -188,7 +160,9 @@ def _select_strata(code: FieldCode, budget: int, max_words: int):
     words, word_weights = low.classes(w.counts)
     chosen = [wt for wt in range(1, code.n + 1) if w.counts[wt] and low.kept[wt]]
     if not chosen:
-        raise _refuse(max_words)
+        raise UnsupportedCase(
+            f"more than {max_words} low-weight codewords; equivalence undecided"
+        )
     basis: tuple = ()
     for i, wt in enumerate(chosen):
         stratum = words[word_weights == wt].tolist()
@@ -200,8 +174,8 @@ def _select_strata(code: FieldCode, budget: int, max_words: int):
         if len(basis) == code.k:
             chosen = chosen[: i + 1]
             break
-    low_enough = word_weights <= chosen[-1]
-    rows, _ = _multiples(low.layout, words[low_enough], word_weights[low_enough])
+    # each kept word times 1, .., q - 1, one symbol row each
+    rows = low.layout.mul[1:, words[word_weights <= chosen[-1]]].reshape(-1, code.n)
     return w, chosen, rows
 
 
@@ -700,7 +674,7 @@ def automorphism_group(
 
 def automorphism_order(
     code: FieldCode,
-    max_n: int = 24,
+    max_n: int = AUT_MAX_N,
     budget: int = DEFAULT_WEIGHT_BUDGET,
     max_words: int = DEFAULT_MAX_WORDS,
     node_budget: int = DEFAULT_NODE_BUDGET,

@@ -9,7 +9,10 @@ the two irreducible factors (Y - 1) and Phi_p = 1 + Y + ... + Y^(p-1),
 and R splits as F_q x F_q[Y]/Phi_p.  The CRT maps (eval1 and mod_phi
 one way, crt_combine back), the residue field F_q[Y]/Phi_p and the
 standard forms downstream require that situation; the flag
-`cyclotomic_ok` records it.
+`cyclotomic_ok` records it.  Units and inverses come from the split as
+well: a is a unit exactly when eval1(a) and mod_phi(a) are both nonzero,
+and its inverse combines their inverses.  So `is_unit` and `inv` also
+need `cyclotomic_ok`, and raise UnsupportedCase without it.
 """
 
 from __future__ import annotations
@@ -135,37 +138,17 @@ class RingSpec:
     # -- units -----------------------------------------------------------
 
     def is_unit(self, a) -> bool:
-        g, _ = self._gcd_with_modulus(a)
-        return len(g) == 1
+        """a is a unit exactly when both CRT components are nonzero."""
+        self._require_cyclotomic("units and inverses")
+        return self.eval1(a) != 0 and any(self.mod_phi(a))
 
     def inv(self, a):
-        g, u = self._gcd_with_modulus(a)
-        if len(g) != 1:
+        """The inverse, combined from the inverses of the CRT components."""
+        if not self.is_unit(a):
             raise ValueError(f"{self.poly_str(a)} is not a unit in {self}")
-        c = self.field.inv(g[0])
-        out = [0] * self.m
-        for i, x in enumerate(u):
-            out[i] = self.field.mul(c, x)
-        return tuple(out)
-
-    def _gcd_with_modulus(self, a):
-        """Extended Euclid for (a, Y^m - 1): returns (gcd, u) with u*a = gcd mod (Y^m-1)."""
-        fld = self.field
-        mod = [fld.neg(1)] + [0] * (self.m - 1) + [1]  # Y^m - 1
-        r0, r1 = mod, _trim(list(a))
-        u0, u1 = [], [1]
-        while r1:
-            q, r = _poly_divmod(r0, r1, fld)
-            r0, r1 = r1, r
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1, fld), fld)
-        # u0 * a = r0 (mod Y^m - 1)
-        if not r0:
-            return [0], ()
-        out = [0] * self.m
-        for i, x in enumerate(u0):
-            j = i % self.m
-            out[j] = fld.add(out[j], x)
-        return r0, tuple(out)
+        return self.crt_combine(CrtPair(
+            self.field.inv(self.eval1(a)), self.residue_field().inv(self.mod_phi(a))
+        ))
 
     # -- CRT -------------------------------------------------------------
 
@@ -267,9 +250,10 @@ class ResidueField:
     operation names.
 
     Elements are the (p-1)-coefficient tuples that `RingSpec.mod_phi`
-    returns and `CrtPair.evalphi` holds.  Products and inverses go through
-    the ring, so no table grows past the element list.  Conjugation is
-    the map induced by Y -> Y^(-1).
+    returns and `CrtPair.evalphi` holds.  Products go through the ring,
+    so no table grows past the element list; the inverse of a is
+    a^(|K| - 2) in this field K.  Conjugation is the map induced by
+    Y -> Y^(-1).
     """
 
     def __init__(self, sp: RingSpec):
@@ -292,10 +276,16 @@ class ResidueField:
         return sp.mod_phi(sp.mul(a + (0,), b + (0,)))
 
     def inv(self, a):
+        """a^(|K| - 2), by square-and-multiply."""
         if not any(a):
             raise ZeroDivisionError("zero has no inverse in F_q[Y]/Phi_p")
-        sp = self.ring
-        return sp.mod_phi(sp.inv(sp.crt_combine(CrtPair(1, a))))  # a unit of R
+        out, e = self.one, self.q - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
     def conj(self, a):
         sp = self.ring
@@ -309,49 +299,3 @@ class ResidueField:
 def ring(q: int, m: int) -> RingSpec:
     return RingSpec(field(q), m)
 
-
-# -- plain polynomial helpers over F_q (dense coefficient lists) ---------
-
-
-def _trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b, fld):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = fld.sub(x, y)
-    return _trim(out)
-
-
-def _poly_mul(a, b, fld):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = fld.add(out[i + j], fld.mul(x, y))
-    return _trim(out)
-
-
-def _poly_divmod(a, b, fld):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = fld.inv(b[-1])
-    while len(a) >= len(b) and a:
-        c = fld.mul(a[-1], inv_lead)
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] = fld.sub(a[d + i], fld.mul(c, y))
-        _trim(a)
-    return _trim(q), a

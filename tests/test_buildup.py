@@ -212,7 +212,7 @@ def test_witness_replay():
 def test_reduce_inverts_extend_i():
     # reduce needs the standard form, so it runs on the two-factor rings
     rng = random.Random(35)
-    for q, m in [(2, 3), (2, 5), (5, 7)]:
+    for q, m in [(2, 3), (2, 5), (5, 7), (5, 3)]:
         code = seeds_for(q, m)[0]
         code = random_extension_i(code, rng)
         code = random_extension_i(code, rng)

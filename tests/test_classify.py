@@ -250,6 +250,7 @@ def test_filter_report_structure():
         (2, 5, 4, [3715891200, 122880, 1857945600]),
         (2, 11, 2, [81749606400, 887040]),
         (5, 2, 4, [98304, 768]),
+        (2, 13, 2, [None, None]),  # n = 26 is past the search's length limit
     ],
 )
 def test_filter_report_automorphism_orders(q, m, ell, orders):

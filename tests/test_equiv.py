@@ -213,13 +213,11 @@ def test_automorphism_order_known_codes():
 
 def test_code_too_large_to_materialize_fails_before_any_walk(monkeypatch):
     import qcsd.analysis
-    import qcsd.equiv
 
     def no_walk(code):
         raise AssertionError("walked the codewords of an unmaterializable code")
 
     monkeypatch.setattr(qcsd.analysis, "codeword_blocks", no_walk)
-    monkeypatch.setattr(qcsd.equiv, "codeword_blocks", no_walk)
     f2 = field(2)
     n, k = 26, 25
     code = FieldCode(f2, n, [tuple(int(j in (i, n - 1)) for j in range(n)) for i in range(k)])
@@ -244,7 +242,6 @@ def test_profile_collects_its_strata_in_one_walk(monkeypatch):
         return walk(code)
 
     monkeypatch.setattr(qcsd.analysis, "codeword_blocks", counting)
-    monkeypatch.setattr(qcsd.equiv, "codeword_blocks", counting)
     # the three weight-2 words span only a plane; weight 7 completes the span
     rows = [(1, 1) + (0,) * 8, (0, 1, 1) + (0,) * 7, (0,) * 3 + (1,) * 7]
     code = FieldCode(field(2), 10, rows)

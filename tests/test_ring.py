@@ -103,14 +103,35 @@ def test_units_count_matches_crt_factorization():
         sp = ring(q, m)
         units = [a for a in sp.elements() if sp.is_unit(a)]
         assert len(units) == (q - 1) * (q ** (m - 1) - 1)
+    # and independently of the split: a is a unit exactly when some b
+    # gives ab = 1, by brute force over the whole ring
+    for q, m in [(2, 3), (2, 5), (5, 2)]:
+        sp = ring(q, m)
+        elems = list(sp.elements())
+        for a in elems:
+            has_inverse = any(sp.mul(a, b) == sp.one for b in elems)
+            assert sp.is_unit(a) == has_inverse
+
+
+def _sample(elements, size, seed):
+    """All the elements, or a fixed sample of `size` of them."""
+    elements = list(elements)
+    if size is None:
+        return elements
+    return random.Random(seed).sample(elements, size)
 
 
 def test_unit_inverses_exhaustive():
-    for q, m in [(2, 3), (2, 5), (3, 5)]:
+    # every element of each ring, and a fixed sample of (5, 7)
+    for q, m, size in [(2, 3, None), (2, 5, None), (3, 5, None), (5, 3, None),
+                       (3, 7, None), (2, 11, None), (5, 7, 500)]:
         sp = ring(q, m)
-        for u in sp.elements():
+        for u in _sample(sp.elements(), size, 17):
             if sp.is_unit(u):
                 assert sp.mul(u, sp.inv(u)) == sp.one
+            else:
+                with pytest.raises(ValueError):
+                    sp.inv(u)
         phi = (1,) * m  # 1 + Y + ... + Y^(m-1) divides Y^m - 1
         assert not sp.is_unit(phi)
         assert not sp.is_unit(sp.sub(sp.y, sp.one))
@@ -161,6 +182,13 @@ def test_crt_requires_two_factor_splitting():
         sp.crt_combine(CrtPair(1, (0,) * 6))
     with pytest.raises(UnsupportedCase):
         sp.residue_field()
+    # units and inverses come from the split, so they need it too
+    for q, m in [(2, 7), (4, 5)]:
+        sp = ring(q, m)
+        with pytest.raises(UnsupportedCase):
+            sp.is_unit(sp.one)
+        with pytest.raises(UnsupportedCase):
+            sp.inv(sp.one)
 
 
 def test_multiples_of_phi():
@@ -175,14 +203,16 @@ def test_multiples_of_phi():
 
 
 def test_residue_field_is_a_field():
-    for q, m in [(2, 3), (2, 5), (3, 5), (5, 2)]:
+    # every element of each field, and a fixed sample of F_{5^6}
+    for q, m, size in [(2, 3, None), (2, 5, None), (3, 5, None), (5, 2, None),
+                       (5, 3, None), (3, 7, None), (2, 11, None), (5, 7, 500)]:
         sp = ring(q, m)
         res = sp.residue_field()
         assert res is sp.residue_field()  # built once per ring
         elems = res.elements()
         assert res.q == q ** (m - 1) == len(set(elems))
         assert elems[0] == res.zero and res.one in elems
-        for a in elems:
+        for a in _sample(elems, size, 19):
             assert res.conj(res.conj(a)) == a
             assert res.add(a, res.neg(a)) == res.zero
             if a != res.zero:
