@@ -2,10 +2,14 @@
 
 Seeds are the shortest self-dual codes: [1 c] with c*conj(c) = -1 when
 char 2 or q = 1 mod 4, and a fixed 2x4 matrix built from a solution of
-a^2 + b^2 = -1 when q = 3 mod 4.  `extend_i` grows a self-dual code by
-two columns and one row, `extend_ii` by four columns and two rows; both
-preserve self-duality for every valid witness.  `reduce` inverts
-extend_i constructively and is used as a verification oracle.
+a^2 + b^2 = -1 when q = 3 mod 4.  The [1 c] seeds are level 2 of
+`classify`: it starts from one c per orbit under the block-rotation units
+(`c_reps`), sorts those codes into classes, and on the rings where the
+classification is exhaustive certifies the classes complete by the mass
+identity.  `extend_i` grows a self-dual code by two columns and one row,
+`extend_ii` by four columns and two rows; both preserve self-duality for
+every valid witness.  `reduce` inverts extend_i constructively and is used
+as a verification oracle.
 """
 
 from __future__ import annotations
@@ -48,18 +52,12 @@ def norm_minus_one_elements(spec: RingSpec):
 def seed(spec: RingSpec):
     """All shortest self-dual codes over R, one per equivalence class of
     their expansions, each the first of its class in lexicographic order
-    of c."""
-    from .equiv import ClassStore, fingerprint
-
+    of c.  For char 2 and q = 1 mod 4 these are the classes of level 2 of
+    `classify`."""
     if spec.field.residue_class in ("char-2", "1-mod-4"):
-        store = ClassStore()
-        kept: list[RingCode] = []
-        for c in norm_minus_one_elements(spec):
-            code = RingCode(spec, 2, [(spec.one, c)])
-            exp = code.expansion()
-            if store.add(exp, fingerprint(exp)):
-                kept.append(code)
-        return kept
+        from .classify import classify
+
+        return [cc.code for cc in classify(spec, 2, constructive=True).classes]
 
     a, b = sum_of_squares_minus_one(spec.field)
     alpha = (a,) + (0,) * (spec.m - 1)

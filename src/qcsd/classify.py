@@ -35,6 +35,13 @@ merges classes that the block-preserving equivalence keeps apart:
   each class is the first of its orbit, so representatives and trails are
   those of the unpruned search.
 
+Level 2 is the seeds [1 | c], and `buildup.seed` returns its classes.
+Multiplying the second column by a unit gamma*Y^s with gamma^2 = 1 rotates
+and sign-flips that block of the expansion, a block map, so each orbit of c
+under those units lies inside one class.  Level 2 therefore starts from one
+c per orbit (`c_reps`, the lexicographically first of each), and the first
+candidate of each class is still its lexicographically first c.
+
 The same searches give |Aut_G(C)| for the block group G_ell of each ring
 class, and every level of an exhaustive run is certified complete by the
 mass identity: the sum of |G_ell| / |Aut_G(C)| over the classes is the
@@ -134,14 +141,16 @@ class ClassifiedCode:
 class RunStats:
     """Counters of one run.
 
-    `candidates` counts every generated candidate.  `exact_duplicates`
-    counts the candidates skipped before fingerprinting because their
-    expansion is the image of an earlier candidate under the automorphisms
-    of that candidate's base, lifted to the longer length; a repeat of an
-    earlier candidate's code is one such image.  `mass_per_level` holds,
-    per level, the mass sum of |G_ell| / |Aut_G(C)| over the ring classes,
-    checked against the closed-form count of self-dual codes; it is
-    recorded at every level of every exhaustive run."""
+    `candidates` counts every generated candidate; at level 2 that is one
+    seed [1 | c] per orbit representative c in `c_reps`, not every c with
+    c*conj(c) = -1.  `exact_duplicates` counts the candidates skipped before
+    fingerprinting because their expansion is the image of an earlier
+    candidate under the automorphisms of that candidate's base, lifted to
+    the longer length; a repeat of an earlier candidate's code is one such
+    image.  `mass_per_level` holds, per level, the mass sum of
+    |G_ell| / |Aut_G(C)| over the ring classes, checked against the
+    closed-form count of self-dual codes; it is recorded at every level of
+    every exhaustive run."""
 
     candidates: int = 0
     exact_duplicates: int = 0
@@ -329,8 +338,8 @@ def _trail_step(wit: ExtensionWitness) -> dict:
     return {"kind": "extend_i", "c": list(wit.c), "x": [list(e) for e in wit.x1]}
 
 
-def _seed_candidates(spec: RingSpec):
-    for c in norm_minus_one_elements(spec):
+def _seed_candidates(spec: RingSpec, c_reps):
+    for c in c_reps:
         code = RingCode(spec, 2, [(spec.one, c)])
         trail = ({"kind": "seed", "c": list(c)},)
         yield code, trail, ()
@@ -584,7 +593,7 @@ def classify(
         for ell in range(2, target_ell + 1, 2):
             if ell not in levels:
                 if ell == 2:
-                    cands = _seed_candidates(spec)
+                    cands = _seed_candidates(spec, c_reps)
                 elif exhaustive:
                     cands = _extension_candidates(
                         spec, levels[ell - 2], lifted, c_reps, workers, chunk_map
@@ -748,6 +757,9 @@ class FilterReport:
         return out
 
 
+AUT_MAX_N = 24  # longest class whose automorphism group `filter_report` searches
+
+
 def filter_report(run: ClassificationRun) -> FilterReport:
     """Per-class parameters, weight-family match, divisibility check, and the
     automorphism group order where the length is at most AUT_MAX_N."""
@@ -756,7 +768,7 @@ def filter_report(run: ClassificationRun) -> FilterReport:
         match_template,
         weight_enumerator,
     )
-    from .equiv import AUT_MAX_N, automorphism_order
+    from .equiv import automorphism_order
 
     rows = []
     dist: dict[int, int] = {}

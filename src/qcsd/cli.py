@@ -16,7 +16,11 @@ import time
 from . import corpus
 from .analysis import DEFAULT_WEIGHT_BUDGET, divisibility_check, weight_profile
 from .buildup import extend_i, extend_ii, seed as make_seeds
-from .classify import classify as run_classify, filter_report
+from .classify import (
+    DEFAULT_CANDIDATE_BUDGET,
+    classify as run_classify,
+    filter_report,
+)
 from .equiv import are_equivalent
 from .errors import BudgetExceeded, ConstructionError, UnsupportedCase
 from .formats import (
@@ -454,9 +458,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--budget", type=int, default=5_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET,
                    help="candidate budget")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes that generate extension witnesses; "
+                   "results do not depend on it")
     p.add_argument("--resume", metavar="CHECKPOINT", default=None,
                    help="checkpoint file to resume from (and keep writing)")
     p.add_argument("--out", metavar="DIR", default=None)

@@ -401,7 +401,7 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
     if exp.get("aut_check"):
         from .equiv import automorphism_order
 
-        a = automorphism_order(fc, max_n=64)
+        a = automorphism_order(fc)
         _check(checks, "automorphism group order", a == exp["aut"],
                f"got {a}, want {exp['aut']}")
     if "same_as" in exp:

@@ -27,11 +27,13 @@ and the strata words come from one walk, the enumerator's: it walks one
 word per scalar class (first nonzero symbol 1; over F_2 the words of S
 when C = S + <1>), and the lightest words are kept as it goes, a weight
 being dropped once the running count of the words up to it passes
-`max_words`, then scaled by every nonzero scalar (and complemented) at
-the end.  The profile is built once and kept on the code object itself
-(`FieldCode.cache`), so `fingerprint`, `are_equivalent` and
+`DEFAULT_MAX_WORDS`, then scaled by every nonzero scalar (and
+complemented) at the end.  The profile is built once and kept on the code
+object itself (`FieldCode.cache`), so `fingerprint`, `are_equivalent` and
 `automorphism_order` share it, in every shape, and it is freed with the
-code.
+code.  The walk's budget (DEFAULT_WEIGHT_BUDGET), the word cap and the
+search's node budget (DEFAULT_NODE_BUDGET) are module constants, read when
+a profile is built or a search starts.
 
 A refinement round works on whole arrays, in the spirit of McKay &
 Piperno's refinement (Practical graph isomorphism II, 2014): one
@@ -81,7 +83,6 @@ from .qc import FieldCode, rref
 
 DEFAULT_NODE_BUDGET = 500000
 DEFAULT_MAX_WORDS = 20000
-AUT_MAX_N = 24  # longest code `automorphism_order` searches by default
 _MATERIALIZE_LIMIT = 1 << 24
 
 
@@ -284,11 +285,14 @@ class _Profile:
         self.stratum_sizes = {i: len(st) for i, st in enumerate(self.strata)}
 
 
-def _profile(code: FieldCode, budget: int, max_words: int) -> _Profile:
-    key = ("equiv", budget, max_words)
-    prof = code.cache.get(key)
+def _profile(code: FieldCode) -> _Profile:
+    """The code's profile at DEFAULT_WEIGHT_BUDGET and DEFAULT_MAX_WORDS,
+    built on first use and kept in `code.cache`."""
+    prof = code.cache.get("equiv")
     if prof is None:
-        prof = code.cache[key] = _Profile(code, budget, max_words)
+        prof = code.cache["equiv"] = _Profile(
+            code, DEFAULT_WEIGHT_BUDGET, DEFAULT_MAX_WORDS
+        )
     return prof
 
 
@@ -493,9 +497,6 @@ def _succ_cols(n: int, qc_blocks) -> list:
 def are_equivalent(
     d1: FieldCode,
     d2: FieldCode,
-    budget: int = DEFAULT_WEIGHT_BUDGET,
-    max_words: int = DEFAULT_MAX_WORDS,
-    node_budget: int = DEFAULT_NODE_BUDGET,
     qc_blocks: tuple | None = None,
 ) -> EquivalenceResult:
     """Exact monomial equivalence with a verified witness on success.
@@ -512,11 +513,11 @@ def are_equivalent(
         return EquivalenceResult(True, tuple(range(d1.n)), (1,) * d1.n)
     blocks = tuple(qc_blocks) if qc_blocks is not None else None
     shape = _shape(d1.field, d1.n, blocks)
-    p1 = _profile(d1, budget, max_words)
-    p2 = _profile(d2, budget, max_words)
+    p1 = _profile(d1)
+    p2 = _profile(d2)
     if p1.weights != p2.weights or p1.stratum_sizes != p2.stratum_sizes:
         return EquivalenceResult(False)
-    state = {"nodes": 0, "budget": node_budget, "codes": (d1, d2)}
+    state = {"nodes": 0, "budget": DEFAULT_NODE_BUDGET, "codes": (d1, d2)}
     res = _find_map(shape, (p1, p2), [], state)
     return res if res is not None else EquivalenceResult(False)
 
@@ -536,15 +537,11 @@ class CodeFingerprint:
         return (self.n, self.k, self.d, self.enum_prefix, self.refinement_signature)
 
 
-def fingerprint(
-    code: FieldCode,
-    budget: int = DEFAULT_WEIGHT_BUDGET,
-    max_words: int = DEFAULT_MAX_WORDS,
-) -> CodeFingerprint:
+def fingerprint(code: FieldCode) -> CodeFingerprint:
     """Deterministic invariant under column permutation and scaling."""
     if code.k == 0:
         raise ValueError("fingerprint needs at least one nonzero codeword")
-    prof = _profile(code, budget, max_words)
+    prof = _profile(code)
     nz = [(i, a) for i, a in enumerate(prof.enum.counts) if i > 0 and a]
     d = nz[0][0]
     prefix = tuple(nz[:4])
@@ -607,9 +604,6 @@ class AutomorphismGroup:
 def automorphism_group(
     code: FieldCode,
     qc_blocks: tuple | None = None,
-    budget: int = DEFAULT_WEIGHT_BUDGET,
-    max_words: int = DEFAULT_MAX_WORDS,
-    node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> AutomorphismGroup:
     """The monomial automorphism group (permutations for q=2), restricted
     to block maps when qc_blocks=(m, ell) as in `are_equivalent`, by
@@ -617,11 +611,11 @@ def automorphism_group(
     the maps the search verified; together they generate the group."""
     if code.k == 0:
         raise ValueError("automorphism group of the zero code is everything")
-    prof = _profile(code, budget, max_words)
+    prof = _profile(code)
     blocks = tuple(qc_blocks) if qc_blocks is not None else None
     S = _shape(code.field, code.n, blocks)
     profs = (prof, prof)
-    state = {"nodes": 0, "budget": node_budget, "codes": (code, code)}
+    state = {"nodes": 0, "budget": DEFAULT_NODE_BUDGET, "codes": (code, code)}
     # the base, and the cell each base point is taken from, by refinement alone
     levels = []
     base: list[int] = []
@@ -672,17 +666,6 @@ def automorphism_group(
     return AutomorphismGroup(order, tuple(generators))
 
 
-def automorphism_order(
-    code: FieldCode,
-    max_n: int = AUT_MAX_N,
-    budget: int = DEFAULT_WEIGHT_BUDGET,
-    max_words: int = DEFAULT_MAX_WORDS,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> int:
-    """Order of the monomial automorphism group (permutations for q=2);
-    refuses codes longer than max_n."""
-    if code.n > max_n:
-        raise BudgetExceeded("automorphism group search", code.n, max_n)
-    return automorphism_group(
-        code, budget=budget, max_words=max_words, node_budget=node_budget
-    ).order
+def automorphism_order(code: FieldCode) -> int:
+    """Order of the monomial automorphism group (permutations for q=2)."""
+    return automorphism_group(code).order

@@ -4,6 +4,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -62,6 +63,27 @@ def test_weight_enumerator_wide_binary_words():
     rows = [tuple(rng.randrange(2) for _ in range(70)) for _ in range(4)]
     code = FieldCode(f2, 70, rows)
     assert weight_enumerator(code).counts == naive_weight_enumerator(code)
+
+
+def test_weight_enumerator_wide_binary_code_past_one_table_block():
+    # n > 64 and k = 18 > 16: two machine words per word, and the Gray walk
+    # runs past the first 2^16-word table block; without 1 the whole code
+    # is walked
+    rng = random.Random(77)
+    f2 = field(2)
+    n, k = 70, 18
+    while True:
+        rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)]
+        code = FieldCode(f2, n, rows)
+        if code.k == k and not code.contains((1,) * n):
+            break
+    gen = np.array(code.rows, dtype=np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    chunk = 1 << 14
+    for start in range(0, 1 << k, chunk):
+        msgs = (np.arange(start, start + chunk)[:, None] >> np.arange(k)) & 1
+        counts += np.bincount((msgs @ gen % 2).sum(axis=1), minlength=n + 1)
+    assert weight_enumerator(code).counts == tuple(counts.tolist())
 
 
 @st.composite

@@ -1,8 +1,10 @@
 """Building-up constructions: seeds, the two extension branches, reduce."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsd.buildup import (
     ExtensionWitness,
@@ -12,6 +14,7 @@ from qcsd.buildup import (
     reduce,
     seed,
 )
+from qcsd.equiv import ClassStore, apply_monomial, fingerprint
 from qcsd.errors import ConstructionError, UnsupportedCase
 from qcsd.rcode import RingCode
 from qcsd.ring import ring
@@ -69,9 +72,76 @@ def test_seed_counts_and_self_duality():
             assert s.ell == (4 if q % 4 == 3 else 2)
 
 
+def first_fit_seeds(spec):
+    """Reference seeds: every [1 | c] sorted first-fit, in lexicographic
+    order of c, into classes of unrestricted equivalence of expansions."""
+    store = ClassStore()
+    kept = []
+    for c in norm_minus_one_elements(spec):
+        code = RingCode(spec, 2, [(spec.one, c)])
+        exp = code.expansion()
+        if store.add(exp, fingerprint(exp)):
+            kept.append(code)
+    return kept
+
+
+@pytest.mark.parametrize(
+    "q, m", [(2, 3), (2, 5), (2, 7), (4, 3), (4, 5), (4, 7), (2, 11), (5, 3)]
+)
+def test_seeds_match_first_fit_over_every_c(q, m):
+    want = first_fit_seeds(ring(q, m))
+    assert [s.rows for s in seeds_for(q, m)] == [s.rows for s in want]
+
+
+def _seed_expansion(sp, c):
+    return RingCode(sp, 2, [(sp.one, c)]).expansion()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 3), (2, 5), (4, 5), (5, 3), (5, 7)]), st.data())
+def test_seed_symmetries_are_monomial_maps(qm, data):
+    # position 2*i + j of the expansion of [1 | c] holds coefficient i of
+    # block j (see qc.expand)
+    sp = ring(*qm)
+    m, fld = sp.m, sp.field
+    c = data.draw(st.sampled_from(norm_minus_one_elements(sp)))
+    exp = _seed_expansion(sp, c)
+    ident = list(range(2 * m))
+    # block 1 times u = gamma * Y^s: rotate it by s and scale it by gamma
+    gamma = data.draw(st.sampled_from([g for g in range(1, sp.q) if fld.mul(g, g) == 1]))
+    s = data.draw(st.integers(0, m - 1))
+    u = sp.scalar_mul(gamma, sp.shift(sp.one, s))
+    perm = [2 * ((p // 2 + s) % m) + 1 if p % 2 else p for p in ident]
+    scalars = [gamma if p % 2 else 1 for p in ident]
+    assert apply_monomial(exp, perm, scalars) == _seed_expansion(sp, sp.mul(u, c))
+    # swap the blocks, then scale block 1 by -1
+    perm = [p ^ 1 for p in ident]
+    scalars = [1 if p % 2 else fld.neg(1) for p in ident]
+    assert apply_monomial(exp, perm, scalars) == _seed_expansion(sp, sp.conj(c))
+    # Y -> Y^a on both blocks, for a unit a mod m
+    a = data.draw(st.sampled_from([a for a in range(1, m) if math.gcd(a, m) == 1]))
+    perm = [2 * (a * (p // 2) % m) + p % 2 for p in ident]
+    c_a = [0] * m
+    for i, v in enumerate(c):
+        c_a[a * i % m] = v
+    assert apply_monomial(exp, perm, [1] * (2 * m)) == _seed_expansion(sp, tuple(c_a))
+
+
 def test_seed_literals():
     assert seeds_for(2, 3)[0].rows == (((1, 0, 0), (0, 0, 1)),)
     assert seeds_for(2, 5)[0].rows == (((1, 0, 0, 0, 0), (0, 0, 0, 0, 1)),)
+    one57 = ring(5, 7).one
+    assert [s.rows for s in seeds_for(5, 7)] == [
+        ((one57, c),)
+        for c in [
+            (0, 0, 0, 0, 0, 0, 2),
+            (0, 0, 1, 0, 1, 1, 4),
+            (0, 1, 1, 4, 2, 4, 1),
+            (0, 2, 2, 2, 2, 2, 2),
+            (1, 1, 2, 1, 2, 2, 3),
+            (1, 1, 2, 3, 4, 3, 3),
+        ]
+    ]
     sp35 = ring(3, 5)
     s = seeds_for(3, 5)[0]
     one, zero = sp35.one, sp35.zero

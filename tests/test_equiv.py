@@ -82,14 +82,17 @@ def test_inequivalent_known_pair():
     assert are_equivalent(hamming, apply_monomial(hamming, perm, scalars))
 
 
-def test_node_budget_overrun_is_budget_exceeded():
+def test_node_budget_overrun_is_budget_exceeded(monkeypatch):
     # the three weight-2 words leave the refinement with symmetric colour
     # classes, so the search has to branch past its first node
+    import qcsd.equiv
+
     f2 = field(2)
     code = FieldCode(f2, 6, [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)])
     assert are_equivalent(code, code)
+    monkeypatch.setattr(qcsd.equiv, "DEFAULT_NODE_BUDGET", 1)
     with pytest.raises(BudgetExceeded) as exc:
-        are_equivalent(code, code, node_budget=1)
+        are_equivalent(code, code)
     assert exc.value.budget == 1 and exc.value.required == 2
 
 
@@ -200,15 +203,15 @@ def test_automorphism_order_property(case):
     assert automorphism_order(apply_monomial(code, perm, scalars)) == order
 
 
-def test_automorphism_order_known_codes():
+def test_automorphism_order_known_codes(monkeypatch):
+    import qcsd.equiv
     from qcsd import corpus
 
     i4 = corpus.load(corpus.get("I_4")).expansion()
-    assert automorphism_order(i4, max_n=24) == 3840
+    assert automorphism_order(i4) == 3840
+    monkeypatch.setattr(qcsd.equiv, "DEFAULT_NODE_BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        automorphism_order(i4, max_n=10)
-    with pytest.raises(BudgetExceeded):
-        automorphism_order(i4, node_budget=1)
+        automorphism_order(i4)
 
 
 def test_code_too_large_to_materialize_fails_before_any_walk(monkeypatch):
@@ -245,7 +248,7 @@ def test_profile_collects_its_strata_in_one_walk(monkeypatch):
     # the three weight-2 words span only a plane; weight 7 completes the span
     rows = [(1, 1) + (0,) * 8, (0, 1, 1) + (0,) * 7, (0,) * 3 + (1,) * 7]
     code = FieldCode(field(2), 10, rows)
-    prof = qcsd.equiv._profile(code, 1 << 20, 100)
+    prof = qcsd.equiv._Profile(code, 1 << 20, 100)
     assert prof.weights == [2, 7]
     assert sorted(prof.stratum_sizes.values()) == [1, 3]
     assert calls == [3]  # one walk gives the enumerator and the strata
@@ -343,21 +346,29 @@ def test_profiles_are_freed_with_their_code():
         gc.enable()
 
 
-def test_profiles_are_keyed_by_word_cap():
-    # the 120 weight-6 words of I_4's expansion exceed a cap of 100
+def test_profiles_are_keyed_by_word_cap(monkeypatch):
+    # the 120 weight-6 words of I_4's expansion exceed a cap of 100; the cap
+    # is read when a profile is built, so each capped call gets a fresh
+    # expansion, and a refused profile leaves nothing in the code's cache
+    import qcsd.equiv
     from qcsd import corpus
 
-    i4 = corpus.load(corpus.get("I_4")).expansion()
-    fp = fingerprint(i4)
-    assert are_equivalent(i4, i4)
-    for call in (
-        lambda: fingerprint(i4, max_words=100),
-        lambda: are_equivalent(i4, i4, max_words=100),
-        lambda: automorphism_order(i4, max_words=100),
-    ):
-        with pytest.raises(UnsupportedCase):
-            call()
-    assert fingerprint(i4) == fp
+    def i4():
+        return corpus.load(corpus.get("I_4")).expansion()
+
+    fp = fingerprint(i4())
+    capped = i4()
+    with monkeypatch.context() as patch:
+        patch.setattr(qcsd.equiv, "DEFAULT_MAX_WORDS", 100)
+        for call in (
+            lambda: fingerprint(capped),
+            lambda: are_equivalent(i4(), i4()),
+            lambda: automorphism_order(i4()),
+        ):
+            with pytest.raises(UnsupportedCase):
+                call()
+    assert fingerprint(capped) == fp
+    assert are_equivalent(capped, i4())
 
 
 def test_qc_blocks_mode_confirms_block_structured_maps():
@@ -517,7 +528,7 @@ def test_refine_matches_tuple_sort_reference(case):
         return
     moved = apply_monomial(code, perm, scalars)
     shape = E._shape(code.field, code.n, blocks)
-    profs = tuple(E._profile(c, 1 << 20, E.DEFAULT_MAX_WORDS) for c in (code, moved))
+    profs = tuple(E._Profile(c, 1 << 20, E.DEFAULT_MAX_WORDS) for c in (code, moved))
     start = [[0] * shape.nslots]
     assert E._refine(shape, profs[:1], start).tolist() == tuple_sort_refine(
         shape, profs[:1], start

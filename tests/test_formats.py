@@ -5,9 +5,11 @@ import random
 import pytest
 
 from qcsd.formats import (
+    load_field_code,
     load_ring_code,
     parse_field_code,
     parse_ring_code,
+    save_field_code,
     save_ring_code,
     serialize_field_code,
     serialize_ring_code,
@@ -104,6 +106,11 @@ def test_file_helpers(tmp_path):
     save_ring_code(rc, str(path))
     back = load_ring_code(str(path))
     assert back.rows == rc.rows
+    fc = rc.expansion()
+    path = tmp_path / "code.fc"
+    save_field_code(fc, str(path))
+    back = load_field_code(str(path))
+    assert (back.field.q, back.n, back.rows) == (5, 14, fc.rows)
 
 
 def test_corpus_files_parse_and_reserialize():
