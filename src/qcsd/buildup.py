@@ -8,8 +8,8 @@ a^2 + b^2 = -1 when q = 3 mod 4.  The [1 c] seeds are level 2 of
 classification is exhaustive certifies the classes complete by the mass
 identity.  `extend_i` grows a self-dual code by two columns and one row,
 `extend_ii` by four columns and two rows; both preserve self-duality for
-every valid witness.  `reduce` inverts extend_i constructively and is used
-as a verification oracle.
+every valid witness.  `reduce` inverts extend_i from the standard form's
+first two unit columns and is used as a verification oracle.
 """
 
 from __future__ import annotations
@@ -148,14 +148,16 @@ def extend_ii(base: RingCode, alpha, beta, x1, x2) -> RingCode:
 
 
 def reduce(code: RingCode) -> RingCode:
-    """Invert extend_i: find a shorter self-dual code plus a witness that
-    regenerates this code's row space in reordered coordinates.
+    """Invert extend_i: a self-dual code of length ell - 2 that extend_i takes
+    back to this code in the standard form's column order.
 
-    Works from the standard form: any two identity-block columns can play
-    the role of the two added columns.  For each such ordered pair and
-    each multiplier candidate c, the base is recovered by the projection
-    u - (a + conj(c)*b)*x applied to the generators, and the candidate is
-    accepted when re-extension reproduces the permuted code exactly.
+    The standard form's rows are (1, 0 | x), (0, 1 | x') and (0, 0 | w).
+    Self-duality gives <x, x> = <x', x'> = -1, <x, x'> = 0 and each w
+    orthogonal to x and x'.  With c the first element with c*conj(c) = -1,
+    the base rows x' - conj(c)*x and w are self-orthogonal, and
+    extend_i(base, c, x) has the rows (1, 0 | x), (0, 0 | w) and
+    (-conj(c), 1 | x' - conj(c)*x) = (0, 1 | x') - conj(c)*(1, 0 | x): it
+    is the permuted code, so the base is self-dual by its dimension.
     """
     sp = code.spec
     if sp.field.residue_class == "3-mod-4":
@@ -166,40 +168,13 @@ def reduce(code: RingCode) -> RingCode:
         raise UnsupportedCase("input is not self-dual")
     sf = code.standard_form()
     if sf.k1 < 2:
-        raise UnsupportedCase(f"free rank {sf.k1} < 2; converse needs at least 2")
-    permuted = code.permute_columns(sf.col_perm)
-    rows = sf.rows
-    cs = norm_minus_one_elements(sp)
-    for i in range(sf.k1):
-        for j in range(sf.k1):
-            if i == j:
-                continue
-            # rows[i] has 1 at column i and 0 at column j
-            lead = rows[i]
-            keep = [t for t in range(code.ell) if t not in (i, j)]
-            x = tuple(lead[t] for t in keep)
-            reorder = [i, j] + keep
-            target = permuted.permute_columns(reorder)
-            for c in cs:
-                cbar = sp.conj(c)
-                base_rows = []
-                for widx, w in enumerate(rows):
-                    if widx == i:
-                        continue
-                    coef = sp.add(w[i], sp.mul(cbar, w[j]))
-                    base_rows.append(
-                        tuple(
-                            sp.sub(w[t], sp.mul(coef, x[ti]))
-                            for ti, t in enumerate(keep)
-                        )
-                    )
-                if not any(any(any(e) for e in r) for r in base_rows):
-                    continue
-                base = RingCode(sp, code.ell - 2, base_rows)
-                try:
-                    again = extend_i(base, c, x)
-                except ConstructionError:
-                    continue
-                if target.same_row_space(again):
-                    return base
-    raise UnsupportedCase("no reduction witness found over the identity block")
+        raise UnsupportedCase(f"{sf.k1} unit columns; the converse needs at least 2")
+    c = norm_minus_one_elements(sp)[0]
+    cbar = sp.conj(c)
+    first, second, *rest = sf.rows
+    x = first[2:]
+    base_rows = [tuple(sp.sub(b, sp.mul(cbar, a)) for a, b in zip(x, second[2:]))]
+    base = RingCode(sp, code.ell - 2, base_rows + [r[2:] for r in rest])
+    if not code.permute_columns(sf.col_perm).same_row_space(extend_i(base, c, x)):
+        raise RuntimeError("the reduced base does not extend back to the code")
+    return base

@@ -53,8 +53,9 @@ q = 2 or q = 5 (q = 4 is never primitive modulo an odd prime, and q = 3 is
 Cosets are enumerated through the idempotent splitting: a self-dual base
 splits into an evaluation-at-one component over F_q and a residue component
 over the field F_q[Y]/Phi, and a coset of the base is a pair of field-level
-cosets, one per component.  The two components are computed with the ring's
-base field and with RingSpec.residue_field(), and echelonised by qc.rref.
+cosets, one per component.  `rcode.component_forms` echelonises the two
+components, over the ring's base field and over RingSpec.residue_field(); the
+standard form starts from the same forms.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -66,8 +67,8 @@ import random
 
 from .errors import BudgetExceeded, UnsupportedCase
 from .ring import RingSpec, ring, CrtPair
-from .qc import FieldCode, rref
-from .rcode import RingCode
+from .qc import FieldCode
+from .rcode import RingCode, component_forms
 from .buildup import ExtensionWitness, extend_i, norm_minus_one_elements
 from .equiv import (
     ClassStore,
@@ -215,15 +216,10 @@ def _norm_minus_one_orbit_reps(sp: RingSpec):
 
 def _component_pivots(base: RingCode):
     """Pivot columns of the two component codes of a self-dual base."""
-    sp = base.spec
-    rows1 = [tuple(sp.eval1(a) for a in row) for row in base.rows]
-    rows2 = [tuple(sp.mod_phi(a) for a in row) for row in base.rows]
-    b1, p1 = rref(sp.field, base.ell, rows1)
-    b2, p2 = rref(sp.residue_field(), base.ell, rows2)
-    k = base.ell // 2
-    if len(b1) != k or len(b2) != k:
+    forms = component_forms(base)
+    if any(len(form) != base.ell // 2 for form in forms):
         raise ValueError("base code components are not half-dimensional")
-    return p1, p2
+    return tuple(tuple(form) for form in forms)
 
 
 def _trace_fiber(ph, target):

@@ -26,6 +26,7 @@ from .errors import BudgetExceeded, ConstructionError, UnsupportedCase
 from .formats import (
     parse_field_code,
     parse_ring_code,
+    parse_ring_elem,
     serialize_field_code,
     serialize_ring_code,
 )
@@ -72,15 +73,20 @@ def _field_form(kind, code):
     return code.expansion() if kind == "ring" else code
 
 
-def _parse_elem(sp, text: str):
-    coeffs = [c.strip() for c in text.split(",")]
-    if len(coeffs) != sp.m:
-        raise ValueError(f"element {text!r} needs {sp.m} coefficients")
-    return tuple(sp.field.parse_element(c) for c in coeffs)
-
-
 def _parse_ring_row(sp, text: str):
-    return [_parse_elem(sp, e) for e in text.split("|")]
+    return [parse_ring_elem(sp, e) for e in text.split("|")]
+
+
+def _emit(out_dir, name: str, text: str):
+    """Write text to DIR/name and print the path, or to stdout without DIR."""
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, name)
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(path)
+    else:
+        sys.stdout.write(text)
 
 
 # -- analyze ----------------------------------------------------------------
@@ -189,16 +195,7 @@ def cmd_seed(args) -> int:
     sp = ring(args.q, args.m)
     seeds = make_seeds(sp)
     for i, rc in enumerate(seeds):
-        text = serialize_ring_code(rc)
-        if args.out:
-            os.makedirs(args.out, exist_ok=True)
-            path = os.path.join(args.out, f"seed_{i:02d}.rc")
-            with open(path, "w") as fh:
-                fh.write(f"# seed {i}\n{text}")
-            print(path)
-        else:
-            print(f"# seed {i}")
-            sys.stdout.write(text)
+        _emit(args.out, f"seed_{i:02d}.rc", f"# seed {i}\n{serialize_ring_code(rc)}")
     return OK
 
 
@@ -219,7 +216,7 @@ def _parse_witness(sp, text: str) -> dict:
                 raise ValueError(f"branch i witness needs a '{need}' line")
         return {
             "branch": "i",
-            "c": _parse_elem(sp, fields["c"]),
+            "c": parse_ring_elem(sp, fields["c"]),
             "x": _parse_ring_row(sp, fields["x"]),
         }
     if branch == "ii":
@@ -228,8 +225,8 @@ def _parse_witness(sp, text: str) -> dict:
                 raise ValueError(f"branch ii witness needs a '{need}' line")
         return {
             "branch": "ii",
-            "alpha": _parse_elem(sp, fields["alpha"]),
-            "beta": _parse_elem(sp, fields["beta"]),
+            "alpha": parse_ring_elem(sp, fields["alpha"]),
+            "beta": parse_ring_elem(sp, fields["beta"]),
             "x1": _parse_ring_row(sp, fields["x1"]),
             "x2": _parse_ring_row(sp, fields["x2"]),
         }
@@ -245,16 +242,8 @@ def cmd_extend(args) -> int:
         ext = extend_i(base, wit["c"], wit["x"])
     else:
         ext = extend_ii(base, wit["alpha"], wit["beta"], wit["x1"], wit["x2"])
-    text = serialize_ring_code(ext)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        stem = os.path.splitext(os.path.basename(args.base))[0]
-        path = os.path.join(args.out, f"{stem}_ext{ext.ell}.rc")
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+    stem = os.path.splitext(os.path.basename(args.base))[0]
+    _emit(args.out, f"{stem}_ext{ext.ell}.rc", serialize_ring_code(ext))
     return OK
 
 
@@ -262,16 +251,8 @@ def cmd_expand(args) -> int:
     kind, code = _load_any(args.file)
     if kind != "ring":
         raise ValueError("expand needs a ring-code file")
-    text = serialize_field_code(code.expansion())
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        stem = os.path.splitext(os.path.basename(args.file))[0]
-        path = os.path.join(args.out, f"{stem}.fc")
-        with open(path, "w") as fh:
-            fh.write(text)
-        print(path)
-    else:
-        sys.stdout.write(text)
+    stem = os.path.splitext(os.path.basename(args.file))[0]
+    _emit(args.out, f"{stem}.fc", serialize_field_code(code.expansion()))
     return OK
 
 

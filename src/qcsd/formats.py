@@ -59,6 +59,14 @@ def serialize_ring_code(rc: RingCode) -> str:
     return "\n".join(out) + "\n"
 
 
+def parse_ring_elem(sp, text: str, what: str = "element"):
+    """A ring element from comma-separated coefficients, constant first."""
+    coeffs = [c.strip() for c in text.split(",")]
+    if len(coeffs) != sp.m:
+        raise ValueError(f"{what} {text!r} needs {sp.m} coefficients")
+    return tuple(sp.field.parse_element(c) for c in coeffs)
+
+
 def parse_ring_code(text: str) -> RingCode:
     lines = _strip_comments(text)
     if not lines:
@@ -67,7 +75,6 @@ def parse_ring_code(text: str) -> RingCode:
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} generator rows, found {len(lines) - 1}")
     sp = ring(q, m)
-    fld = sp.field
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         entries = [e.strip() for e in line.split("|")]
@@ -75,15 +82,9 @@ def parse_ring_code(text: str) -> RingCode:
             raise ValueError(
                 f"row {lineno}: expected {ell} entries, found {len(entries)}"
             )
-        row = []
-        for entry in entries:
-            coeffs = [c.strip() for c in entry.split(",")]
-            if len(coeffs) != m:
-                raise ValueError(
-                    f"row {lineno}: entry {entry!r} needs {m} coefficients"
-                )
-            row.append(tuple(fld.parse_element(c) for c in coeffs))
-        rows.append(tuple(row))
+        rows.append(tuple(
+            parse_ring_elem(sp, entry, f"row {lineno}: entry") for entry in entries
+        ))
     return RingCode(sp, ell, rows)
 
 

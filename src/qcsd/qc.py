@@ -46,14 +46,17 @@ def rref(fld, n: int, rows):
         if pr is None:
             continue
         work[rank], work[pr] = work[pr], work[rank]
-        inv = fld.inv(work[rank][col])
-        work[rank] = [fld.mul(inv, v) for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != zero:
-                c = work[i][col]
-                work[i] = [
-                    fld.sub(a, fld.mul(c, b)) for a, b in zip(work[i], work[rank])
-                ]
+        row = work[rank]
+        # the pivot row is zero left of col; only its nonzero entries act
+        support = [j for j in range(col, n) if row[j] != zero]
+        inv = fld.inv(row[col])
+        for j in support:
+            row[j] = fld.mul(inv, row[j])
+        for i, other in enumerate(work):
+            c = other[col]
+            if i != rank and c != zero:
+                for j in support:
+                    other[j] = fld.sub(other[j], fld.mul(c, row[j]))
         pivots.append(col)
         rank += 1
         if rank == len(work):

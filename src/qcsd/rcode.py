@@ -1,22 +1,24 @@
 """Linear codes over R = F_q[Y]/(Y^m - 1) and their standard form.
 
 When m is a prime p with q primitive mod p, Y^m - 1 factors as
-(Y - 1) * PHI with PHI = 1 + Y + ... + Y^(p-1) irreducible, and every
-generator matrix can be reduced, up to row operations and a column
-permutation, to the block shape
+(Y - 1) * PHI with PHI = 1 + Y + ... + Y^(p-1) irreducible, R splits as
+F_q x K with K = F_q[Y]/PHI, and every generator matrix can be brought,
+up to row operations and a column permutation, to the block shape
 
     [ I_k1 |  *        *        *    ]
-    [  0   | (Y-1)I_k2 PHI*M    *    ]
+    [  0   | (Y-1)I_k2 PHI*I_k2  *    ]
     [  0   |  0        0      alpha*I_k3 ... ]
 
-where M is diagonal with nonzero entries from F_q and alpha is Y-1 or
-PHI.  `standard_form` computes that reduction; k1 is the free rank of
-the code.
+where alpha is Y-1 or PHI.  k1 is the largest number of coordinates on
+which the code projects onto R^k1: the largest column set independent in
+both component codes.  `standard_form` computes that shape from the two
+component echelon forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .qc import FieldCode, expand, is_euclidean_self_dual, rref
 from .ring import CrtPair, RingSpec
@@ -24,6 +26,13 @@ from .ring import CrtPair, RingSpec
 
 @dataclass(frozen=True)
 class StandardForm:
+    """The block shape of a code, in permuted coordinates.
+
+    k1 counts the unit columns: the largest number of coordinates on which
+    the code projects onto R^k1.  k2 counts the rows (Y-1 | PHI) on two
+    further columns, and k3 the rows with a single pivot alpha.
+    """
+
     k1: int
     k2: int
     k3: int
@@ -104,205 +113,140 @@ class RingCode:
         return f"RingCode(q={self.q}, m={self.m}, ell={self.ell}, rows={len(self.rows)})"
 
 
-def _standard_form(code: RingCode) -> StandardForm:
-    """Reduce by row operations, tracking pivot columns by id; a single
-    column permutation is applied at the end.
+def component_forms(code: RingCode, shared: bool = False):
+    """The two component codes of `code` under R = F_q x K, in echelon form.
 
-    The reduction loops over three phases.  Unit pivots form the I_k1
-    block.  A row with nonzero entries in both maximal ideals <Y-1> and
-    <PHI> is normalised to a (Y-1, scalar*PHI) pivot pair; since
-    (Y-1)*PHI = 0, the two pivot columns can be cleared independently in
-    every other non-unit row.  Whenever an entry of the wrong ideal sits
-    in a pivot column, adding the pivot row produces a unit there, so the
-    whole reduction restarts with a strictly larger k1.  Rows left over
-    generate over one residue field only and are echelonised there; if
-    both residue types remain, a pair is merged into a two-ideal row
-    (strictly growing k2) and the loop repeats.
+    Component 1 is eval1 of the rows over F_q and component 2 is mod_phi of
+    the rows over K = `residue_field()`; `code` is their product.  Both are
+    echelonised in natural column order, except that component 1's pivots
+    lead in component 2 when `shared`.  Each form maps a pivot column to its
+    basis row, in pivot order; a row holds 1 at its pivot, 0 at the others.
+    """
+    sp = code.spec
+    ell = code.ell
+    forms = []
+    lead = ()
+    for fld, split in ((sp.field, sp.eval1), (sp.residue_field(), sp.mod_phi)):
+        order = list(lead) + [j for j in range(ell) if j not in lead]
+        basis, pivots = rref(fld, ell, [[split(r[j]) for j in order] for r in code.rows])
+        form = {}
+        for row, p in zip(basis, pivots):
+            full = [None] * ell
+            for j, v in zip(order, row):
+                full[j] = v
+            form[order[p]] = full
+        forms.append(form)
+        if shared:
+            lead = tuple(form)
+    return forms
+
+
+def _augmenting_path(e1, e2, zero2, unit, ell):
+    """A shortest augmenting path y0, x1, y1, ..., xm, ym for the unit
+    columns `unit`, or None when no larger set exists.
+
+    A column y outside `unit` is free on a side when that side's form has a
+    nonzero entry at y in a row whose pivot is outside `unit`; otherwise it
+    may replace exactly the x in `unit` with form[x][y] != 0.  y0 is free on
+    side 1 and ym on side 2; side 1 lets y_i replace x_i, side 2 lets
+    y_(i-1) replace x_i.
+    """
+    xs = sorted(unit)
+    outside = [y for y in range(ell) if y not in unit]
+
+    def free(form, zero):
+        rows = [row for p, row in form.items() if p not in unit]
+        return [y for y in outside if any(r[y] != zero for r in rows)]
+
+    sinks = set(free(e2, zero2))
+    prev = {}
+    queue = []
+    for y in free(e1, 0):
+        if y in sinks:
+            return [y]
+        prev[y] = None
+        queue.append(y)
+    for node in queue:
+        if node in unit:
+            row = e1[node]
+            step = [y for y in outside if y not in prev and row[y] != 0]
+        else:
+            step = [x for x in xs if x not in prev and e2[x][node] != zero2]
+        for v in step:
+            prev[v] = node
+            if v in sinks:
+                path = [v]
+                while prev[path[-1]] is not None:
+                    path.append(prev[path[-1]])
+                return path[::-1]
+            queue.append(v)
+    return None
+
+
+def _exchange(fld, form, old, new):
+    """Move the pivot of row `old` to column `new` (form[old][new] != 0)."""
+    row = form.pop(old)
+    inv = fld.inv(row[new])
+    row = [fld.mul(inv, v) for v in row]
+    for key, other in form.items():
+        c = other[new]
+        if c != fld.zero:
+            form[key] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(other, row)]
+    form[new] = row
+
+
+def _standard_form(code: RingCode) -> StandardForm:
+    """The block shape from the component echelon forms.
+
+    The unit columns are a largest column set independent in both component
+    codes (matroid intersection: Edmonds 1970; Schrijver, Combinatorial
+    Optimization, ch. 41).  They start as the pivots the two forms share and
+    grow along shortest augmenting paths, which move pivots of the same
+    forms: along a shortest path the exchanges are triangular, so side 1's
+    in path order and side 2's in reverse order never meet a zero pivot.  A
+    row with only a component-1 pivot b, scaled by p = PHI(1), holds PHI at
+    b; one with only a component-2 pivot a, scaled by the residue of Y - 1,
+    holds Y - 1 at a; the k2 block pairs one of each.  With no path left,
+    none of them meets the other side's pivots: the block shape is exact.
     """
     sp = code.spec
     sp._require_cyclotomic("standard_form")
     ell = code.ell
-    rows = [list(r) for r in code.rows]
-    res = sp.residue_field()
-    ya = sp.mod_phi(sp.sub(sp.y, sp.one))  # Psi2 image of Y-1, nonzero
-    inv_ya = res.inv(ya)
+    f1, f2 = sp.field, sp.residue_field()
+    e1, e2 = component_forms(code, shared=True)
+    unit = {j for j in e1 if j in e2}
+    while (path := _augmenting_path(e1, e2, f2.zero, unit, ell)) is not None:
+        ys, xs = path[0::2], path[1::2]
+        for fld, form, start, steps in (
+            (f1, e1, ys[0], zip(xs, ys[1:])),
+            (f2, e2, ys[-1], reversed(list(zip(xs, ys)))),
+        ):
+            free = next(p for p, r in form.items() if p not in unit and r[start] != fld.zero)
+            _exchange(fld, form, free, start)
+            for x, y in steps:
+                _exchange(fld, form, x, y)
+        unit = unit.difference(xs).union(ys)
 
-    def split1(e):
-        return sp.eval1(e)
-
-    def row_sub_scaled(dst, src, lam):
-        for j in range(ell):
-            dst[j] = sp.sub(dst[j], sp.mul(lam, src[j]))
-
-    def row_add(dst, src):
-        for j in range(ell):
-            dst[j] = sp.add(dst[j], src[j])
-
-    def row_scale(r, u):
-        for j in range(ell):
-            r[j] = sp.mul(r[j], u)
-
-    while True:
-        rows = [r for r in rows if any(any(e) for e in r)]
-
-        # Unit pivots: scan columns left to right, rows top-down.
-        unit_cols = []
-        done = 0
-        progress = True
-        while progress:
-            progress = False
-            for col in range(ell):
-                if col in unit_cols:
-                    continue
-                for i in range(done, len(rows)):
-                    e = rows[i][col]
-                    if sp.is_unit(e):
-                        rows[done], rows[i] = rows[i], rows[done]
-                        row_scale(rows[done], sp.inv(e))
-                        for t in range(len(rows)):
-                            if t != done and any(rows[t][col]):
-                                row_sub_scaled(rows[t], rows[done], rows[t][col])
-                        unit_cols.append(col)
-                        done += 1
-                        progress = True
-                        break
-                if progress:
-                    break
-        k1 = done
-        rows = rows[:k1] + [r for r in rows[k1:] if any(any(e) for e in r)]
-
-        # Two-ideal rows become (Y-1, scalar*PHI) pivot pairs.
-        restart = False
-        pair_a, pair_b = [], []
-        i = k1
-        while i < len(rows):
-            row = rows[i]
-            a = b = None
-            for col in range(ell):
-                if col in unit_cols or col in pair_a or col in pair_b:
-                    continue
-                e = row[col]
-                if not any(e):
-                    continue
-                e1 = split1(e)
-                ephi = sp.mod_phi(e)
-                if e1 != 0 and any(ephi):
-                    restart = True  # unit entry: created by an earlier subtraction
-                    break
-                if e1 == 0 and a is None:
-                    a = col
-                elif e1 != 0 and b is None:
-                    b = col
-                if a is not None and b is not None:
-                    break
-            if restart:
-                break
-            if a is None or b is None:
-                i += 1
-                continue
-            # scale the row so the column-a entry becomes exactly Y-1
-            ea = sp.mod_phi(row[a])
-            u = sp.crt_combine(CrtPair(1, res.mul(ya, res.inv(ea))))
-            row_scale(row, u)
-            mb = split1(row[b])  # column-b entry is the PHI-multiple with this Psi1 value
-            pos = k1 + len(pair_a)
-            rows[pos], rows[i] = rows[i], rows[pos]
-            rowr = rows[pos]
-            inv_mb = sp.field.inv(mb)
-            for t in range(k1, len(rows)):
-                trow = rows[t]
-                if trow is rowr:
-                    continue
-                bad_a = split1(trow[a]) != 0  # column a must stay inside <Y-1>
-                bad_b = any(sp.mod_phi(trow[b]))  # column b must stay inside <PHI>
-                if bad_a or bad_b:
-                    row_add(trow, rowr)  # forces a unit into the offending column
-                    restart = True
-                    break
-                # the pivots are Y-1 (component ya) and a PHI-multiple (mb)
-                lam = sp.crt_combine(
-                    CrtPair(
-                        sp.field.mul(split1(trow[b]), inv_mb),
-                        res.mul(sp.mod_phi(trow[a]), inv_ya),
-                    )
-                )
-                if any(lam):
-                    row_sub_scaled(trow, rowr, lam)
-                    if any(sp.is_unit(e) for e in trow):
-                        restart = True
-                        break
-            if restart:
-                break
-            pair_a.append(a)
-            pair_b.append(b)
-            i = k1 + len(pair_a)  # rescan: clearing may have mixed later rows
-
-        if restart:
-            continue
-        k2 = len(pair_a)
-
-        # Leftover rows are single-ideal; echelonise over the residue field.
-        rest = [r for r in rows[k1 + k2:] if any(any(e) for e in r)]
-        typeA, typeB = [], []  # <Y-1> rows as Psi2 components; <PHI> rows as Psi1
-        for r in rest:
-            if all(split1(e) == 0 for e in r):
-                typeA.append((r, [sp.mod_phi(e) for e in r]))
-            else:
-                typeB.append((r, [split1(e) for e in r]))
-
-        if typeA and typeB:
-            merged = [sp.add(x, y) for x, y in zip(typeA[0][0], typeB[0][0])]
-            # shared support: the sum has a unit there (k1 will grow);
-            # disjoint support: the sum is a two-ideal row (k2 will grow)
-            rows = (
-                rows[: k1 + k2]
-                + [merged]
-                + [r for r, _ in typeA[1:]]
-                + [r for r, _ in typeB]
-            )
-            continue
-
-        free_cols = [
-            c
-            for c in range(ell)
-            if c not in unit_cols and c not in pair_a and c not in pair_b
-        ]
-        # Pair clearing leaves these rows supported on the free columns, so
-        # they are echelonised there, with pivots scaled to the component of
-        # Y-1 (or to PHI(1) = p) so that the lifted pivots are Y-1 (or PHI).
-        if typeA:
-            fld, scale, alpha_branch = res, ya, "Y-1"
-        else:
-            fld, scale, alpha_branch = sp.field, sp.p_in_field, "phi"
-        comps = [[comp[j] for j in free_cols] for _, comp in typeA or typeB]
-        basis, free_piv = rref(fld, len(free_cols), comps)
-        piv = [free_cols[p] for p in free_piv]
-        lifted = []
-        for r in basis:
-            full = [sp.zero] * ell
-            for j, c in zip(free_cols, r):
-                c = fld.mul(scale, c)
-                full[j] = sp.crt_combine(CrtPair(0, c) if typeA else CrtPair(c, res.zero))
-            lifted.append(full)
-        k3 = len(lifted)
-        if k3 == 0:
-            alpha_branch = None
-
-        used = set(unit_cols) | set(pair_a) | set(pair_b) | set(piv)
-        col_order = (
-            list(unit_cols)
-            + list(pair_a)
-            + list(pair_b)
-            + list(piv)
-            + [c for c in range(ell) if c not in used]
-        )
-        out = [tuple(r[c] for c in col_order) for r in rows[: k1 + k2]]
-        out += [tuple(r[c] for c in col_order) for r in lifted]
-        return StandardForm(
-            k1=k1,
-            k2=k2,
-            k3=k3,
-            rows=tuple(out),
-            col_perm=tuple(col_order),
-            alpha_branch=alpha_branch,
-        )
+    units = sorted(unit)
+    only1 = sorted(b for b in e1 if b not in unit)
+    only2 = sorted(a for a in e2 if a not in unit)
+    k2 = min(len(only1), len(only2))
+    ya = sp.mod_phi(sp.sub(sp.y, sp.one))
+    scaled1 = [[f1.mul(sp.p_in_field, v) for v in e1[b]] for b in only1]
+    scaled2 = [[f2.mul(ya, v) for v in e2[a]] for a in only2]
+    pairs = [(e1[s], e2[s]) for s in units] + list(zip_longest(scaled1, scaled2))
+    rows = [
+        [sp.crt_combine(CrtPair(a, b)) for a, b in zip(r1 or [0] * ell, r2 or [f2.zero] * ell)]
+        for r1, r2 in pairs
+    ]
+    single = only1[k2:] or only2[k2:]
+    col_order = units + only2[:k2] + only1[:k2] + single
+    col_order += [c for c in range(ell) if c not in col_order]
+    return StandardForm(
+        k1=len(units),
+        k2=k2,
+        k3=len(single),
+        rows=tuple(tuple(r[c] for c in col_order) for r in rows),
+        col_perm=tuple(col_order),
+        alpha_branch=("phi" if only1[k2:] else "Y-1") if single else None,
+    )

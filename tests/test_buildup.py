@@ -295,6 +295,29 @@ def test_reduce_inverts_extend_i():
         assert inner.is_self_dual()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 5), (5, 3), (5, 7)]),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_reduce_of_an_extension_extends_back(qm, steps, rnd):
+    # the base reduce finds need not be the base extend_i started from, but
+    # it is self-dual of the same length, and the first c with the
+    # standard form's row-0 tail as x extends it back to the permuted code
+    sp = ring(*qm)
+    base = rnd.choice(seeds_for(*qm))
+    for _ in range(steps - 1):
+        base = random_extension_i(base, rnd)
+    code = random_extension_i(base, rnd)
+    shorter = reduce(code)
+    assert shorter.ell == base.ell
+    assert shorter.is_self_dual()
+    sf = code.standard_form()
+    again = extend_i(shorter, norm_minus_one_elements(sp)[0], sf.rows[0][2:])
+    assert again.same_row_space(code.permute_columns(sf.col_perm))
+
+
 def test_reduce_unsupported_cases():
     sp = ring(2, 3)
     with pytest.raises(UnsupportedCase, match="below the reducible minimum"):

@@ -1,10 +1,12 @@
 """Codes over R: expansion layout, self-duality, standard form."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcsd.gf import field
-from qcsd.qc import FieldCode, is_shift_invariant
+from qcsd.qc import FieldCode, is_shift_invariant, rref
 from qcsd.rcode import RingCode
 from qcsd.ring import ring
 
@@ -192,24 +194,105 @@ def test_standard_form_keeps_every_generator():
     assert RingCode(sp, 6, sf.rows).same_row_space(rc.permute_columns(sf.col_perm))
 
 
+def _brute_force_k1(rc):
+    """Largest column set on which both component codes have full rank."""
+    sp = rc.spec
+    comps = [
+        (sp.field, [[sp.eval1(e) for e in r] for r in rc.rows]),
+        (sp.residue_field(), [[sp.mod_phi(e) for e in r] for r in rc.rows]),
+    ]
+    for size in range(rc.ell, 0, -1):
+        for cols in itertools.combinations(range(rc.ell), size):
+            if all(
+                len(rref(fld, size, [[r[j] for j in cols] for r in rows])[0]) == size
+                for fld, rows in comps
+            ):
+                return size
+    return 0
+
+
+def _assert_block_shape(rc, sf):
+    """I_k1, then (Y-1)*I_k2 beside PHI*I_k2, then alpha*I_k3; zeros below
+    each block, and the rows span the permuted input."""
+    sp = rc.spec
+    k1, k2, k3 = sf.k1, sf.k2, sf.k3
+    phi = (1,) * sp.m
+    y_minus_1 = sp.sub(sp.y, sp.one)
+    alpha = {"phi": phi, "Y-1": y_minus_1, None: None}[sf.alpha_branch]
+    assert (k3 > 0) == (alpha is not None)
+    assert len(sf.rows) == k1 + k2 + k3
+    for i, row in enumerate(sf.rows):
+        want = [sp.zero] * (k1 + 2 * k2 + k3)
+        if i < k1:
+            want[i] = sp.one
+            want = want[:k1]  # the rest of a unit row is free
+        elif i < k1 + k2:
+            want[i] = y_minus_1
+            want[i + k2] = phi
+        else:
+            want[i + k2] = alpha
+        assert list(row[: len(want)]) == want, (i, row)
+    assert RingCode(sp, rc.ell, sf.rows).same_row_space(
+        rc.permute_columns(sf.col_perm)
+    )
+
+
+def test_standard_form_finds_every_unit_column():
+    # a self-dual code whose three unit columns {0, 3, 4} only appear after
+    # one exchange: the shared pivots of its components are {0, 1}, and
+    # column 1 must give way to columns 3 and 4
+    sp = ring(2, 3)
+    rows = _ring_rows(sp, [
+        "100 000 010 111 110 100",
+        "111 111 100 000 010 000",
+        "001 001 001 100 100 001",
+    ])
+    rc = RingCode(sp, 6, rows)
+    assert rc.is_self_dual()
+    sf = rc.standard_form()
+    assert (sf.k1, sf.k2, sf.k3) == (3, 0, 0)
+    assert sf.k1 == _brute_force_k1(rc)
+    _assert_block_shape(rc, sf)
+
+
 @st.composite
 def ring_codes(draw):
     q, m = draw(st.sampled_from([(2, 3), (2, 5), (5, 3), (3, 5), (5, 2)]))
+    sp = ring(q, m)
     ell = draw(st.integers(1, 5))
     nrows = draw(st.integers(1, 5))
     coeff = st.integers(0, q - 1)
-    elem = st.tuples(*[coeff] * m)
+    # entries from the two maximal ideals as well as units, so that the
+    # unit columns are not simply the first columns met
+    factor = st.sampled_from([sp.one, sp.sub(sp.y, sp.one), (1,) * m])
+    elem = st.builds(sp.mul, st.tuples(*[coeff] * m), factor)
     rows = draw(st.lists(st.tuples(*[elem] * ell), min_size=nrows, max_size=nrows))
     if not any(any(e) for r in rows for e in r):
-        rows[0] = ((1,) + (0,) * (m - 1),) + rows[0][1:]
-    return RingCode(ring(q, m), ell, rows)
+        rows[0] = (sp.one,) + rows[0][1:]
+    return RingCode(sp, ell, rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(ring_codes())
 def test_standard_form_spans_the_input(rc):
-    sf = rc.standard_form()
-    assert len(sf.rows) == sf.k1 + sf.k2 + sf.k3
-    assert RingCode(rc.spec, rc.ell, sf.rows).same_row_space(
-        rc.permute_columns(sf.col_perm)
-    )
+    _assert_block_shape(rc, rc.standard_form())
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_codes())
+@example(  # one unit column, though no entry of the generators is a unit
+    RingCode(ring(2, 3), 3, _ring_rows(ring(2, 3), ["000 111 111", "011 111 101"]))
+)
+def test_standard_form_k1_is_the_largest_unit_column_set(rc):
+    assert rc.standard_form().k1 == _brute_force_k1(rc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_codes(), st.randoms(use_true_random=False))
+def test_standard_form_k1_ignores_row_and_column_order(rc, rnd):
+    rows = list(rc.rows)
+    rnd.shuffle(rows)
+    perm = list(range(rc.ell))
+    rnd.shuffle(perm)
+    moved = RingCode(rc.spec, rc.ell, rows).permute_columns(perm)
+    assert moved.standard_form().k1 == rc.standard_form().k1
