@@ -12,7 +12,7 @@ from .analysis import (
     min_distance_prefix,
     weight_enumerator,
 )
-from .buildup import ExtensionWitness, extend_i, extend_ii, reduce, seed
+from .buildup import extend_i, extend_ii, reduce, seed
 from .classify import (
     ClassificationRun,
     classify,
@@ -49,7 +49,6 @@ __all__ = [
     "ConstructionError",
     "CrtPair",
     "DistanceScan",
-    "ExtensionWitness",
     "FieldCode",
     "FieldSpec",
     "RingCode",

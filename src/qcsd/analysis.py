@@ -507,25 +507,13 @@ class WeightProfile:
     d_exact: bool
     templates: tuple | None  # matches, when the counts reach every exponent
     # that the templates for this length list
-    method: str  # "enumerate", or "scan" (an information-set scan)
-    message_weight: int | None = None  # the scan's message weight
-    deficits: tuple | None = None  # the scan's information-set deficits
-    bound: int | None = None  # the scan's certified bound
+    certificate: dict  # how the numbers were certified, as JSON-ready keys:
+    # {"method": "enumerate"}, or an information-set scan's "method": "scan",
+    # "message_weight", "deficits" and "bound"
 
     @property
     def cut(self) -> int:
         return len(self.enum.counts) - 1
-
-    def certificate(self) -> dict:
-        """How the numbers were certified, as JSON-ready keys."""
-        if self.method == "enumerate":
-            return {"method": "enumerate"}
-        return {
-            "method": "scan",
-            "message_weight": self.message_weight,
-            "deficits": list(self.deficits),
-            "bound": self.bound,
-        }
 
 
 def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProfile:
@@ -544,7 +532,7 @@ def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProf
         d = scan.found if scan.exact else scan.lower
         d_exact = scan.exact
         how = {"method": "scan", "message_weight": message_weight,
-               "deficits": scan.deficits, "bound": scan.bound}
+               "deficits": list(scan.deficits), "bound": scan.bound}
     needed = max(
         (t[0] for tpl in TEMPLATES.get(n, ()) for t in tpl.terms), default=None
     )
@@ -552,7 +540,7 @@ def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProf
     if needed is not None and needed < len(w.counts):
         full = list(w.counts) + [0] * (n + 1 - len(w.counts))
         templates = tuple(match_template(None, n=n, counts=full))
-    return WeightProfile(w, d, d_exact, templates, **how)
+    return WeightProfile(w, d, d_exact, templates, how)
 
 
 def macwilliams_transform(w: WeightEnum) -> WeightEnum:

@@ -14,30 +14,10 @@ first two unit columns and is used as a verification oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ConstructionError, UnsupportedCase
 from .gf import sum_of_squares_minus_one
 from .rcode import RingCode
 from .ring import RingSpec
-
-
-@dataclass(frozen=True)
-class ExtensionWitness:
-    """Everything needed to replay one extension step."""
-
-    branch: str  # "i" or "ii"
-    base: RingCode
-    c: tuple | None = None  # branch i multiplier
-    alpha: tuple | None = None  # branch ii pair
-    beta: tuple | None = None
-    x1: tuple = ()
-    x2: tuple | None = None
-
-    def apply(self) -> RingCode:
-        if self.branch == "i":
-            return extend_i(self.base, self.c, self.x1)
-        return extend_ii(self.base, self.alpha, self.beta, self.x1, self.x2)
 
 
 def minus_one_elem(spec: RingSpec):

@@ -50,16 +50,22 @@ self-dual codes over the two idempotent components.  Exhaustive runs have
 q = 2 or q = 5 (q = 4 is never primitive modulo an odd prime, and q = 3 is
 3 mod 4), and both have closed forms.
 
-Cosets are enumerated through the idempotent splitting: a self-dual base
-splits into an evaluation-at-one component over F_q and a residue component
-over the field F_q[Y]/Phi, and a coset of the base is a pair of field-level
-cosets, one per component.  `rcode.component_forms` echelonises the two
-components, over the ring's base field and over RingSpec.residue_field(); the
-standard form starts from the same forms.
+Cosets are enumerated in the two components of R = F_q x K, K = F_q[Y]/Phi
+(Ling and Sole): a self-dual base is a Euclidean self-dual code over F_q,
+eval1 of its rows, times a Hermitian self-dual code over K, mod_phi of its
+rows, and the pairing <u, v> has the components sum eval1(u_j)*eval1(v_j)
+and sum mod_phi(u_j)*conj(mod_phi(v_j)).  A coset of the base is a pair of
+cosets of the component codes; `rcode.component_forms` echelonises both, and
+the representative x0 carries free values on the non-pivot columns of each
+and zeros on the pivots.  The pairing values, the offsets t and the
+particular solution x = x0 + a*r + b*r' are all computed per component, and
+crt_combine assembles x; only the final check <x, x> = -1 multiplies in R.
+The standard form starts from the same component forms.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
+from itertools import islice, product
 import json
 import math
 import os
@@ -69,7 +75,7 @@ from .errors import BudgetExceeded, UnsupportedCase
 from .ring import RingSpec, ring, CrtPair
 from .qc import FieldCode
 from .rcode import RingCode, component_forms
-from .buildup import ExtensionWitness, extend_i, norm_minus_one_elements
+from .buildup import extend_i, norm_minus_one_elements
 from .equiv import (
     ClassStore,
     CodeFingerprint,
@@ -214,124 +220,87 @@ def _norm_minus_one_orbit_reps(sp: RingSpec):
     return reps
 
 
-def _component_pivots(base: RingCode):
-    """Pivot columns of the two component codes of a self-dual base."""
-    forms = component_forms(base)
-    if any(len(form) != base.ell // 2 for form in forms):
-        raise ValueError("base code components are not half-dimensional")
-    return tuple(tuple(form) for form in forms)
-
-
-def _trace_fiber(ph, target):
-    """All residue elements z with z + conj(z) = target."""
-    return [z for z in ph.elements() if ph.add(z, ph.conj(z)) == target]
-
-
-def _witness_count(base: RingCode) -> int:
-    k = base.ell // 2
-    sp = base.spec
-    return (sp.q**k) * (sp.q ** (sp.m - 1)) ** k
+def _dot(fld, us, vs):
+    acc = fld.zero
+    for u, v in zip(us, vs):
+        acc = fld.add(acc, fld.mul(u, v))
+    return acc
 
 
 def _iter_extension_witnesses(base: RingCode, c_reps, lo: int, hi: int):
-    """Extension witnesses for coset indices [lo, hi).
+    """Extension witnesses (c, x) for the cosets [lo, hi) of the base.
 
     Complete per base class: x runs over one representative per coset of
-    the base code (component-wise free-coordinate assignments), and within
-    a coset over one x per attainable pairing offset t with <x, x> = -1.
+    the base code, and within a coset over one x per attainable pairing
+    offset t with <x, x> = -1.  Everything before the final check of
+    <x, x> = -1 runs in the two component fields (see the module docstring).
     """
     sp = base.spec
-    fld = sp.field
-    ell = base.ell
-    k = ell // 2
-    ph = sp.residue_field()
-    p1, p2 = _component_pivots(base)
-    free1 = [j for j in range(ell) if j not in p1]
-    free2 = [j for j in range(ell) if j not in p2]
+    fld, kf = sp.field, sp.residue_field()
+    ell, k = base.ell, base.ell // 2
+    forms = component_forms(base)
+    if any(len(form) != k for form in forms):
+        raise ValueError("base code components are not half-dimensional")
+    free1, free2 = ([j for j in range(ell) if j not in form] for form in forms)
+    rows1 = [[sp.eval1(e) for e in r] for r in base.rows]
+    rows2 = [[sp.mod_phi(e) for e in r] for r in base.rows]
+    # x0 vanishes on the pivot columns, so its pairings run over the free ones
+    free_rows1 = [[r[j] for j in free1] for r in rows1]
+    free_rows2 = [[r[j] for j in free2] for r in rows2]
     minus1 = sp.neg(sp.one)
-    qq = sp.q
-    ss = ph.q
-    elems = ph.elements()
+    half = fld.inv(2 % sp.q) if sp.q % 2 else None
     fibers: dict = {}
-    for idx in range(lo, hi):
-        i2 = idx % (ss**k)
-        i1 = idx // (ss**k)
-        w1 = []
-        for _ in range(k):
-            w1.append(i1 % qq)
-            i1 //= qq
-        w1.reverse()
-        w2 = []
-        for _ in range(k):
-            w2.append(elems[i2 % ss])
-            i2 //= ss
-        w2.reverse()
-        comp1 = [0] * ell
-        comp2 = [ph.zero] * ell
-        for pos, val in zip(free1, w1):
-            comp1[pos] = val
-        for pos, val in zip(free2, w2):
-            comp2[pos] = val
-        x0 = tuple(
-            sp.crt_combine(CrtPair(a, b)) for a, b in zip(comp1, comp2)
-        )
-        nu = sp.hermitian_ip(x0, x0)
-        tau = sp.sub(minus1, nu)
-        tau1 = sp.eval1(tau)
-        tauphi = sp.mod_phi(tau)
-        psi = [sp.hermitian_ip(r, x0) for r in base.rows]
-        t1s = [sp.eval1(t) for t in psi]
-        tps = [sp.mod_phi(t) for t in psi]
-        im1_full = any(v != 0 for v in t1s)
-        imp_full = any(v != ph.zero for v in tps)
-        # evaluation component of the trace condition: 2*t1 = tau1
-        if qq % 2 == 0:
-            if tau1 != 0:
-                continue
-            t1_list = list(range(qq)) if im1_full else [0]
+    cosets = product(product(range(sp.q), repeat=k), product(kf.elements(), repeat=k))
+    for w1, w2 in islice(cosets, lo, hi):
+        w2bar = [kf.conj(v) for v in w2]
+        t1s = [_dot(fld, r, w1) for r in free_rows1]
+        tps = [_dot(kf, r, w2bar) for r in free_rows2]
+        # t + conj(t) = -1 - <x0, x0> per component; conjugation is trivial
+        # on F_q, where it reads 2*t1 = tau1
+        tau1 = fld.sub(fld.minus_one, _dot(fld, w1, w1))
+        tauphi = kf.sub(kf.neg(kf.one), _dot(kf, w2, w2bar))
+        i1 = next((i for i, v in enumerate(t1s) if v != 0), None)
+        ip = next((i for i, v in enumerate(tps) if v != kf.zero), None)
+        if half is not None:
+            t1_list = [fld.mul(tau1, half)]
         else:
-            t1 = fld.mul(tau1, fld.inv(2 % qq))
-            if t1 != 0 and not im1_full:
-                continue
-            t1_list = [t1]
-        # residue component: z + conj(z) = tauphi within the attainable image
-        if imp_full:
+            t1_list = range(sp.q) if tau1 == 0 else []
+        if i1 is None:
+            t1_list = [t for t in t1_list if t == 0]
+        if ip is None:
+            tp_list = [kf.zero] if tauphi == kf.zero else []
+        else:
             if tauphi not in fibers:
-                fibers[tauphi] = _trace_fiber(ph, tauphi)
+                fibers[tauphi] = [
+                    z for z in kf.elements() if kf.add(z, kf.conj(z)) == tauphi
+                ]
             tp_list = fibers[tauphi]
-            if not tp_list:
-                continue
-        else:
-            if tauphi != ph.zero:
-                continue
-            tp_list = [ph.zero]
+        x01 = [0] * ell
+        x02 = [kf.zero] * ell
+        for j, v in zip(free1, w1):
+            x01[j] = v
+        for j, v in zip(free2, w2):
+            x02[j] = v
         for t1 in t1_list:
-            # particular solution a with sum a_i * t1s_i = t1
-            a = [0] * len(base.rows)
+            # x = x0 + a*row_i1 + b*row_ip, with a and b in the components
+            x1 = x01
             if t1 != 0:
-                i0 = next(i for i, v in enumerate(t1s) if v != 0)
-                a[i0] = fld.mul(t1, fld.inv(t1s[i0]))
+                a = fld.mul(t1, fld.inv(t1s[i1]))
+                x1 = [fld.add(v, fld.mul(a, u)) for v, u in zip(x01, rows1[i1])]
             for tp in tp_list:
-                b = [ph.zero] * len(base.rows)
-                if tp != ph.zero:
-                    i0 = next(i for i, v in enumerate(tps) if v != ph.zero)
-                    b[i0] = ph.mul(tp, ph.inv(tps[i0]))
-                x = list(x0)
-                for lam1, lam2, row in zip(a, b, base.rows):
-                    if lam1 == 0 and lam2 == ph.zero:
-                        continue
-                    lam = sp.crt_combine(CrtPair(lam1, lam2))
-                    for j in range(ell):
-                        x[j] = sp.add(x[j], sp.mul(lam, row[j]))
-                x = tuple(x)
+                x2 = x02
+                if tp != kf.zero:
+                    b = kf.mul(tp, kf.inv(tps[ip]))
+                    x2 = [kf.add(v, kf.mul(b, u)) for v, u in zip(x02, rows2[ip])]
+                x = tuple(sp.crt_combine(CrtPair(u, v)) for u, v in zip(x1, x2))
                 if sp.hermitian_ip(x, x) != minus1:
                     raise RuntimeError("witness construction lost <x, x> = -1")
                 for c in c_reps:
-                    yield ExtensionWitness("i", base, c=c, x1=x)
+                    yield c, x
 
 
-def _trail_step(wit: ExtensionWitness) -> dict:
-    return {"kind": "extend_i", "c": list(wit.c), "x": [list(e) for e in wit.x1]}
+def _trail_step(c, x) -> dict:
+    return {"kind": "extend_i", "c": list(c), "x": [list(e) for e in x]}
 
 
 def _seed_candidates(spec: RingSpec, c_reps):
@@ -358,13 +327,14 @@ def _constructive_witnesses(base: RingCode, c_reps, samples: int, rng):
             continue
         found += 1
         for c in c_reps:
-            yield ExtensionWitness("i", base, c=c, x1=x)
+            yield c, x
 
 
 def _constructive_candidates(bases, c_reps, samples: int, rng):
     for base_cc in bases:
-        for wit in _constructive_witnesses(base_cc.code, c_reps, samples, rng):
-            yield wit.apply(), base_cc.trail + (_trail_step(wit),), ()
+        base = base_cc.code
+        for c, x in _constructive_witnesses(base, c_reps, samples, rng):
+            yield extend_i(base, c, x), base_cc.trail + (_trail_step(c, x),), ()
 
 
 def _extension_chunk(args):
@@ -373,8 +343,8 @@ def _extension_chunk(args):
     q, m, ell, base_rows, c_reps, lo, hi = args
     base = RingCode(ring(q, m), ell, base_rows)
     return [
-        (wit.apply().rows, _trail_step(wit))
-        for wit in _iter_extension_witnesses(base, c_reps, lo, hi)
+        (extend_i(base, c, x).rows, _trail_step(c, x))
+        for c, x in _iter_extension_witnesses(base, c_reps, lo, hi)
     ]
 
 
@@ -387,7 +357,7 @@ def _extension_candidates(
     (the builtin map, or a process pool's) hands to _extension_chunk."""
     for base_cc, gens in zip(bases, lifted):
         base = base_cc.code
-        total = _witness_count(base)
+        total = (spec.q * spec.residue_field().q) ** (base.ell // 2)
         step = max(1, -(-total // (workers * 4)))
         args = [
             (spec.q, spec.m, base.ell, base.rows, c_reps, lo, min(lo + step, total))
@@ -464,8 +434,9 @@ class _Checkpoint:
 
     def load(self):
         """All records.  A crash in the middle of a write leaves a partial
-        last line: it is ignored and cut from the file, so that appends start
-        on a fresh line.  A malformed line anywhere else raises."""
+        last line, one without its newline or one that does not parse: it is
+        ignored and cut from the file, so that appends start on a fresh line.
+        A malformed line anywhere else raises."""
         records = []
         if not os.path.exists(self.path):
             return records
@@ -474,6 +445,8 @@ class _Checkpoint:
             end = 0
             for i, line in enumerate(lines):
                 try:
+                    if not line.endswith(b"\n"):  # only the last line can
+                        raise ValueError("record without its newline")
                     if line.strip():
                         records.append(json.loads(line))
                 except ValueError:  # JSONDecodeError, UnicodeDecodeError
@@ -713,16 +686,7 @@ class ClassReport:
     aut_order: int | None
 
     def to_dict(self):
-        return {
-            "index": self.index,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "weight_family": self.weight_family,
-            "beta": self.beta,
-            "divisibility_ok": self.divisibility_ok,
-            "aut_order": self.aut_order,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification mismatch (including "not equivalent"),
 
 import argparse
 import csv
+from dataclasses import asdict
 import json
 import math
 import os
@@ -37,8 +38,6 @@ OK = 0
 MISMATCH = 1
 BAD_INPUT = 2
 BUDGET_EXCEEDED = 3
-
-EXACT_WORD_CAP = corpus.EXACT_WORD_CAP
 
 
 def _read_text(path: str) -> str:
@@ -108,7 +107,7 @@ def _scan_weight_for(code, work_cap: int) -> int:
 
 def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
                   budget: int):
-    cap = max(budget, EXACT_WORD_CAP) if exact else budget
+    cap = corpus.word_cap(exact, budget)
     prof = weight_profile(fc, cap, _scan_weight_for(fc, max(1 << 22, cap >> 4)))
     info = {
         "q": fc.field.q,
@@ -121,7 +120,7 @@ def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
         info["shift_invariant"] = is_shift_invariant(fc, ell)
     info["d"] = prof.d
     info["d_exact"] = prof.d_exact
-    info.update(prof.certificate())
+    info.update(prof.certificate)
     info["counts"] = list(prof.enum.counts)
     info["complete"] = prof.enum.complete
     if prof.templates is not None:
@@ -132,10 +131,10 @@ def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
     if m is not None:
         info["divisibility_ok"] = divisibility_check(prof.enum, m)
         info["m"] = m
-    return info
+    return info, prof.enum
 
 
-def _print_analysis(info, fmt: str, out):
+def _print_analysis(info, enum, fmt: str, out):
     if fmt == "json":
         json.dump(info, out, indent=2)
         out.write("\n")
@@ -157,14 +156,7 @@ def _print_analysis(info, fmt: str, out):
     if info["d"] is not None:
         rel = "=" if info["d_exact"] else ">="
         print(f"d {rel} {info['d']}", file=out)
-    terms = ["1"] if info["counts"] and info["counts"][0] else []
-    for i, a in enumerate(info["counts"]):
-        if i and a:
-            terms.append(f"{a}y^{i}" if a != 1 else f"y^{i}")
-    poly = " + ".join(terms) if terms else "0"
-    if not info["complete"]:
-        poly += " + ..."
-    print(f"W(y) = {poly}", file=out)
+    print(f"W(y) = {enum.poly_str()}", file=out)
     for t in info.get("templates", []):
         beta = "" if t["beta"] is None else f", beta={t['beta']}"
         note = "" if t["in_listed_range"] else " (beta outside listed range)"
@@ -182,9 +174,9 @@ def cmd_analyze(args) -> int:
     ell = code.ell if kind == "ring" else None
     m = code.spec.m if kind == "ring" else None
     fc = _field_form(kind, code)
-    info = _analyze_code(fc, ell, m, args.exact, args.budget)
+    info, enum = _analyze_code(fc, ell, m, args.exact, args.budget)
     info["source"] = args.file
-    _print_analysis(info, args.format, sys.stdout)
+    _print_analysis(info, enum, args.format, sys.stdout)
     return OK
 
 
@@ -299,13 +291,7 @@ def cmd_classify(args) -> int:
             "workers": args.workers,
             "complete": run.complete,
             "class_count": len(run.classes),
-            "stats": {
-                "candidates": run.stats.candidates,
-                "exact_duplicates": run.stats.exact_duplicates,
-                "equivalence_checks": run.stats.equivalence_checks,
-                "ring_classes_per_level": run.stats.ring_classes_per_level,
-                "mass_per_level": run.stats.mass_per_level,
-            },
+            "stats": asdict(run.stats),
             "classes": [
                 dict(row.to_dict(), file=class_files[row.index], trail=list(cc.trail))
                 for row, cc in zip(report.rows, run.classes)
@@ -353,17 +339,16 @@ def cmd_verify_corpus(args) -> int:
         all_ok = all_ok and rep.passed
         if args.format == "json":
             continue
+        head, *details = rep.lines()
         if args.name:
             print(rep.headline())
-            if not rep.passed:
-                for line in rep.lines()[1:]:
-                    print(line)
         else:
-            print(f"{rep.name} {rep.headline()}")
-            if not rep.passed:
-                for c in rep.checks:
-                    if not c.ok:
-                        print(f"  {c.label}: MISMATCH ({c.detail})")
+            # a run over every entry lists only the failing checks
+            print(head)
+            details = [line for c, line in zip(rep.checks, details) if not c.ok]
+        if not rep.passed:
+            for line in details:
+                print(line)
     if args.format == "json":
         payload = [
             {
@@ -457,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="weight data for a code file")
     p.add_argument("file", help="ring-code or field-code file")
     p.add_argument("--exact", action="store_true",
-                   help="raise the enumeration cap to 2^31 words")
+                   help="raise the enumeration cap to at least 2^31 words")
     _add_budget(p)
     p.add_argument("--format", choices=["csv", "json", "poly"], default="poly",
                    help="output format")

@@ -11,8 +11,8 @@ the field form); tests replay those derivations.
 Verification runs in two modes.  The default mode enumerates the full
 weight distribution when q^k fits the budget and otherwise certifies the
 minimum distance and exact low-weight prefix counts by information-set
-scanning.  Exact mode raises the enumeration cap to 2^31 words and deepens
-the scans for codes beyond it.
+scanning.  Exact mode raises the enumeration cap to at least 2^31 words
+and deepens the scans for codes beyond it.
 """
 
 from dataclasses import dataclass
@@ -28,10 +28,15 @@ from .analysis import (
 )
 from .formats import parse_field_code, parse_ring_code
 from .qc import FieldCode, gray_image, is_euclidean_self_dual, is_shift_invariant
-from .rcode import RingCode
 from .ring import ring
 
 EXACT_WORD_CAP = 1 << 31
+
+
+def word_cap(exact: bool, budget: int) -> int:
+    """The enumeration cap: exact mode raises the budget to EXACT_WORD_CAP,
+    and never lowers it."""
+    return max(budget, EXACT_WORD_CAP) if exact else budget
 
 
 @dataclass(frozen=True)
@@ -289,36 +294,6 @@ def field_form(entry: CorpusEntry) -> FieldCode:
     return code.expansion() if entry.kind == "ring" else code
 
 
-def rebuild_from_derivation(entry: CorpusEntry):
-    """Recompute this entry's matrix from its parent's; None if underived.
-
-    Deletions drop the rows and ring coordinates an extension step added;
-    extensions replay the recorded step with the stored witness vector
-    (the first row of the frozen matrix carries it); expansions map the
-    parent to its field form.
-    """
-    if entry.derivation is None:
-        return None
-    d = entry.derivation
-    parent = load(get(d["parent"]))
-    if d["kind"] == "delete":
-        rows = [r[d["cols"]:] for r in parent.rows[d["rows"]:]]
-        return RingCode(parent.spec, parent.ell - d["cols"], rows)
-    if d["kind"] == "expansion":
-        return parent.expansion()
-    if d["kind"] == "extend":
-        from .buildup import extend_i
-
-        if "pre_delete" in d:
-            nr, nc = d["pre_delete"]
-            parent = RingCode(parent.spec, parent.ell - nc,
-                              [r[nc:] for r in parent.rows[nr:]])
-        frozen = load(entry)
-        x = frozen.rows[0][2:]
-        return extend_i(parent, parent.spec.one, x)
-    raise ValueError(f"unknown derivation kind {d['kind']!r}")
-
-
 def _check(checks, label, ok, detail):
     checks.append(CheckResult(label, bool(ok), detail))
 
@@ -345,14 +320,14 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
     _check(checks, "parameters", (fc.n, fc.k) == (exp["n"], exp["k"]),
            f"got [{fc.n},{fc.k}], want [{exp['n']},{exp['k']}]")
 
-    cap = EXACT_WORD_CAP if exact else budget
+    cap = word_cap(exact, budget)
     mw = entry.scan_weight_exact if exact and entry.scan_weight_exact \
         else entry.scan_weight
     prof = weight_profile(fc, cap, mw)
     counts, cut = prof.enum.counts, prof.cut
     summary["d"] = prof.d
     summary["d_exact"] = prof.d_exact
-    summary.update(prof.certificate())
+    summary.update(prof.certificate)
     if prof.d_exact:
         _check(checks, "minimum distance", prof.d == exp["d"],
                f"got {prof.d}, want {exp['d']}")

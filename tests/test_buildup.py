@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsd.buildup import (
-    ExtensionWitness,
     extend_i,
     extend_ii,
     norm_minus_one_elements,
@@ -255,28 +254,6 @@ def test_extend_ii_rejects_bad_witnesses():
     sp2 = ring(2, 3)
     with pytest.raises(ConstructionError, match="branch ii needs q = 3 mod 4"):
         extend_ii(seeds_for(2, 3)[0], sp2.one, sp2.one, (sp2.one,) * 2, (sp2.one,) * 2)
-
-
-def test_witness_replay():
-    rng = random.Random(34)
-    sp = ring(2, 5)
-    base = seeds_for(2, 5)[0]
-    c = norm_minus_one_elements(sp)[0]
-    x = random_norm_minus_one_vector(sp, 2, rng)
-    wit = ExtensionWitness(branch="i", base=base, c=c, x1=x)
-    direct = extend_i(base, c, x)
-    assert wit.apply().rows == direct.rows
-
-    sp3 = ring(3, 5)
-    base3 = seeds_for(3, 5)[0]
-    alpha = beta = sp3.one
-    x1 = random_norm_minus_one_vector(sp3, 4, rng)
-    while True:
-        x2 = random_norm_minus_one_vector(sp3, 4, rng)
-        if sp3.hermitian_ip(x1, x2) == sp3.zero:
-            break
-    wit2 = ExtensionWitness(branch="ii", base=base3, alpha=alpha, beta=beta, x1=x1, x2=x2)
-    assert wit2.apply().rows == extend_ii(base3, alpha, beta, x1, x2).rows
 
 
 def test_reduce_inverts_extend_i():

@@ -10,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from qcsd.buildup import extend_i, norm_minus_one_elements
 from qcsd.classify import (
+    ClassificationRun,
+    ClassifiedCode,
+    RunStats,
     _lift,
     classify,
     euclidean_self_dual_count,
@@ -21,6 +24,7 @@ from qcsd.equiv import (
     AutomorphismGroup,
     apply_monomial,
     automorphism_group,
+    fingerprint,
 )
 from qcsd.errors import UnsupportedCase
 from qcsd.gf import field
@@ -181,6 +185,23 @@ def test_checkpoint_resume_ignores_truncated_last_line(tmp_path):
         classify(sp, 6, checkpoint_path=str(ck), resume=True)
 
 
+def test_checkpoint_resume_cuts_a_last_record_without_its_newline(tmp_path):
+    # a crash between a record's closing brace and its newline
+    sp = ring(2, 3)
+    ck = tmp_path / "checkpoint.jsonl"
+    classify(sp, 4, checkpoint_path=str(ck))
+    ck.write_text(ck.read_text()[:-1])
+    fresh = classify(sp, 6)
+    for _ in range(2):
+        resumed = classify(sp, 6, checkpoint_path=str(ck), resume=True)
+        assert [c.trail for c in resumed.classes] == [c.trail for c in fresh.classes]
+        assert [c.fingerprint for c in resumed.classes] == [
+            c.fingerprint for c in fresh.classes
+        ]
+    for line in ck.read_text().splitlines():
+        json.loads(line)
+
+
 def test_checkpoint_resume_after_an_interrupted_level(tmp_path):
     # a run cut after some class records of a level, before its level record
     sp = ring(2, 3)
@@ -241,6 +262,38 @@ def test_filter_report_structure():
     d = rep.to_dict()
     assert len(d["classes"]) == 2
     assert rep.summary_lines()[0].startswith("2 classes; distance profile: ")
+
+
+def test_filter_report_names_the_weight_family():
+    # a binary [30, 15, 6] code: n = 30 has weight-enumerator templates, and
+    # the automorphism search stops at AUT_MAX_N = 24
+    sp = ring(2, 3)
+    trail = (
+        {"kind": "seed", "c": [0, 0, 1]},
+        {"kind": "extend_i", "c": [0, 0, 1], "x": [[1, 1, 1], [1, 1, 0]]},
+        {"kind": "extend_i", "c": [0, 1, 0],
+         "x": [[0, 1, 0], [1, 0, 0], [1, 1, 1], [1, 1, 0]]},
+        {"kind": "extend_i", "c": [1, 0, 0],
+         "x": [[0, 0, 0], [1, 0, 1], [0, 1, 1], [0, 1, 0], [1, 0, 0], [0, 1, 0]]},
+        {"kind": "extend_i", "c": [0, 0, 1],
+         "x": [[1, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1],
+               [1, 0, 1], [1, 1, 1]]},
+    )
+    code = replay_trail(sp, trail)
+    exp = code.expansion()
+    run = ClassificationRun(
+        sp, 10, (ClassifiedCode(code, exp, fingerprint(exp), trail),), RunStats(),
+        complete=False,
+    )
+    assert filter_report(run).to_dict() == {
+        "classes": [
+            {"index": 0, "n": 30, "k": 15, "d": 6, "weight_family": "W_1",
+             "beta": None, "divisibility_ok": True, "aut_order": None},
+        ],
+        "by_distance": [[6, 1]],
+        "max_distance": 6,
+        "extremal_count": 1,
+    }
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,12 @@
 """Command-line interface: outputs, artifacts, exit codes."""
 
+import dataclasses
 import json
 import os
 
 import pytest
 
+from qcsd import corpus
 from qcsd.cli import BAD_INPUT, BUDGET_EXCEEDED, MISMATCH, OK, main
 from qcsd.formats import load_ring_code, parse_field_code, parse_ring_code
 
@@ -72,6 +74,35 @@ def test_extend_rejects_invalid_witness(capsys, tmp_path):
     assert "error: witness violates <x, x> = -1" in err
 
 
+# ring elements of F_3[Y]/(Y^5 - 1): 0, 1 and -1
+Z, O, T = "0,0,0,0,0", "1,0,0,0,0", "2,0,0,0,0"
+
+
+def test_extend_branch_ii(capsys, tmp_path):
+    base = tmp_path / "base.rc"
+    base.write_text(f"3 5 4 2\n{O} | {Z} | {O} | {O}\n{Z} | {O} | {T} | {O}\n")
+    witness = tmp_path / "wit.txt"
+    witness.write_text(
+        f"branch ii\nalpha {O}\nbeta {O}\n"
+        f"x1 {O} | {O} | {Z} | {Z}\nx2 {Z} | {Z} | {O} | {O}\n"
+    )
+    code, out, err = run(capsys, "extend", str(base), str(witness))
+    assert code == OK
+    ext = parse_ring_code(out)
+    assert ext.ell == 8 and ext.is_self_dual()
+    sp = ext.spec
+    one, zero = sp.one, sp.zero
+    assert ext.rows[:2] == (
+        (one, zero, zero, zero, one, one, zero, zero),
+        (zero, one, zero, zero, zero, zero, one, one),
+    )
+
+    witness.write_text(f"branch ii\nalpha {O}\nbeta {O}\nx1 {O} | {O} | {Z} | {Z}\n")
+    code, out, err = run(capsys, "extend", str(base), str(witness))
+    assert code == BAD_INPUT
+    assert "branch ii witness needs a 'x2' line" in err
+
+
 def test_analyze_poly_output(capsys):
     code, out, err = run(capsys, "analyze", data_file("G_16.rc"))
     assert code == OK
@@ -118,6 +149,21 @@ def test_verify_corpus_single_name(capsys):
     code, out, err = run(capsys, "verify-corpus", "--name", "G_16")
     assert code == OK
     assert out == "PASS: [48,24,10], A_10=768, A_12=8592\n"
+
+
+def test_verify_corpus_lists_the_failing_checks(capsys, monkeypatch):
+    failing = dataclasses.replace(
+        corpus.get("K_2"), expected={"n": 14, "k": 7, "d": 6, "a": {4: 12}}
+    )
+    monkeypatch.setattr(corpus, "ENTRIES", [corpus.get("J_2"), failing])
+    code, out, err = run(capsys, "verify-corpus")
+    assert code == MISMATCH
+    assert out == (
+        "J_2 PASS: [10,5,4], A_4=15\n"
+        "K_2 FAIL: [14,7,4], A_4=14\n"
+        "  minimum distance: MISMATCH (got 4, want 6)\n"
+        "  A_4: MISMATCH (got 14, want 12)\n"
+    )
 
 
 def test_verify_corpus_unknown_name(capsys):

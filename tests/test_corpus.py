@@ -3,6 +3,8 @@
 import pytest
 
 from qcsd import corpus
+from qcsd.buildup import extend_i
+from qcsd.rcode import RingCode
 
 
 def test_names_and_get():
@@ -71,8 +73,25 @@ def test_q_above_2_enumerators_are_pinned():
         entry = corpus.get(name)
         fc = corpus.field_form(entry)
         prof = weight_profile(fc, corpus.DEFAULT_WEIGHT_BUDGET, entry.scan_weight)
-        assert prof.certificate() == {"method": "enumerate"}, name
+        assert prof.certificate == {"method": "enumerate"}, name
         assert prof.enum.counts == want, name
+
+
+def test_exact_mode_never_lowers_an_explicit_budget(monkeypatch):
+    from qcsd.analysis import weight_profile
+
+    caps = []
+
+    def capture(fc, cap, message_weight):
+        caps.append(cap)
+        return weight_profile(fc, corpus.DEFAULT_WEIGHT_BUDGET, message_weight)
+
+    monkeypatch.setattr(corpus, "weight_profile", capture)
+    entry = corpus.get("K_2")
+    corpus.verify_entry(entry, exact=True, budget=1 << 40)
+    corpus.verify_entry(entry, exact=True)
+    corpus.verify_entry(entry, budget=1 << 20)
+    assert caps == [1 << 40, corpus.EXACT_WORD_CAP, 1 << 20]
 
 
 def test_headline_format():
@@ -103,13 +122,38 @@ def test_field_forms_match_ring_expansions():
         assert fc == corpus.load(twin).expansion(), name
 
 
+def rebuild_from_derivation(entry):
+    """Recompute an entry's matrix from its parent's.
+
+    Deletions drop the rows and ring coordinates an extension step added;
+    extensions replay the recorded step with the stored witness vector
+    (the first row of the frozen matrix carries it); expansions map the
+    parent to its field form.
+    """
+    d = entry.derivation
+    parent = corpus.load(corpus.get(d["parent"]))
+    if d["kind"] == "delete":
+        rows = [r[d["cols"]:] for r in parent.rows[d["rows"]:]]
+        return RingCode(parent.spec, parent.ell - d["cols"], rows)
+    if d["kind"] == "expansion":
+        return parent.expansion()
+    if d["kind"] == "extend":
+        if "pre_delete" in d:
+            nr, nc = d["pre_delete"]
+            parent = RingCode(parent.spec, parent.ell - nc,
+                              [r[nc:] for r in parent.rows[nr:]])
+        x = corpus.load(entry).rows[0][2:]
+        return extend_i(parent, parent.spec.one, x)
+    raise ValueError(f"unknown derivation kind {d['kind']!r}")
+
+
 def test_derivations_rebuild_bit_exact():
     rebuilt = 0
     for name in corpus.names():
         entry = corpus.get(name)
         if not entry.derivation:
             continue
-        got = corpus.rebuild_from_derivation(entry)
+        got = rebuild_from_derivation(entry)
         if entry.kind == "ring":
             want = corpus.load(entry)
             assert got.rows == want.rows, name
