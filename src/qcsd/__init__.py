@@ -1,5 +1,7 @@
 """Quasi-cyclic self-dual codes over small fields via codes over F_q[Y]/(Y^m - 1)."""
 
+__version__ = "0.1.0"  # set before the submodules load: classify records it
+
 from .analysis import (
     DistanceScan,
     WeightEnum,
@@ -90,5 +92,3 @@ __all__ = [
     "serialize_ring_code",
     "weight_enumerator",
 ]
-
-__version__ = "0.1.0"

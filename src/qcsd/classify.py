@@ -71,6 +71,7 @@ import math
 import os
 import random
 
+from . import __version__
 from .errors import BudgetExceeded, UnsupportedCase
 from .ring import RingSpec, ring, CrtPair
 from .qc import FieldCode
@@ -458,7 +459,11 @@ class _Checkpoint:
 
 
 def _resume_levels(spec, target_ell, ckpt: _Checkpoint, stats: RunStats):
-    """Rebuild completed levels from a checkpoint by replaying trails."""
+    """Rebuild completed levels from a checkpoint by replaying trails.
+
+    The checkpoint must come from the same ring and the same qcsd version;
+    its candidate budget may differ, so that a run stopped by the budget
+    resumes with a larger one."""
     records = ckpt.load()
     header = [r for r in records if r.get("event") == "run"]
     if header and (
@@ -466,6 +471,11 @@ def _resume_levels(spec, target_ell, ckpt: _Checkpoint, stats: RunStats):
         or header[0]["m"] != spec.m
     ):
         raise ValueError("checkpoint belongs to a different ring")
+    if header and header[0].get("version") != __version__:
+        raise ValueError(
+            f"checkpoint was written by qcsd version "
+            f"{header[0].get('version')!r}, not {__version__!r}"
+        )
     # a level's class records are written in one batch just before its
     # level record; class records before that batch were left by an
     # interrupted attempt at the same level
@@ -548,7 +558,14 @@ def classify(
         levels = _resume_levels(spec, target_ell, ckpt, stats)
     if ckpt and not levels:
         ckpt.start(
-            {"event": "run", "q": spec.q, "m": spec.m, "target_ell": target_ell}
+            {
+                "event": "run",
+                "q": spec.q,
+                "m": spec.m,
+                "target_ell": target_ell,
+                "candidate_budget": candidate_budget,
+                "version": __version__,
+            }
         )
     c_reps = tuple(_norm_minus_one_orbit_reps(spec))
     pool = None

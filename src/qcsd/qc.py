@@ -5,9 +5,19 @@ ell over R = F_q[Y]/(Y^m - 1) when it is invariant under the coordinate
 shift by ell.  The correspondence reads coordinate i*ell + j as the
 Y^i coefficient of ring coordinate j, so shifting by ell is exactly
 multiplication by Y.
+
+Self-duality, shift invariance and membership are decided by one matrix
+product over F_q, `_matmul`, on uint8 arrays of symbol indices: an int64
+product reduced mod q for prime q, and for F_4 a product of the two bit
+planes of the index (c0 + c1*w, w^2 = w + 1).  A code is Euclidean
+self-dual when k = n/2 and its Gram matrix G*G^T is zero.  Since G is in
+RREF, a word w lies in the code exactly when w = w[pivots]*G: the
+coefficients of w on the basis rows are its entries at the pivots.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .gf import FieldSpec, field
 
@@ -113,14 +123,7 @@ class FieldCode:
         self.cache: dict = {}
 
     def contains(self, word) -> bool:
-        fld = self.field
-        w = list(word)
-        for piv, row in zip(self.pivots, self.rows):
-            c = w[piv]
-            if c != 0:
-                for j in range(self.n):
-                    w[j] = fld.sub(w[j], fld.mul(c, row[j]))
-        return all(v == 0 for v in w)
+        return _in_span(self, _matrix(self), np.array([word], dtype=np.uint8))
 
     def key(self) -> bytes:
         """Canonical bytes for the row space (dedup key)."""
@@ -143,33 +146,43 @@ class FieldCode:
         return f"FieldCode(q={self.field.q}, n={self.n}, k={self.k})"
 
 
+def _matrix(code: FieldCode):
+    """The RREF basis as a k x n uint8 array."""
+    return np.array(code.rows, dtype=np.uint8).reshape(code.k, code.n)
+
+
+def _matmul(fld, a, b):
+    """a*b over F_q, for uint8 arrays of symbol indices."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    if fld.q != 4:
+        return (a @ b % fld.q).astype(np.uint8)
+    # (a0 + a1 w)(b0 + b1 w) = (a0 b0 + a1 b1) + (a0 b1 + a1 b0 + a1 b1) w
+    a0, a1, b0, b1 = a & 1, a >> 1, b & 1, b >> 1
+    p11 = a1 @ b1
+    c0 = (a0 @ b0 + p11) & 1
+    c1 = (a0 @ b1 + a1 @ b0 + p11) & 1
+    return (c0 | c1 << 1).astype(np.uint8)
+
+
+def _in_span(code: FieldCode, g, words) -> bool:
+    """True if every row of `words` lies in the code: w = w[pivots]*G."""
+    coeffs = words[:, list(code.pivots)]
+    return not (words != _matmul(code.field, coeffs, g)).any()
+
+
 def is_euclidean_self_dual(code: FieldCode) -> bool:
     """dim = n/2 and all generator pairs orthogonal under the plain dot
     product (no conjugation; over F_4 this is the Euclidean form)."""
     if code.n % 2 or code.k != code.n // 2:
         return False
-    fld = code.field
-    rows = code.rows
-    for i in range(len(rows)):
-        ri = rows[i]
-        for j in range(i, len(rows)):
-            rj = rows[j]
-            acc = 0
-            for a, b in zip(ri, rj):
-                acc = fld.add(acc, fld.mul(a, b))
-            if acc:
-                return False
-    return True
-
-
-def rotate_right(row, step: int):
-    step %= len(row)
-    return row[-step:] + row[:-step] if step else tuple(row)
+    g = _matrix(code)
+    return not _matmul(code.field, g, g.T).any()
 
 
 def is_shift_invariant(code: FieldCode, step: int) -> bool:
     """True if shifting every coordinate forward by `step` preserves the code."""
-    return all(code.contains(rotate_right(r, step)) for r in code.rows)
+    g = _matrix(code)
+    return _in_span(code, g, np.roll(g, step, axis=1))
 
 
 def expand(rc) -> FieldCode:

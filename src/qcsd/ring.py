@@ -251,8 +251,11 @@ class ResidueField:
 
     Elements are the (p-1)-coefficient tuples that `RingSpec.mod_phi`
     returns and `CrtPair.evalphi` holds.  Products go through the ring,
-    so no table grows past the element list; the inverse of a is
-    a^(|K| - 2) in this field K.  Conjugation is the map induced by
+    so no table grows past the element list.  The Frobenius a -> a^q sends
+    Y^i to Y^(iq mod p), so it permutes coefficients, and inverses follow
+    Itoh and Tsujii: a^(-1) = a^(r-1) * N(a)^(-1) with r = (|K| - 1)/(q - 1),
+    where a^(r-1) is the product of the Frobenius images a^(q^i), i = 1..p-2,
+    and the norm N(a) = a^r lies in F_q.  Conjugation is the map induced by
     Y -> Y^(-1).
     """
 
@@ -262,6 +265,9 @@ class ResidueField:
         self.zero = (0,) * (sp.m - 1)
         self.one = (1,) + (0,) * (sp.m - 2)
         self._elements = None
+        # a^q has at Y^j the coefficient of Y^(j/q mod p), before mod_phi
+        q_inv = pow(sp.q, -1, sp.m)
+        self._frobenius_from = tuple(j * q_inv % sp.m for j in range(sp.m))
         # coefficient-wise, exactly as on ring elements
         self.add, self.sub, self.neg = sp.add, sp.sub, sp.neg
 
@@ -275,17 +281,21 @@ class ResidueField:
         sp = self.ring
         return sp.mod_phi(sp.mul(a + (0,), b + (0,)))
 
+    def _frobenius(self, a):
+        """a^q: the coefficient of Y^i moves to Y^(iq mod p)."""
+        a = a + (0,)
+        return self.ring.mod_phi(tuple(a[i] for i in self._frobenius_from))
+
     def inv(self, a):
-        """a^(|K| - 2), by square-and-multiply."""
+        """a^(r-1) * N(a)^(-1), from p - 3 products of Frobenius images."""
         if not any(a):
             raise ZeroDivisionError("zero has no inverse in F_q[Y]/Phi_p")
-        out, e = self.one, self.q - 2
-        while e:
-            if e & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return out
+        part, image = self.one, a  # a^(r-1) = 1 when p = 2, where K = F_q
+        for i in range(self.ring.m - 2):
+            image = self._frobenius(image)
+            part = self.mul(part, image) if i else image
+        fld = self.ring.field
+        return self.ring.scalar_mul(fld.inv(self.mul(a, part)[0]), part)
 
     def conj(self, a):
         sp = self.ring

@@ -228,6 +228,20 @@ def test_checkpoint_rejects_other_ring(tmp_path):
         classify(ring(2, 5), 2, checkpoint_path=ck, resume=True)
 
 
+def test_checkpoint_records_budget_and_version_and_refuses_other_versions(
+    tmp_path, monkeypatch
+):
+    module = importlib.import_module("qcsd.classify")
+    ck = tmp_path / "checkpoint.jsonl"
+    classify(ring(2, 3), 2, candidate_budget=1000, checkpoint_path=str(ck))
+    header = json.loads(ck.read_text().splitlines()[0])
+    assert header["candidate_budget"] == 1000
+    assert header["version"] == module.__version__
+    monkeypatch.setattr(module, "__version__", "0.0.0")
+    with pytest.raises(ValueError, match="version '0.1.0', not '0.0.0'"):
+        classify(ring(2, 3), 4, checkpoint_path=str(ck), resume=True)
+
+
 def test_classify_refuses_out_of_scope_rings():
     with pytest.raises(UnsupportedCase, match="3 mod 4"):
         classify(ring(3, 5), 4)

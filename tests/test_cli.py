@@ -254,6 +254,19 @@ def test_classify_budget_exceeded(capsys):
     assert code == BUDGET_EXCEEDED
 
 
+def test_classify_resumes_with_a_larger_budget(capsys, tmp_path):
+    out_dir = str(tmp_path / "cls")
+    args = ["classify", "--q", "2", "--m", "3", "--ell", "6", "--out", out_dir]
+    code, out, err = run(capsys, *args, "--budget", "20")
+    assert code == BUDGET_EXCEEDED  # levels 2 and 4 take 13 candidates
+    ck = os.path.join(out_dir, "checkpoint.jsonl")
+    code, out, err = run(capsys, *args, "--resume", ck, "--budget", "1000")
+    assert code == OK
+    assert out.splitlines()[0] == "3 classes"
+    with open(os.path.join(out_dir, "run.json")) as fh:
+        assert json.load(fh)["stats"]["candidates"] == 240  # level 6 only
+
+
 def test_equiv_exit_codes(capsys, tmp_path):
     a = tmp_path / "a.rc"
     a.write_text("2 3 2 1\n1,0,0 | 0,0,1\n")

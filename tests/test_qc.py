@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import random_self_dual
 from qcsd.gf import FIELD_SIZES, field
 from qcsd.qc import (
     FieldCode,
@@ -12,7 +14,6 @@ from qcsd.qc import (
     gray_image,
     is_euclidean_self_dual,
     is_shift_invariant,
-    rotate_right,
     rref,
 )
 from qcsd.rcode import RingCode
@@ -111,12 +112,6 @@ def test_euclidean_self_dual_literals():
     assert not is_euclidean_self_dual(FieldCode(field(4), 2, [(1, 2)]))
 
 
-def test_rotate_right():
-    assert rotate_right((1, 2, 3, 4), 1) == (4, 1, 2, 3)
-    assert rotate_right((1, 2, 3, 4), 0) == (1, 2, 3, 4)
-    assert rotate_right((1, 2, 3, 4), 6) == (3, 4, 1, 2)
-
-
 def test_shift_invariance():
     f = field(2)
     cyclic = FieldCode(f, 4, [(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
@@ -126,6 +121,101 @@ def test_shift_invariance():
     assert not is_shift_invariant(half_cyclic, 1)
     assert is_shift_invariant(half_cyclic, 2)
     assert not is_shift_invariant(FieldCode(f, 4, [(1, 1, 0, 0)]), 2)
+
+
+def _dot(fld, a, b):
+    acc = 0
+    for x, y in zip(a, b):
+        acc = fld.add(acc, fld.mul(x, y))
+    return acc
+
+
+def _reference_contains(code, word):
+    """Reduce the word against the RREF rows, one field operation per symbol."""
+    fld = code.field
+    w = list(word)
+    for piv, row in zip(code.pivots, code.rows):
+        c = w[piv]
+        w = [fld.sub(a, fld.mul(c, b)) for a, b in zip(w, row)]
+    return not any(w)
+
+
+def _reference_self_dual(code):
+    rows = code.rows
+    return 2 * code.k == code.n and all(
+        _dot(code.field, a, b) == 0 for a in rows for b in rows
+    )
+
+
+def _rotate(word, step):
+    """Shift every coordinate forward by `step`."""
+    step %= len(word)
+    return tuple(word[-step:]) + tuple(word[:-step])
+
+
+def _reference_shift_invariant(code, step):
+    return all(_reference_contains(code, _rotate(r, step)) for r in code.rows)
+
+
+@st.composite
+def codes_steps_words(draw):
+    """A code over F_q (k = 0 and odd n included), a shift and words to test:
+    random words, codewords and codewords with one symbol changed.  Half of
+    the codes are closed under the shift, so both answers occur."""
+    q = draw(st.sampled_from(FIELD_SIZES))
+    n = draw(st.integers(1, 9))
+    fld = field(q)
+    vectors = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(vectors, max_size=4))
+    step = draw(st.integers(0, 2 * n))
+    if rows and draw(st.booleans()):
+        rows = [_rotate(r, i * step) for r in rows for i in range(n)]
+    code = FieldCode(fld, n, rows)
+    words = draw(st.lists(vectors, max_size=3))
+    for coeffs in draw(st.lists(st.lists(st.integers(0, q - 1), min_size=code.k,
+                                         max_size=code.k), max_size=3)):
+        word = [0] * n
+        for c, row in zip(coeffs, code.rows):
+            word = [fld.add(a, fld.mul(c, b)) for a, b in zip(word, row)]
+        words.append(tuple(word))
+        j = draw(st.integers(0, n - 1))
+        word[j] = fld.add(word[j], draw(st.integers(1, q - 1)))
+        words.append(tuple(word))
+    return code, step, words
+
+
+@settings(max_examples=400, deadline=None)
+@given(codes_steps_words())
+@example((FieldCode(field(3), 4, []), 1, [(0, 0, 0, 0), (0, 2, 0, 0)]))
+@example((FieldCode(field(5), 3, [(1, 2, 0)]), 2, [(2, 4, 0), (1, 1, 1)]))
+def test_predicates_agree_with_field_arithmetic(case):
+    code, step, words = case
+    assert is_euclidean_self_dual(code) is _reference_self_dual(code)
+    assert is_shift_invariant(code, step) is _reference_shift_invariant(code, step)
+    for word in words:
+        assert code.contains(word) is _reference_contains(code, word)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3, 4), (2, 5, 2), (4, 3, 4), (3, 5, 4), (5, 3, 2)]),
+    st.randoms(use_true_random=False),
+)
+def test_self_dual_expansions_pass_the_predicates(case, rnd):
+    q, m, ell = case
+    code = random_self_dual(q, m, ell, rnd).expansion()
+    assert _reference_self_dual(code) and is_euclidean_self_dual(code)
+    assert _reference_shift_invariant(code, ell) and is_shift_invariant(code, ell)
+    assert all(code.contains(_rotate(r, ell)) for r in code.rows)
+
+
+def test_f4_self_duality_is_euclidean_not_hermitian():
+    f4 = field(4)
+    one_w = (1, 2)  # [1, w]: 1 + w*conj(w) = 1 + w^3 = 0, but 1 + w^2 = w
+    assert _dot(f4, one_w, tuple(f4.mul(x, x) for x in one_w)) == 0
+    assert _dot(f4, one_w, one_w) != 0
+    assert not is_euclidean_self_dual(FieldCode(f4, 2, [one_w]))
+    assert is_euclidean_self_dual(FieldCode(f4, 2, [(1, 1)]))
 
 
 def test_expand_collapse_roundtrip_exhaustive_single_generator():
