@@ -28,11 +28,12 @@ merges classes that the block-preserving equivalence keeps apart:
   functional offsets t compatible with <x, x> = -1;
 * a block map g with g(C) = C gives extend_i(C, c, g(x)) =
   (id + g)(extend_i(C, c, x)), so the witnesses x of one base matter only
-  up to the base's block automorphism group.  The group's generators come
-  from one search per base class; a candidate whose expansion already lies
-  in the orbit of an earlier one under those generators, lifted to the two
-  new blocks, is skipped before its fingerprint.  The first candidate of
-  each class is the first of its orbit, so representatives and trails are
+  up to the base's block automorphism group, whose generators come from
+  one search per base class.  As extend_i(C, c, x) = extend_i(C, c, x')
+  exactly when x' - x lies in C and <x' - x, x> = 0, x is fixed by its key
+  (x0, t) (below), and the generators act on keys.  Only the first witness
+  of each key orbit is extended, expanded and fingerprinted; it is the
+  first of its class among the orbit, so representatives and trails are
   those of the unpruned search.
 
 Level 2 is the seeds [1 | c], and `buildup.seed` returns its classes.
@@ -50,22 +51,21 @@ self-dual codes over the two idempotent components.  Exhaustive runs have
 q = 2 or q = 5 (q = 4 is never primitive modulo an odd prime, and q = 3 is
 3 mod 4), and both have closed forms.
 
-Cosets are enumerated in the two components of R = F_q x K, K = F_q[Y]/Phi
-(Ling and Sole): a self-dual base is a Euclidean self-dual code over F_q,
-eval1 of its rows, times a Hermitian self-dual code over K, mod_phi of its
-rows, and the pairing <u, v> has the components sum eval1(u_j)*eval1(v_j)
-and sum mod_phi(u_j)*conj(mod_phi(v_j)).  A coset of the base is a pair of
-cosets of the component codes; `rcode.component_forms` echelonises both, and
-the representative x0 carries free values on the non-pivot columns of each
-and zeros on the pivots.  The pairing values, the offsets t and the
-particular solution x = x0 + a*r + b*r' are all computed per component, and
-crt_combine assembles x; only the final check <x, x> = -1 multiplies in R.
-The standard form starts from the same component forms.
+Witnesses live in the two components of R = F_q x K, K = F_q[Y]/Phi (Ling
+and Sole): a self-dual base is a Euclidean self-dual code over F_q, eval1
+of its rows, times a Hermitian self-dual code over K, mod_phi of its rows,
+and <u, v> has the components sum eval1(u_j)*eval1(v_j) and
+sum mod_phi(u_j)*conj(mod_phi(v_j)).  `rcode.component_forms` echelonises
+both; x0 is x reduced against them, zero on their pivots, and
+t = <x - x0, x0>.  Keys, offsets, the particular solution x and the block
+maps (x_j goes to coordinate j' times gamma*Y^s) are all worked per
+component, and crt_combine assembles x; only the final check <x, x> = -1
+multiplies in R.  The standard form starts from the same component forms.
 """
 
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 import json
 import math
 import os
@@ -80,7 +80,6 @@ from .buildup import extend_i, norm_minus_one_elements
 from .equiv import (
     ClassStore,
     CodeFingerprint,
-    apply_monomial,
     automorphism_group,
     fingerprint,
 )
@@ -149,16 +148,15 @@ class ClassifiedCode:
 class RunStats:
     """Counters of one run.
 
-    `candidates` counts every generated candidate; at level 2 that is one
-    seed [1 | c] per orbit representative c in `c_reps`, not every c with
-    c*conj(c) = -1.  `exact_duplicates` counts the candidates skipped before
-    fingerprinting because their expansion is the image of an earlier
-    candidate under the automorphisms of that candidate's base, lifted to
-    the longer length; a repeat of an earlier candidate's code is one such
-    image.  `mass_per_level` holds, per level, the mass sum of
-    |G_ell| / |Aut_G(C)| over the ring classes, checked against the
-    closed-form count of self-dual codes; it is recorded at every level of
-    every exhaustive run."""
+    `candidates` counts every generated candidate, pruned or not: every
+    witness (c, x) of every base, and at level 2 one seed [1 | c] per orbit
+    representative c in `c_reps`, not every c with c*conj(c) = -1.
+    `exact_duplicates` counts the witnesses pruned before their extension
+    because the key of x lies in the orbit of an earlier witness's key under
+    the block automorphisms of their base.  `mass_per_level` holds, per
+    level, the mass sum of |G_ell| / |Aut_G(C)| over the ring classes,
+    checked against the closed-form count of self-dual codes; it is recorded
+    at every level of every exhaustive run."""
 
     candidates: int = 0
     exact_duplicates: int = 0
@@ -221,83 +219,141 @@ def _norm_minus_one_orbit_reps(sp: RingSpec):
     return reps
 
 
-def _dot(fld, us, vs):
-    acc = fld.zero
-    for u, v in zip(us, vs):
-        acc = fld.add(acc, fld.mul(u, v))
-    return acc
+def _ring_maps(sp: RingSpec, generators, ell: int):
+    """Block automorphisms of a length-ell code, read as maps of R^ell: the
+    pair (j', u) at j sends x_j to coordinate j' = perm[j] % ell times the
+    unit u = scalars[j] * Y^(perm[j] // ell).  The expansion holds Y^i of
+    coordinate j at i*ell + j, and a block map moves whole blocks."""
+    return tuple(
+        tuple(
+            (p % ell, sp.scalar_mul(scalars[j], sp.shift(sp.one, p // ell)))
+            for j, p in enumerate(perm[:ell])
+        )
+        for perm, scalars in generators
+    )
 
 
-def _iter_extension_witnesses(base: RingCode, c_reps, lo: int, hi: int):
-    """Extension witnesses (c, x) for the cosets [lo, hi) of the base.
+class _Component:
+    """One factor of R = F_q x K, as the witnesses of a base see it: the
+    field and its conjugation, the base rows split into it, and the echelon
+    `form` of the base's component code, whose free columns carry x0."""
+
+    def __init__(self, base: RingCode, form, fld, conj, split, maps):
+        self.fld, self.conj, self.ell = fld, conj, base.ell
+        self.free = [j for j in range(base.ell) if j not in form]
+        self.rows = [[split(e) for e in r] for r in base.rows]
+        # x0 vanishes on the pivot columns, so its pairings and its images
+        # under the maps run over the free ones
+        self.free_rows = [[r[j] for j in self.free] for r in self.rows]
+        self.pivots = [(p, [row[j] for j in self.free]) for p, row in form.items()]
+        self.acts = [[(g[j][0], split(g[j][1])) for j in self.free] for g in maps]
+        # the offsets t by the value of t + conj(t)
+        self.fibers: dict = {}
+        for z in fld.elements():
+            self.fibers.setdefault(fld.add(z, conj(z)), []).append(z)
+
+    def pair(self, us, vs):
+        fld = self.fld
+        acc = fld.zero
+        for u, v in zip(us, vs):
+            acc = fld.add(acc, fld.mul(u, self.conj(v)))
+        return acc
+
+    def offsets(self, w):
+        """For the x0 with free values w: the pairings <r, x0> of the base
+        rows, and the offsets t with t + conj(t) = -1 - <x0, x0>, only
+        t = 0 when every pairing vanishes."""
+        fld = self.fld
+        pairings = [self.pair(r, w) for r in self.free_rows]
+        ts = self.fibers.get(fld.sub(fld.neg(fld.one), self.pair(w, w)), [])
+        if all(v == fld.zero for v in pairings):
+            ts = [t for t in ts if t == fld.zero]
+        return pairings, ts
+
+    def witness(self, w, pairings, t):
+        """x = x0 + a*r, with r the first base row that pairs nonzero with
+        x0 and a chosen so that <x - x0, x0> = t."""
+        fld = self.fld
+        x = [fld.zero] * self.ell
+        for j, v in zip(self.free, w):
+            x[j] = v
+        if t != fld.zero:
+            i = next(i for i, v in enumerate(pairings) if v != fld.zero)
+            a = fld.mul(t, fld.inv(pairings[i]))
+            x = [fld.add(v, fld.mul(a, u)) for v, u in zip(x, self.rows[i])]
+        return x
+
+    def image(self, w, t, act):
+        """The key of g(x) in this factor, from the key (x0, t) of x: with
+        g(x0) = x0' + d, d in the component code and x0' zero on the pivots,
+        it is (x0', t + <d, g(x0)>), as g preserves the pairing and the
+        code."""
+        fld = self.fld
+        y = [fld.zero] * self.ell
+        for (j, a), v in zip(act, w):
+            y[j] = fld.mul(a, v)
+        zero = fld.zero
+        z = [y[f] for f in self.free]
+        for p, row in self.pivots:
+            a = y[p]
+            if a != zero:
+                t = fld.add(t, fld.mul(a, self.conj(a)))
+                z = [
+                    v if r == zero else fld.sub(v, fld.mul(a, r))
+                    for v, r in zip(z, row)
+                ]
+        for f, v in zip(self.free, z):
+            if y[f] != v:
+                t = fld.add(t, fld.mul(fld.sub(y[f], v), self.conj(y[f])))
+        return tuple(z), t
+
+
+def _iter_extension_witnesses(base: RingCode, c_reps, maps):
+    """Extension witnesses (c, x) of the base, in witness order, with None
+    in place of each pruned one.
 
     Complete per base class: x runs over one representative per coset of
     the base code, and within a coset over one x per attainable pairing
-    offset t with <x, x> = -1.  Everything before the final check of
-    <x, x> = -1 runs in the two component fields (see the module docstring).
-    """
+    offset t with <x, x> = -1.  A witness is pruned when its key (x0, t)
+    lies in the orbit of an earlier key under the base's block
+    automorphisms, given as `_ring_maps`."""
     sp = base.spec
-    fld, kf = sp.field, sp.residue_field()
-    ell, k = base.ell, base.ell // 2
+    kf = sp.residue_field()
     forms = component_forms(base)
-    if any(len(form) != k for form in forms):
+    if any(len(form) != base.ell // 2 for form in forms):
         raise ValueError("base code components are not half-dimensional")
-    free1, free2 = ([j for j in range(ell) if j not in form] for form in forms)
-    rows1 = [[sp.eval1(e) for e in r] for r in base.rows]
-    rows2 = [[sp.mod_phi(e) for e in r] for r in base.rows]
-    # x0 vanishes on the pivot columns, so its pairings run over the free ones
-    free_rows1 = [[r[j] for j in free1] for r in rows1]
-    free_rows2 = [[r[j] for j in free2] for r in rows2]
+    comps = (
+        _Component(base, forms[0], sp.field, lambda a: a, sp.eval1, maps),
+        _Component(base, forms[1], kf, kf.conj, sp.mod_phi, maps),
+    )
     minus1 = sp.neg(sp.one)
-    half = fld.inv(2 % sp.q) if sp.q % 2 else None
-    fibers: dict = {}
-    cosets = product(product(range(sp.q), repeat=k), product(kf.elements(), repeat=k))
-    for w1, w2 in islice(cosets, lo, hi):
-        w2bar = [kf.conj(v) for v in w2]
-        t1s = [_dot(fld, r, w1) for r in free_rows1]
-        tps = [_dot(kf, r, w2bar) for r in free_rows2]
-        # t + conj(t) = -1 - <x0, x0> per component; conjugation is trivial
-        # on F_q, where it reads 2*t1 = tau1
-        tau1 = fld.sub(fld.minus_one, _dot(fld, w1, w1))
-        tauphi = kf.sub(kf.neg(kf.one), _dot(kf, w2, w2bar))
-        i1 = next((i for i, v in enumerate(t1s) if v != 0), None)
-        ip = next((i for i, v in enumerate(tps) if v != kf.zero), None)
-        if half is not None:
-            t1_list = [fld.mul(tau1, half)]
-        else:
-            t1_list = range(sp.q) if tau1 == 0 else []
-        if i1 is None:
-            t1_list = [t for t in t1_list if t == 0]
-        if ip is None:
-            tp_list = [kf.zero] if tauphi == kf.zero else []
-        else:
-            if tauphi not in fibers:
-                fibers[tauphi] = [
-                    z for z in kf.elements() if kf.add(z, kf.conj(z)) == tauphi
-                ]
-            tp_list = fibers[tauphi]
-        x01 = [0] * ell
-        x02 = [kf.zero] * ell
-        for j, v in zip(free1, w1):
-            x01[j] = v
-        for j, v in zip(free2, w2):
-            x02[j] = v
-        for t1 in t1_list:
-            # x = x0 + a*row_i1 + b*row_ip, with a and b in the components
-            x1 = x01
-            if t1 != 0:
-                a = fld.mul(t1, fld.inv(t1s[i1]))
-                x1 = [fld.add(v, fld.mul(a, u)) for v, u in zip(x01, rows1[i1])]
-            for tp in tp_list:
-                x2 = x02
-                if tp != kf.zero:
-                    b = kf.mul(tp, kf.inv(tps[ip]))
-                    x2 = [kf.add(v, kf.mul(b, u)) for v, u in zip(x02, rows2[ip])]
-                x = tuple(sp.crt_combine(CrtPair(u, v)) for u, v in zip(x1, x2))
-                if sp.hermitian_ip(x, x) != minus1:
-                    raise RuntimeError("witness construction lost <x, x> = -1")
+    seen: set = set()
+    for ws in product(*(product(c.fld.elements(), repeat=len(c.free)) for c in comps)):
+        offs = [comp.offsets(w) for comp, w in zip(comps, ws)]
+        for ts in product(*(o[1] for o in offs)):
+            key = tuple(zip(ws, ts))
+            if key in seen:
                 for c in c_reps:
-                    yield c, x
+                    yield None
+                continue
+            # the first key of its orbit: search the orbit breadth-first
+            seen.add(key)
+            orbit = [key]
+            for current in orbit:
+                for i in range(len(maps)):
+                    other = tuple(
+                        comp.image(w, t, comp.acts[i])
+                        for comp, (w, t) in zip(comps, current)
+                    )
+                    if other not in seen:
+                        seen.add(other)
+                        orbit.append(other)
+            parts = [c.witness(w, o[0], t) for c, w, o, t in zip(comps, ws, offs, ts)]
+            x = tuple(sp.crt_combine(CrtPair(u, v)) for u, v in zip(*parts))
+            if sp.hermitian_ip(x, x) != minus1:
+                raise RuntimeError("witness construction lost <x, x> = -1")
+            for c in c_reps:
+                yield c, x
 
 
 def _trail_step(c, x) -> dict:
@@ -306,91 +362,53 @@ def _trail_step(c, x) -> dict:
 
 def _seed_candidates(spec: RingSpec, c_reps):
     for c in c_reps:
-        code = RingCode(spec, 2, [(spec.one, c)])
-        trail = ({"kind": "seed", "c": list(c)},)
-        yield code, trail, ()
-
-
-def _constructive_witnesses(base: RingCode, c_reps, samples: int, rng):
-    """Non-exhaustive witness sampling for rings outside the classification
-    hypotheses that still support the two-column extension."""
-    sp = base.spec
-    minus1 = sp.neg(sp.one)
-    found = 0
-    attempts = 0
-    while found < samples and attempts < samples * 200:
-        attempts += 1
-        x = tuple(
-            tuple(rng.randrange(sp.q) for _ in range(sp.m))
-            for _ in range(base.ell)
-        )
-        if sp.hermitian_ip(x, x) != minus1:
-            continue
-        found += 1
-        for c in c_reps:
-            yield c, x
+        yield RingCode(spec, 2, [(spec.one, c)]), ({"kind": "seed", "c": list(c)},)
 
 
 def _constructive_candidates(bases, c_reps, samples: int, rng):
+    """Non-exhaustive witness sampling for rings outside the classification
+    hypotheses that still support the two-column extension."""
     for base_cc in bases:
-        base = base_cc.code
-        for c, x in _constructive_witnesses(base, c_reps, samples, rng):
-            yield extend_i(base, c, x), base_cc.trail + (_trail_step(c, x),), ()
+        base, sp = base_cc.code, base_cc.code.spec
+        minus1 = sp.neg(sp.one)
+        found = attempts = 0
+        while found < samples and attempts < samples * 200:
+            attempts += 1
+            x = tuple(
+                tuple(rng.randrange(sp.q) for _ in range(sp.m))
+                for _ in range(base.ell)
+            )
+            if sp.hermitian_ip(x, x) != minus1:
+                continue
+            found += 1
+            for c in c_reps:
+                yield extend_i(base, c, x), base_cc.trail + (_trail_step(c, x),)
 
 
-def _extension_chunk(args):
-    """The extensions of one base by its witnesses [lo, hi), as (rows, trail
-    step) pairs: plain data, so that a worker process can return them."""
-    q, m, ell, base_rows, c_reps, lo, hi = args
+def _extend_base(args):
+    """The extensions of one base by its witnesses, as (rows, trail) pairs
+    and None for each pruned witness: plain data, so that a worker process
+    can return them."""
+    q, m, ell, base_rows, trail, c_reps, maps = args
     base = RingCode(ring(q, m), ell, base_rows)
     return [
-        (extend_i(base, c, x).rows, _trail_step(c, x))
-        for c, x in _iter_extension_witnesses(base, c_reps, lo, hi)
+        None if w is None else (extend_i(base, *w).rows, trail + (_trail_step(*w),))
+        for w in _iter_extension_witnesses(base, c_reps, maps)
     ]
 
 
-def _extension_candidates(
-    spec: RingSpec, bases, lifted, c_reps, workers: int, chunk_map
-):
-    """Every extension of every base, in witness order, each with its base's
-    automorphisms lifted to the longer length (`lifted`, one tuple per
-    base).  Each base's witness range is cut into chunks that `chunk_map`
-    (the builtin map, or a process pool's) hands to _extension_chunk."""
-    for base_cc, gens in zip(bases, lifted):
-        base = base_cc.code
-        total = (spec.q * spec.residue_field().q) ** (base.ell // 2)
-        step = max(1, -(-total // (workers * 4)))
-        args = [
-            (spec.q, spec.m, base.ell, base.rows, c_reps, lo, min(lo + step, total))
-            for lo in range(0, total, step)
-        ]
-        for chunk in chunk_map(_extension_chunk, args):
-            for rows, trail_step in chunk:
-                yield (
-                    RingCode(spec, base.ell + 2, rows),
-                    base_cc.trail + (trail_step,),
-                    gens,
-                )
-
-
-def _lift(generators, m: int, ell: int):
-    """Block maps of a length-ell code, as maps of length ell + 2 that fix
-    the two new leading blocks: base position i*ell + j goes to
-    i*(ell + 2) + j + 2."""
-
-    def pos(p):
-        i, j = divmod(p, ell)
-        return i * (ell + 2) + j + 2
-
-    n = m * (ell + 2)
-    out = []
-    for perm, scalars in generators:
-        lifted_perm, lifted_scalars = list(range(n)), [1] * n
-        for p in range(m * ell):
-            lifted_perm[pos(p)] = pos(perm[p])
-            lifted_scalars[pos(p)] = scalars[p]
-        out.append((tuple(lifted_perm), tuple(lifted_scalars)))
-    return tuple(out)
+def _extension_candidates(spec: RingSpec, ell, bases, maps, c_reps, task_map):
+    """Every extension to length ell of every base, in witness order, with
+    None for each witness pruned by its base's automorphisms (`maps`, one
+    tuple of `_ring_maps` per base).  `task_map` (the builtin map, or a
+    process pool's) runs _extend_base once per base."""
+    tasks = [
+        (spec.q, spec.m, ell - 2, cc.code.rows, cc.trail, c_reps, gens)
+        for cc, gens in zip(bases, maps)
+    ]
+    for results in task_map(_extend_base, tasks):
+        for item in results:
+            yield None if item is None else (RingCode(spec, ell, item[0]), item[1])
 
 
 def _check_mass(spec: RingSpec, ell: int, aut_orders, stats: RunStats):
@@ -529,10 +547,11 @@ def classify(
     pass constructive=True to run a sampled, non-exhaustive search instead
     of refusing when only the exhaustiveness hypotheses fail.
 
-    With workers > 1, a pool of that many processes generates the witnesses
-    of the exhaustive levels and applies the extensions, and nothing else:
-    expansions, fingerprints and deduplication run in the calling process,
-    in witness order, so the result does not depend on `workers`."""
+    With workers > 1, a pool of that many processes handles the exhaustive
+    levels one base class per task: it generates and prunes the base's
+    witnesses and applies the extensions, and nothing else.  Expansions,
+    fingerprints and deduplication run in the calling process, in witness
+    order, so the result does not depend on `workers`."""
     if target_ell < 2 or target_ell % 2:
         raise ValueError(f"classification targets positive even lengths, got {target_ell}")
     exhaustive = (
@@ -573,16 +592,16 @@ def classify(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-    chunk_map = map if pool is None else pool.map
+    task_map = map if pool is None else pool.map
     try:
-        lifted: list = []
+        maps: list = []
         for ell in range(2, target_ell + 1, 2):
             if ell not in levels:
                 if ell == 2:
                     cands = _seed_candidates(spec, c_reps)
                 elif exhaustive:
                     cands = _extension_candidates(
-                        spec, levels[ell - 2], lifted, c_reps, workers, chunk_map
+                        spec, ell, levels[ell - 2], maps, c_reps, task_map
                     )
                 else:
                     cands = _constructive_candidates(
@@ -618,7 +637,7 @@ def classify(
                     for cc in levels[ell]
                 ]
                 _check_mass(spec, ell, [g.order for g in groups], stats)
-                lifted = [_lift(g.generators, spec.m, ell) for g in groups]
+                maps = [_ring_maps(spec, g.generators, ell) for g in groups]
     finally:
         if pool is not None:
             pool.shutdown()
@@ -636,45 +655,24 @@ def classify(
     )
 
 
-def _orbit_keys(code: FieldCode, maps):
-    """Keys of every image of `code` under the group the monomial `maps`
-    generate, by breadth-first search."""
-    keys = {code.key()}
-    frontier = [code]
-    while frontier:
-        current = frontier.pop()
-        for perm, scalars in maps:
-            image = apply_monomial(current, perm, scalars)
-            key = image.key()
-            if key not in keys:
-                keys.add(key)
-                frontier.append(image)
-    return keys
-
-
 def _dedup_level(spec, ell, cands, stats, candidate_budget, progress):
-    """Stream (code, trail, lifted base automorphisms) candidates into
-    structure-preserving equivalence classes; returns the representatives in
-    order of first appearance.
-
-    A candidate whose expansion lies in the orbit of an earlier candidate
-    under that candidate's lifted base automorphisms is skipped before its
-    fingerprint: it is a block image of a code already sorted, so it adds no
-    class, and the first candidate of each class is never skipped."""
-    orbits = set()
+    """Stream (code, trail) candidates into structure-preserving
+    equivalence classes; returns the representatives in order of first
+    appearance.  A None candidate is a witness pruned as the orbit image of
+    an earlier one of the same base: it counts, but adds no class."""
     store = ClassStore(qc_blocks=(spec.m, ell))
     reps: list[ClassifiedCode] = []
-    for code, trail, maps in cands:
+    for cand in cands:
         stats.candidates += 1
         if stats.candidates > candidate_budget:
             raise BudgetExceeded(
                 "classification candidates", stats.candidates, candidate_budget
             )
-        exp = code.expansion()
-        if exp.key() in orbits:
+        if cand is None:
             stats.exact_duplicates += 1
             continue
-        orbits |= _orbit_keys(exp, maps)
+        code, trail = cand
+        exp = code.expansion()
         fp = fingerprint(exp)
         if store.add(exp, fp):
             reps.append(ClassifiedCode(code, exp, fp, trail))

@@ -427,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=DEFAULT_CANDIDATE_BUDGET,
                    help="candidate budget")
     p.add_argument("--workers", type=int, default=1,
-                   help="processes that generate extension witnesses; "
-                   "results do not depend on it")
+                   help="processes that prune and extend the witnesses, one "
+                   "base class per task; results do not depend on it")
     p.add_argument("--resume", metavar="CHECKPOINT", default=None,
                    help="checkpoint file to resume from (and keep writing)")
     p.add_argument("--out", metavar="DIR", default=None)

@@ -6,13 +6,14 @@ shift by ell.  The correspondence reads coordinate i*ell + j as the
 Y^i coefficient of ring coordinate j, so shifting by ell is exactly
 multiplication by Y.
 
-Self-duality, shift invariance and membership are decided by one matrix
-product over F_q, `_matmul`, on uint8 arrays of symbol indices: an int64
-product reduced mod q for prime q, and for F_4 a product of the two bit
-planes of the index (c0 + c1*w, w^2 = w + 1).  A code is Euclidean
-self-dual when k = n/2 and its Gram matrix G*G^T is zero.  Since G is in
-RREF, a word w lies in the code exactly when w = w[pivots]*G: the
-coefficients of w on the basis rows are its entries at the pivots.
+Self-duality and shift invariance are decided by one matrix product over
+F_q, `_matmul`, on uint8 arrays of symbol indices: an int64 product
+reduced mod q for prime q, and for F_4 a product of the two bit planes of
+the index (c0 + c1*w, w^2 = w + 1).  A code is Euclidean self-dual when
+k = n/2 and its Gram matrix G*G^T is zero.  It is shift invariant when
+its shifted rows lie in it; since G is in RREF, a word w lies in the code
+exactly when w = w[pivots]*G: the coefficients of w on the basis rows are
+its entries at the pivots.
 """
 
 from __future__ import annotations
@@ -121,9 +122,6 @@ class FieldCode:
         self.rows, self.pivots = rref(fld, n, rows)
         self.k = len(self.rows)
         self.cache: dict = {}
-
-    def contains(self, word) -> bool:
-        return _in_span(self, _matrix(self), np.array([word], dtype=np.uint8))
 
     def key(self) -> bytes:
         """Canonical bytes for the row space (dedup key)."""

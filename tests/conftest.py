@@ -71,6 +71,17 @@ def random_extension_ii(base, pairs, rng: random.Random):
             return extend_ii(base, alpha, beta, x1, x2)
 
 
+def reference_contains(code, word):
+    """Whether `word` lies in the field code: reduce it against the RREF
+    rows, one field operation per symbol."""
+    fld = code.field
+    w = list(word)
+    for piv, row in zip(code.pivots, code.rows):
+        c = w[piv]
+        w = [fld.sub(a, fld.mul(c, b)) for a, b in zip(w, row)]
+    return not any(w)
+
+
 def random_self_dual(q: int, m: int, target_ell: int, rng: random.Random):
     """A random self-dual code over F_q[Y]/(Y^m - 1) of the target length,
     built by random extension steps from a random seed."""

@@ -13,7 +13,7 @@ from qcsd.classify import (
     ClassificationRun,
     ClassifiedCode,
     RunStats,
-    _lift,
+    _ring_maps,
     classify,
     euclidean_self_dual_count,
     filter_report,
@@ -26,8 +26,9 @@ from qcsd.equiv import (
     automorphism_group,
     fingerprint,
 )
-from qcsd.errors import UnsupportedCase
+from qcsd.errors import BudgetExceeded, UnsupportedCase
 from qcsd.gf import field
+from qcsd.rcode import component_forms
 from qcsd.ring import ring
 
 from conftest import random_norm_minus_one_vector, random_self_dual
@@ -354,7 +355,7 @@ def test_mass_identity_mismatch_raises(monkeypatch):
             classify(ring(q, m), 2)
 
 
-@pytest.mark.parametrize("q, m, ell", [(2, 3, 6), (2, 5, 4), (5, 2, 4)])
+@pytest.mark.parametrize("q, m, ell", [(2, 3, 6), (2, 5, 4), (5, 2, 4), (5, 3, 4)])
 def test_witness_pruning_changes_no_answer(monkeypatch, q, m, ell):
     sp = ring(q, m)
     messages = []
@@ -411,6 +412,34 @@ def _generated_order(fld, generators, n):
     return len(seen)
 
 
+def _lift(generators, m: int, ell: int):
+    """Block maps of a length-ell code, as maps of length ell + 2 that fix
+    the two new leading blocks: base position i*ell + j goes to
+    i*(ell + 2) + j + 2."""
+
+    def pos(p):
+        i, j = divmod(p, ell)
+        return i * (ell + 2) + j + 2
+
+    n = m * (ell + 2)
+    out = []
+    for perm, scalars in generators:
+        lifted_perm, lifted_scalars = list(range(n)), [1] * n
+        for p in range(m * ell):
+            lifted_perm[pos(p)] = pos(perm[p])
+            lifted_scalars[pos(p)] = scalars[p]
+        out.append((tuple(lifted_perm), tuple(lifted_scalars)))
+    return tuple(out)
+
+
+def _apply_ring_map(sp, ring_map, x):
+    """x_j moves to coordinate j', multiplied by the unit u."""
+    image = [None] * len(x)
+    for entry, (target, unit) in zip(x, ring_map):
+        image[target] = sp.mul(unit, entry)
+    return tuple(image)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([(2, 3), (2, 5), (5, 2)]),
@@ -424,26 +453,109 @@ def test_block_automorphism_generators_lift_to_extensions(qm, ell, rng):
     exp = code.expansion()
     group = automorphism_group(exp, qc_blocks=(m, ell))
     square_one = [g for g in range(1, q) if sp.field.mul(g, g) == 1]
-    for perm, scalars in group.generators:
+    ring_maps = _ring_maps(sp, group.generators, ell)
+    block_units = {
+        sp.scalar_mul(g, sp.shift(sp.one, s)) for g in square_one for s in range(m)
+    }
+    assert len(ring_maps) == len(group.generators)
+    for (perm, scalars), ring_map in zip(group.generators, ring_maps):
         assert apply_monomial(exp, perm, scalars) == exp
         # block j goes to block perm[j] % ell, rotated by perm[j] // ell and
         # scaled by one square-one scalar
         for j in range(ell):
             shift, block = divmod(perm[j], ell)
-            assert scalars[j] in square_one
             for i in range(m):
                 assert perm[i * ell + j] == ((i + shift) % m) * ell + block
                 assert scalars[i * ell + j] == scalars[j]
+        assert sorted(target for target, _ in ring_map) == list(range(ell))
+        assert all(unit in block_units for _, unit in ring_map)
         (lifted,) = _lift([(perm, scalars)], m, ell)
         for _ in range(2):
             c = rng.choice(norm_minus_one_elements(sp))
             x = random_norm_minus_one_vector(sp, ell, rng)
-            moved = extend_i(code, c, _map_ring_vector(sp, x, perm, scalars))
-            assert moved.expansion() == apply_monomial(
+            # the ring map is the monomial map, read on R^ell
+            moved_x = _apply_ring_map(sp, ring_map, x)
+            assert moved_x == _map_ring_vector(sp, x, perm, scalars)
+            assert sp.hermitian_ip(moved_x, moved_x) == sp.hermitian_ip(x, x)
+            assert extend_i(code, c, moved_x).expansion() == apply_monomial(
                 extend_i(code, c, x).expansion(), *lifted
             )
     if group.order <= 2000:
         assert _generated_order(sp.field, group.generators, exp.n) == group.order
+
+
+def _reference_key(base, x):
+    """The witness key of x: per component, x reduced against the echelon
+    form of the base's component code (zero on its pivots) and
+    t = <x - x0, x0>."""
+    sp = base.spec
+    kf = sp.residue_field()
+    key = []
+    components = (
+        (sp.field, sp.eval1, lambda a: a),
+        (kf, sp.mod_phi, kf.conj),
+    )
+    for form, (fld, split, conj) in zip(component_forms(base), components):
+        y = [split(e) for e in x]
+        x0 = list(y)
+        for p, row in form.items():
+            a = x0[p]
+            x0 = [fld.sub(v, fld.mul(a, r)) for v, r in zip(x0, row)]
+        t = fld.zero
+        for u, v in zip(y, x0):
+            t = fld.add(t, fld.mul(fld.sub(u, v), conj(v)))
+        key.append((tuple(x0), t))
+    return tuple(key)
+
+
+def _random_codeword(sp, base, rng):
+    word = [sp.zero] * base.ell
+    for row in base.rows:
+        a = sp.element_from_index(rng.randrange(sp.q**sp.m))
+        word = [sp.add(w, sp.mul(a, e)) for w, e in zip(word, row)]
+    return word
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (2, 5), (5, 2), (5, 3)]),
+    st.sampled_from([2, 4]),
+    st.randoms(use_true_random=False),
+)
+def test_extensions_agree_exactly_when_witness_keys_agree(qm, ell, rng):
+    q, m = qm
+    sp = ring(q, m)
+    minus1 = sp.neg(sp.one)
+    base = random_self_dual(q, m, ell, rng)
+    c = rng.choice(norm_minus_one_elements(sp))
+    x = random_norm_minus_one_vector(sp, ell, rng)
+    others = [random_norm_minus_one_vector(sp, ell, rng)]
+    for _ in range(12):
+        # x + d for d in the base: same coset, and the same key exactly
+        # when <d, x> = 0, which s2*d1 - s1*d2 with s_i = <d_i, x> forces
+        d1 = _random_codeword(sp, base, rng)
+        d2 = _random_codeword(sp, base, rng)
+        s1, s2 = sp.hermitian_ip(d1, x), sp.hermitian_ip(d2, x)
+        d0 = [sp.sub(sp.mul(s2, u), sp.mul(s1, v)) for u, v in zip(d1, d2)]
+        for d in (d0, d1):
+            others.append(tuple(sp.add(u, v) for u, v in zip(x, d)))
+    key = _reference_key(base, x)
+    expansion = extend_i(base, c, x).expansion()
+    for other in others:
+        if sp.hermitian_ip(other, other) != minus1:
+            continue
+        same = extend_i(base, c, other).expansion() == expansion
+        assert same == (_reference_key(base, other) == key)
+
+
+@pytest.mark.parametrize("budget", [20, 100, 252])
+def test_candidate_budget_counts_every_witness(budget):
+    # (2, 3) to length 6 has 1 + 12 + 240 candidates, most of them pruned
+    with pytest.raises(BudgetExceeded) as exc:
+        classify(ring(2, 3), 6, candidate_budget=budget)
+    assert exc.value.required == budget + 1
+    assert exc.value.budget == budget
+    assert classify(ring(2, 3), 6, candidate_budget=253).stats.candidates == 253
 
 
 def test_workers_give_identical_results():
