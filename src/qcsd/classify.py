@@ -308,6 +308,24 @@ class _Component:
         return tuple(z), t
 
 
+def _key_orbit(comps, key):
+    """The orbit of a witness key under the base's block automorphisms,
+    searched breadth-first; each map acts on the key's part in each
+    component through `_Component.image`."""
+    orbit = [key]
+    found = {key}
+    for current in orbit:
+        for acts in zip(*(comp.acts for comp in comps)):
+            other = tuple(
+                comp.image(w, t, act)
+                for comp, act, (w, t) in zip(comps, acts, current)
+            )
+            if other not in found:
+                found.add(other)
+                orbit.append(other)
+    return orbit
+
+
 def _iter_extension_witnesses(base: RingCode, c_reps, maps):
     """Extension witnesses (c, x) of the base, in witness order, with None
     in place of each pruned one.
@@ -336,18 +354,7 @@ def _iter_extension_witnesses(base: RingCode, c_reps, maps):
                 for c in c_reps:
                     yield None
                 continue
-            # the first key of its orbit: search the orbit breadth-first
-            seen.add(key)
-            orbit = [key]
-            for current in orbit:
-                for i in range(len(maps)):
-                    other = tuple(
-                        comp.image(w, t, comp.acts[i])
-                        for comp, (w, t) in zip(comps, current)
-                    )
-                    if other not in seen:
-                        seen.add(other)
-                        orbit.append(other)
+            seen.update(_key_orbit(comps, key))
             parts = [c.witness(w, o[0], t) for c, w, o, t in zip(comps, ws, offs, ts)]
             x = tuple(sp.crt_combine(CrtPair(u, v)) for u, v in zip(*parts))
             if sp.hermitian_ip(x, x) != minus1:

@@ -29,7 +29,7 @@ from qcsd.equiv import (
 from qcsd.errors import BudgetExceeded, UnsupportedCase
 from qcsd.gf import field
 from qcsd.rcode import component_forms
-from qcsd.ring import ring
+from qcsd.ring import CrtPair, ring
 
 from conftest import random_norm_minus_one_vector, random_self_dual
 
@@ -546,6 +546,71 @@ def test_extensions_agree_exactly_when_witness_keys_agree(qm, ell, rng):
             continue
         same = extend_i(base, c, other).expansion() == expansion
         assert same == (_reference_key(base, other) == key)
+
+
+@pytest.mark.parametrize("q, m, ell", [(2, 3, 6), (5, 3, 4)])
+def test_witness_key_orbits_are_block_group_orbits(monkeypatch, q, m, ell):
+    """Every key orbit the witness search builds holds keys of witnesses,
+    is closed under each generator's `_Component.image`, which must agree
+    with the generator's ring map applied to a witness and keyed by the
+    reference, and has a size dividing the block group's order.  The
+    orbits partition the keys, and a witness is yielded exactly for the
+    first key of each."""
+    module = importlib.import_module("qcsd.classify")
+    key_orbit = module._key_orbit
+    built = []
+
+    def recording(comps, key):
+        orbit = key_orbit(comps, key)
+        built.append((comps, orbit))
+        return orbit
+
+    monkeypatch.setattr(module, "_key_orbit", recording)
+    sp = ring(q, m)
+    minus1 = sp.neg(sp.one)
+    for cc in classify(sp, ell - 2).classes:
+        base = cc.code
+        group = automorphism_group(base.expansion(), qc_blocks=(m, ell - 2))
+        maps = _ring_maps(sp, group.generators, ell - 2)
+        built.clear()
+        out = list(module._iter_extension_witnesses(base, (sp.one,), maps))
+        assert len(built) > 1
+        comps = built[0][0]
+
+        def production_key(x):
+            return tuple(
+                (tuple(x0[j] for j in comp.free), t)
+                for comp, (x0, t) in zip(comps, _reference_key(base, x))
+            )
+
+        def witness(key):
+            parts = []
+            for comp, (w, t) in zip(comps, key):
+                pairings, ts = comp.offsets(w)
+                assert t in ts
+                parts.append(comp.witness(w, pairings, t))
+            x = tuple(sp.crt_combine(CrtPair(u, v)) for u, v in zip(*parts))
+            assert sp.hermitian_ip(x, x) == minus1
+            assert production_key(x) == key
+            return x
+
+        orbits = [orbit for _, orbit in built]
+        for orbit in orbits:
+            assert group.order % len(orbit) == 0
+            members = set(orbit)
+            for key in orbit:
+                x = witness(key)
+                for ring_map, acts in zip(maps, zip(*(comp.acts for comp in comps))):
+                    image = tuple(
+                        comp.image(w, t, act)
+                        for comp, act, (w, t) in zip(comps, acts, key)
+                    )
+                    assert image == production_key(_apply_ring_map(sp, ring_map, x))
+                    assert image in members
+        keys = [key for orbit in orbits for key in orbit]
+        assert len(set(keys)) == len(keys) == len(out)
+        firsts = [production_key(w[1]) for w in out if w is not None]
+        assert firsts == [orbit[0] for orbit in orbits]
 
 
 @pytest.mark.parametrize("budget", [20, 100, 252])

@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_self_dual, reference_contains
 from qcsd.gf import FIELD_SIZES, field
+from qcsd import qc
 from qcsd.qc import (
     FieldCode,
     collapse,
@@ -57,6 +59,72 @@ def test_rref_matches_naive_reduction():
             assert list(got_piv) == want_piv
 
 
+def _dependent_rows(fld, rng, n, count):
+    """`count` rows of length n over F_q in random order: a random number of
+    random rows, the others repeats, zero rows and linear combinations of
+    them."""
+    q = fld.q
+    nfresh = rng.randrange(count + 1)
+    fresh = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(nfresh)]
+    rows = list(fresh)
+    while len(rows) < count:
+        kind = rng.randrange(3)
+        if not fresh or kind == 0:
+            rows.append((0,) * n)
+        elif kind == 1:
+            rows.append(rng.choice(fresh))
+        else:
+            acc = [0] * n
+            for r in rng.sample(fresh, min(len(fresh), 3)):
+                c = rng.randrange(1, q)
+                acc = [fld.add(a, fld.mul(c, b)) for a, b in zip(acc, r)]
+            rows.append(tuple(acc))
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_rref_matches_naive_reduction_at_kernel_sizes(q):
+    # up to n = 100 and 60 rows, rank-deficient, and more rows than columns
+    fld = field(q)
+    rng = random.Random(100 + q)
+    shapes = [(rng.randrange(0, 61), rng.randrange(1, 101)) for _ in range(12)]
+    shapes += [(60, 12), (45, 30), (0, 80), (1, 100), (25, 8), (8, 25)]
+    # both sides of the size cut
+    cut = qc._ARRAY_CUT
+    shapes += [(1, cut - 1), (1, cut), (cut // 10, 9), (cut // 10, 10)]
+    shapes += [(14, 14), (10, 20)]
+    cases = [(n, _dependent_rows(fld, rng, n, count)) for count, n in shapes]
+    # full rank, wide and tall
+    for count, n in [(40, 100), (60, 45)]:
+        rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(count)]
+        cases.append((n, rows))
+    for n, rows in cases:
+        count = len(rows)
+        want_rows, want_piv = naive_rref(fld, n, rows)
+        for given in (rows, np.array(rows, dtype=np.uint8).reshape(count, n)):
+            got_rows, got_piv = rref(fld, n, given)
+            assert list(got_rows) == want_rows
+            assert list(got_piv) == want_piv
+            assert all(type(v) is int for r in got_rows for v in r)
+        code = FieldCode(fld, n, rows)
+        assert (list(code.rows), list(code.pivots)) == (want_rows, want_piv)
+
+
+def test_field_code_from_tuples_equals_field_code_from_array():
+    rng = random.Random(15)
+    for q in FIELD_SIZES:
+        fld = field(q)
+        for count, n in [(3, 5), (7, 14), (20, 40), (30, 12)]:
+            rows = _dependent_rows(fld, rng, n, count)
+            a = FieldCode(fld, n, rows)
+            b = FieldCode(fld, n, np.array(rows, dtype=np.int64))
+            assert a == b and hash(a) == hash(b)
+            assert a.rows == b.rows and a.pivots == b.pivots
+            assert a.matrix.tolist() == [list(r) for r in a.rows]
+            assert a.matrix.dtype == np.uint8 and a.matrix.shape == (a.k, n)
+
+
 def test_rref_shape_properties():
     rng = random.Random(12)
     for q in FIELD_SIZES:
@@ -100,6 +168,36 @@ def test_field_code_validation():
         FieldCode(f, 2, [(1,)])
     with pytest.raises(ValueError):
         FieldCode(f, 2, [(1, 2)])
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
+@pytest.mark.parametrize("as_array", [False, True])
+def test_field_code_rejects_bad_symbols_and_ragged_rows(q, as_array):
+    fld = field(q)
+    n = 30  # 8 rows of 30 symbols lie above the array kernel's size cut
+    good = [tuple((i + j) % q for j in range(n)) for i in range(8)]
+
+    def given(rows, dtype=np.int64):
+        return np.array(rows, dtype=dtype) if as_array else rows
+
+    for bad in (-1, q, 255, 256):
+        rows = [list(r) for r in good]
+        rows[5][7] = bad
+        with pytest.raises(ValueError, match=f"symbol {bad} out of range for F_{q}"):
+            FieldCode(fld, n, given(rows))
+    if as_array:
+        with pytest.raises(ValueError, match="symbol -1 out of range"):
+            FieldCode(fld, n, given([r[:-1] + (-1,) for r in good], np.int8))
+    # ragged: one row short, or every row of another length
+    with pytest.raises(ValueError, match=f"row of length {n - 1} in a code of length"):
+        FieldCode(fld, n, good[:3] + [good[3][:-1]] + good[4:])
+    with pytest.raises(ValueError, match=f"row of length {n + 1} in a code of length"):
+        FieldCode(fld, n, given([r + (0,) for r in good]))
+    # the first fault in row order is the one reported
+    rows = [list(r) for r in good]
+    rows[2][0], rows[4] = -3, rows[4][:4]
+    with pytest.raises(ValueError, match="symbol -3 out of range"):
+        FieldCode(fld, n, rows)
 
 
 def test_euclidean_self_dual_literals():
