@@ -14,8 +14,11 @@ first two unit columns and is used as a verification oracle.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ConstructionError, UnsupportedCase
 from .gf import sum_of_squares_minus_one
+from .qc import _matmul
 from .rcode import RingCode
 from .ring import RingSpec
 
@@ -55,6 +58,26 @@ def _check(cond: bool, identity: str):
         raise ConstructionError(f"witness violates {identity}")
 
 
+def _minus_pairings(base: RingCode, *xs):
+    """-<r, x> for every base row r, side by side for each x in `xs`: one
+    (rows, len(xs)*m) list of coefficient lists, from one F_q product.
+
+    <r, x>_t = sum over j and a of r_j[a] * x_j[(a - t) mod m], since
+    conj(x_j) has x_j[-b mod m] at Y^b; so the row of r's coefficients
+    times the (ell*m x m) circulant of -x, C[j*m + a, t] = -x_j[(a - t) mod m],
+    gives -<r, x>.
+    """
+    sp = base.spec
+    m = sp.m
+    i = np.arange(m)
+    neg = np.array([[sp.neg(e) for e in x] for x in xs], dtype=np.uint8)
+    # [x, j, a, t] = -x_j[(a - t) mod m]
+    circ = neg[:, :, (i[:, None] - i) % m]
+    cols = circ.transpose(1, 2, 0, 3).reshape(base.ell * m, len(xs) * m)
+    rows = base.coeffs.reshape(len(base.rows), base.ell * m)
+    return _matmul(sp.field, rows, cols).tolist()
+
+
 def extend_i(base: RingCode, c, x) -> RingCode:
     """Two new columns and one new row: (1, 0 | x) on top, each base row
     r continues as (y, c*y | r) with y = -<r, x>."""
@@ -73,8 +96,8 @@ def extend_i(base: RingCode, c, x) -> RingCode:
     _check(sp.hermitian_ip(x, x) == minus1, "<x, x> = -1")
     _check(base.is_self_dual(), "base self-dual")
     rows = [(sp.one, sp.zero) + x]
-    for r in base.rows:
-        y = sp.neg(sp.hermitian_ip(r, x))
+    for y, r in zip(_minus_pairings(base, x), base.rows):
+        y = tuple(y)
         rows.append((y, sp.mul(c, y)) + r)
     return RingCode(sp, base.ell + 2, rows)
 
@@ -114,9 +137,9 @@ def extend_ii(base: RingCode, alpha, beta, x1, x2) -> RingCode:
         (one, zero, zero, zero) + x1,
         (zero, one, zero, zero) + x2,
     ]
-    for r in base.rows:
-        s = sp.neg(sp.hermitian_ip(r, x1))
-        t = sp.neg(sp.hermitian_ip(r, x2))
+    m = sp.m
+    for st, r in zip(_minus_pairings(base, x1, x2), base.rows):
+        s, t = tuple(st[:m]), tuple(st[m:])
         y = (
             s,
             t,

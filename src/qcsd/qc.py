@@ -21,9 +21,9 @@ pivot it scales the pivot row through the inverse and product tables, then
 clears the pivot column from every other row in one whole-matrix step: it
 adds the table of the row's negated multiples, indexed by the column.  Over
 F_4 adding is XOR; over F_p it is the integer sum, reduced mod p only where
-an entry is read.  Below the cut the loop over symbols is faster, and it
-also serves the residue field K, whose elements are tuples; F_2 reduces
-rows packed into bit masks.  Every path returns the same canonical tuples.
+an entry is read.  Below the cut the loop over symbols is faster; F_2
+reduces rows packed into bit masks.  Every path returns the same canonical
+tuples.
 """
 
 from __future__ import annotations
@@ -41,15 +41,14 @@ from .gf import FieldSpec, field
 _ARRAY_CUT = 200
 
 
-def rref(fld, n: int, rows):
-    """Reduced row echelon form over F_q or the residue field of R.
+def rref(fld: FieldSpec, n: int, rows):
+    """Reduced row echelon form over F_q.
 
-    `fld` is a FieldSpec or a `ring.ResidueField`; `rows` is a sequence of
-    rows or, over F_q, a 2-D array of symbol indices.  Returns
+    `rows` is a sequence of rows or a 2-D array of symbol indices.  Returns
     (basis_rows, pivot_columns), tuples of ints; zero rows are dropped.
     The result is canonical for the row space.
     """
-    if isinstance(fld, FieldSpec) and len(rows):
+    if len(rows):
         if fld.q == 2:
             return _rref_gf2(n, _symbol_array(n, rows))
         if len(rows) * n >= _ARRAY_CUT:
@@ -287,11 +286,9 @@ def expand(rc) -> FieldCode:
     """
     spec = rc.spec
     m, ell = spec.m, rc.ell
-    buf = b"".join(bytes(e) for row in rc.rows for e in row)
-    coeffs = np.frombuffer(buf, dtype=np.uint8).reshape(len(rc.rows), ell, m)
     i = np.arange(m)
     # [r, s, i, j] = coefficient (i - s) mod m of r_j
-    frows = coeffs.transpose(0, 2, 1)[:, (i - i[:, None]) % m]
+    frows = rc.coeffs.transpose(0, 2, 1)[:, (i - i[:, None]) % m]
     return FieldCode(spec.field, m * ell, frows.reshape(-1, m * ell))
 
 

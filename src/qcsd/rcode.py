@@ -13,15 +13,27 @@ where alpha is Y-1 or PHI.  k1 is the largest number of coordinates on
 which the code projects onto R^k1: the largest column set independent in
 both component codes.  `standard_form` computes that shape from the two
 component echelon forms.
+
+K has the F_q basis 1, Y, ..., Y^(p-2), so a code over K of length ell is,
+as an F_q space, the code of length ell*(p-1) spanned by the rows Y^s * r,
+s < p - 1, each K entry written as its p - 1 coefficients.  Its F_q RREF
+is the set of rows Y^s * b over the K RREF rows b: Y^s * b is zero left of
+b's pivot block, holds the unit vector e_s on that block and zero on every
+other pivot block, which is the RREF shape, and the RREF is unique.  So K
+is echelonised by the F_q kernels of `qc.rref`, and its basis rows are the
+F_q basis rows whose pivot is the first coefficient of a block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import chain, compress, zip_longest
+from numbers import Integral
 
-from .qc import FieldCode, expand, is_euclidean_self_dual, rref
-from .ring import CrtPair, RingSpec
+import numpy as np
+
+from .qc import FieldCode, _matmul, expand, is_euclidean_self_dual, rref
+from .ring import RingSpec
 
 
 @dataclass(frozen=True)
@@ -44,32 +56,24 @@ class StandardForm:
 class RingCode:
     """A code over R given by generator rows (not necessarily free).
 
-    Rows are tuples of ring elements (coefficient tuples).  Zero rows
-    are dropped; the row list is otherwise kept as given, since over R
-    there is no canonical echelon form without the CRT structure.
+    Rows are tuples of ring elements (coefficient tuples); `coeffs` holds
+    the same rows as a (rows, ell, m) uint8 array.  Zero rows are dropped;
+    the row list is otherwise kept as given, since over R there is no
+    canonical echelon form without the CRT structure.
     """
 
     def __init__(self, spec: RingSpec, ell: int, rows):
         if ell < 1:
             raise ValueError("ell must be positive")
-        clean = []
-        for r in rows:
-            r = tuple(tuple(e) for e in r)
-            if len(r) != ell:
-                raise ValueError(f"row of length {len(r)} in a code of length {ell}")
-            for e in r:
-                if len(e) != spec.m:
-                    raise ValueError("ring element with wrong number of coefficients")
-                for v in e:
-                    if not 0 <= v < spec.q:
-                        raise ValueError(f"coefficient {v} out of range for F_{spec.q}")
-            if any(v for e in r for v in e):
-                clean.append(r)
-        if not clean:
+        rows = [tuple(map(tuple, r)) for r in rows]
+        coeffs = _coefficients(spec, ell, rows)
+        nonzero = coeffs.reshape(len(rows), ell * spec.m).any(axis=1)
+        if not nonzero.any():
             raise ValueError("code has no nonzero generators")
         self.spec = spec
         self.ell = ell
-        self.rows = tuple(clean)
+        self.rows = tuple(compress(rows, nonzero))
+        self.coeffs = coeffs[nonzero]
         self._expansion = None
         self._self_dual = None
 
@@ -113,32 +117,101 @@ class RingCode:
         return f"RingCode(q={self.q}, m={self.m}, ell={self.ell}, rows={len(self.rows)})"
 
 
+def _coefficients(spec: RingSpec, ell: int, rows):
+    """`rows`, tuples of element tuples, as a (len(rows), ell, m) uint8 array.
+
+    Raises ValueError for the first row, in the order given, that is not ell
+    elements of m integer coefficients in 0..q-1.  All rows are checked in
+    one bytes buffer; the loop runs only to name the first bad row, since
+    bytes() refuses a float and a coefficient outside 0..255 each in its own
+    way and lets 2..255 through.
+    """
+    m = spec.m
+    try:
+        parts = list(map(bytes, chain.from_iterable(rows)))
+    except (TypeError, ValueError):
+        parts = None
+    if parts is not None and set(map(len, rows)) <= {ell} and set(map(len, parts)) <= {m}:
+        a = np.frombuffer(b"".join(parts), dtype=np.uint8).reshape(len(rows), ell, m)
+        if not a.size or a.max() < spec.q:
+            return a
+    for r in rows:
+        if len(r) != ell:
+            raise ValueError(f"row of length {len(r)} in a code of length {ell}")
+        for e in r:
+            if len(e) != m:
+                raise ValueError("ring element with wrong number of coefficients")
+            for v in e:
+                if not (isinstance(v, Integral) and 0 <= v < spec.q):
+                    raise ValueError(f"coefficient {v} out of range for F_{spec.q}")
+    raise AssertionError("unreachable: a row failed the buffer check")
+
+
 def component_forms(code: RingCode, shared: bool = False):
     """The two component codes of `code` under R = F_q x K, in echelon form.
 
     Component 1 is eval1 of the rows over F_q and component 2 is mod_phi of
-    the rows over K = `residue_field()`; `code` is their product.  Both are
+    the rows over K = F_q[Y]/PHI; `code` is their product.  Both are
     echelonised in natural column order, except that component 1's pivots
     lead in component 2 when `shared`.  Each form maps a pivot column to its
     basis row, in pivot order; a row holds 1 at its pivot, 0 at the others.
+    Component 1's entries are field indices, component 2's are the
+    (p-1)-coefficient tuples of `RingSpec.mod_phi`, echelonised through
+    their F_q image (see the module docstring).
     """
     sp = code.spec
-    ell = code.ell
+    sp._require_cyclotomic("residue field arithmetic")
+    ell, m, k = code.ell, sp.m, len(code.rows)
+    i = np.arange(m)
+    # [r, s, j, i] = coefficient i of Y^s * r_j, which is coefficient
+    # (i - s) mod m of r_j, for s < p - 1
+    shifted = code.coeffs[:, :, (i - i[: m - 1, None]) % m].transpose(0, 2, 1, 3)
+    split = _matmul(sp.field, shifted.reshape(-1, m), _split_matrix(sp))
+    split = split.reshape(k, m - 1, ell, m)
+    images = (split[:, 0, :, m - 1 :], split[..., : m - 1].reshape(k * (m - 1), ell, m - 1))
     forms = []
     lead = ()
-    for fld, split in ((sp.field, sp.eval1), (sp.residue_field(), sp.mod_phi)):
+    for image, as_tuples in zip(images, (False, True)):
+        width = image.shape[2]
         order = list(lead) + [j for j in range(ell) if j not in lead]
-        basis, pivots = rref(fld, ell, [[split(r[j]) for j in order] for r in code.rows])
+        flat = image[:, order].reshape(len(image), ell * width)
+        basis, pivots = rref(sp.field, ell * width, flat)
         form = {}
         for row, p in zip(basis, pivots):
+            if p % width:
+                continue  # Y^s times a K basis row, s > 0
             full = [None] * ell
-            for j, v in zip(order, row):
-                full[j] = v
-            form[order[p]] = full
+            for at, j in enumerate(order):
+                block = row[at * width : (at + 1) * width]
+                full[j] = block if as_tuples else block[0]
+            form[order[p // width]] = full
         forms.append(form)
         if shared:
             lead = tuple(form)
     return forms
+
+
+def _split_matrix(sp: RingSpec):
+    """The m x m matrix over F_q that takes a ring element's coefficients
+    to mod_phi (the first p - 1 columns) and eval1 (the last)."""
+    m = sp.m
+    mat = np.zeros((m, m), dtype=np.uint8)
+    mat[: m - 1, : m - 1] = np.eye(m - 1, dtype=np.uint8)
+    mat[m - 1, : m - 1] = sp.field.neg(1)  # Y^(p-1) = -(1 + Y + ... + Y^(p-2))
+    mat[:, m - 1] = 1
+    return mat
+
+
+def _combine_matrix(sp: RingSpec):
+    """The inverse of `_split_matrix`, as `RingSpec.crt_combine` works it:
+    (g, e1) goes to g + lam with lam = (e1 - g(1)) * p^(-1), padding g with
+    a zero Y^(p-1) coefficient."""
+    fld, m = sp.field, sp.m
+    pinv = fld.inv(sp.p_in_field)
+    mat = np.full((m, m), fld.neg(pinv), dtype=np.uint8)
+    mat[range(m - 1), range(m - 1)] = fld.add(1, fld.neg(pinv))
+    mat[m - 1] = pinv
+    return mat
 
 
 def _augmenting_path(e1, e2, zero2, unit, ell):
@@ -235,10 +308,15 @@ def _standard_form(code: RingCode) -> StandardForm:
     scaled1 = [[f1.mul(sp.p_in_field, v) for v in e1[b]] for b in only1]
     scaled2 = [[f2.mul(ya, v) for v in e2[a]] for a in only2]
     pairs = [(e1[s], e2[s]) for s in units] + list(zip_longest(scaled1, scaled2))
-    rows = [
-        [sp.crt_combine(CrtPair(a, b)) for a, b in zip(r1 or [0] * ell, r2 or [f2.zero] * ell)]
-        for r1, r2 in pairs
-    ]
+    parts = np.array(
+        [
+            [b + (a,) for a, b in zip(r1 or [0] * ell, r2 or [f2.zero] * ell)]
+            for r1, r2 in pairs
+        ],
+        dtype=np.uint8,
+    )
+    coeffs = _matmul(f1, parts.reshape(-1, sp.m), _combine_matrix(sp))
+    rows = coeffs.reshape(len(pairs), ell, sp.m).tolist()
     single = only1[k2:] or only2[k2:]
     col_order = units + only2[:k2] + only1[:k2] + single
     col_order += [c for c in range(ell) if c not in col_order]
@@ -246,7 +324,7 @@ def _standard_form(code: RingCode) -> StandardForm:
         k1=len(units),
         k2=k2,
         k3=len(single),
-        rows=tuple(tuple(r[c] for c in col_order) for r in rows),
+        rows=tuple(tuple(tuple(r[c]) for c in col_order) for r in rows),
         col_perm=tuple(col_order),
         alpha_branch=("phi" if only1[k2:] else "Y-1") if single else None,
     )

@@ -82,6 +82,53 @@ def reference_contains(code, word):
     return not any(w)
 
 
+def naive_rref(fld, n, rows):
+    """Textbook reduced row echelon form, written independently of qc.rref,
+    one field operation per symbol, for any object with FieldSpec's
+    operation names: over F_q, or over the residue field K on its
+    coefficient tuples."""
+    zero = fld.zero
+    work = [list(r) for r in rows]
+    rank = 0
+    pivots = []
+    for col in range(n):
+        src = next((i for i in range(rank, len(work)) if work[i][col] != zero), None)
+        if src is None:
+            continue
+        work[rank], work[src] = work[src], work[rank]
+        inv = fld.inv(work[rank][col])
+        work[rank] = [fld.mul(inv, v) for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != zero:
+                c = work[i][col]
+                work[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(work[i], work[rank])]
+        pivots.append(col)
+        rank += 1
+    return [tuple(r) for r in work[:rank]], pivots
+
+
+def reference_component_forms(code, shared: bool = False):
+    """`rcode.component_forms` by elimination over F_q and over K itself,
+    on the eval1 and mod_phi images of the rows."""
+    sp = code.spec
+    ell = code.ell
+    forms = []
+    lead = ()
+    for fld, split in ((sp.field, sp.eval1), (sp.residue_field(), sp.mod_phi)):
+        order = list(lead) + [j for j in range(ell) if j not in lead]
+        rows = [[split(r[j]) for j in order] for r in code.rows]
+        form = {}
+        for row, p in zip(*naive_rref(fld, ell, rows)):
+            full = [None] * ell
+            for j, v in zip(order, row):
+                full[j] = v
+            form[order[p]] = full
+        forms.append(form)
+        if shared:
+            lead = tuple(form)
+    return forms
+
+
 def random_self_dual(q: int, m: int, target_ell: int, rng: random.Random):
     """A random self-dual code over F_q[Y]/(Y^m - 1) of the target length,
     built by random extension steps from a random seed."""

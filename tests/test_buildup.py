@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcsd.buildup import (
+    _minus_pairings,
     extend_i,
     extend_ii,
     norm_minus_one_elements,
@@ -20,6 +21,7 @@ from qcsd.ring import ring
 
 from conftest import (
     pairs_for,
+    random_element,
     random_extension_i,
     random_extension_ii,
     random_norm_minus_one_vector,
@@ -213,6 +215,25 @@ def test_extend_i_checks_its_base_once(monkeypatch):
     for _ in range(50):
         random_extension_i(base, rng)
     assert sum(code is base.expansion() for code in checked) == 1
+
+
+@pytest.mark.parametrize("q, m, nx", [(2, 3, 1), (4, 5, 1), (5, 7, 1), (3, 5, 2), (2, 11, 1)])
+def test_batched_pairings_match_hermitian_ip(q, m, nx):
+    # one F_q product gives -<r, x> for every row r (and each x side by
+    # side); (4, 5) runs the F_4 bit-plane product
+    sp = ring(q, m)
+    rng = random.Random(q * 100 + m)
+    for ell in (1, 2, 5, 24):
+        rows = [tuple(random_element(sp, rng) for _ in range(ell)) for _ in range(4)]
+        rows.append(rows[0])
+        rows[1] = (sp.one,) + (sp.zero,) * (ell - 1)
+        base = RingCode(sp, ell, rows)
+        xs = [tuple(random_element(sp, rng) for _ in range(ell)) for _ in range(nx)]
+        got = _minus_pairings(base, *xs)
+        assert len(got) == len(base.rows)
+        for row, r in zip(got, base.rows):
+            want = [v for x in xs for v in sp.neg(sp.hermitian_ip(r, x))]
+            assert row == want
 
 
 def test_extend_ii_grows_by_four_and_preserves_self_duality():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_self_dual, reference_contains
+from conftest import naive_rref, random_self_dual, reference_contains
 from qcsd.gf import FIELD_SIZES, field
 from qcsd import qc
 from qcsd.qc import (
@@ -20,27 +20,6 @@ from qcsd.qc import (
 )
 from qcsd.rcode import RingCode
 from qcsd.ring import ring
-
-
-def naive_rref(fld, n, rows):
-    """Textbook reduced row echelon form, written independently of qc.rref."""
-    work = [list(r) for r in rows]
-    rank = 0
-    pivots = []
-    for col in range(n):
-        src = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if src is None:
-            continue
-        work[rank], work[src] = work[src], work[rank]
-        inv = fld.inv(work[rank][col])
-        work[rank] = [fld.mul(inv, v) for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                c = work[i][col]
-                work[i] = [fld.sub(a, fld.mul(c, b)) for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return [tuple(r) for r in work[:rank]], pivots
 
 
 def test_rref_matches_naive_reduction():

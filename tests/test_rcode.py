@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qcsd.gf import field
-from qcsd.qc import FieldCode, is_shift_invariant, rref
-from qcsd.rcode import RingCode
+from qcsd.qc import FieldCode, is_shift_invariant
+from qcsd.rcode import RingCode, component_forms
 from qcsd.ring import ring
+
+from conftest import naive_rref, reference_component_forms
 
 
 def test_constructor_validation():
@@ -23,6 +25,21 @@ def test_constructor_validation():
         RingCode(sp, 2, [((0, 0, 0), (0, 0, 0))])  # no nonzero generators
     with pytest.raises(ValueError):
         RingCode(sp, 0, [])
+    # the first bad row in the order given names the error, however bytes()
+    # refuses its coefficient; the row after it is bad in another way
+    good = ((1, 0, 1), (0, 1, 1))
+    short = ((1, 0, 1), (0, 1))
+    for v in (-1, 2, 256, 0.5):
+        with pytest.raises(ValueError, match=f"coefficient {v} out of range for F_2"):
+            RingCode(sp, 2, [good, ((1, 0, 0), (0, v, 0)), short])
+    with pytest.raises(ValueError, match="wrong number of coefficients"):
+        RingCode(sp, 2, [good, good, short, ((1, 0, 0), (0, -1, 0))])
+    with pytest.raises(ValueError, match="row of length 1 in a code of length 2"):
+        RingCode(sp, 2, [good, ((1, 0, 0),), ((1, 0, 0), (0, 5, 0))])
+    # nested lists, as collapse passes them, and zero rows dropped
+    rc = RingCode(sp, 2, [[[0, 0, 0], [0, 0, 0]], [[1, 0, 1], [0, 1, 1]], [[0, 0, 0]] * 2])
+    assert rc.rows == (good,)
+    assert rc.coeffs.tolist() == [[[1, 0, 1], [0, 1, 1]]]
 
 
 def test_expansion_layout_literal():
@@ -204,7 +221,7 @@ def _brute_force_k1(rc):
     for size in range(rc.ell, 0, -1):
         for cols in itertools.combinations(range(rc.ell), size):
             if all(
-                len(rref(fld, size, [[r[j] for j in cols] for r in rows])[0]) == size
+                len(naive_rref(fld, size, [[r[j] for j in cols] for r in rows])[0]) == size
                 for fld, rows in comps
             ):
                 return size
@@ -296,3 +313,36 @@ def test_standard_form_k1_ignores_row_and_column_order(rc, rnd):
     rnd.shuffle(perm)
     moved = RingCode(rc.spec, rc.ell, rows).permute_columns(perm)
     assert moved.standard_form().k1 == rc.standard_form().k1
+
+
+@st.composite
+def k_inputs(draw):
+    """Codes whose rows repeat, include multiples of PHI (zero K image) and
+    outnumber the columns, over every residue-field shape in use."""
+    q, m = draw(st.sampled_from(
+        [(2, 3), (2, 5), (2, 11), (3, 5), (3, 7), (5, 2), (5, 3), (5, 7)]
+    ))
+    sp = ring(q, m)
+    ell = draw(st.integers(1, 4))
+    coeff = st.integers(0, q - 1)
+    phi = (1,) * m
+    elem = st.tuples(*[coeff] * m)
+    factor = st.sampled_from([sp.one, sp.one, sp.sub(sp.y, sp.one), phi])
+    row = st.tuples(*[st.builds(sp.mul, elem, factor)] * ell)
+    rows = draw(st.lists(row, min_size=1, max_size=ell + 3))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2))  # repeats
+    rows.append(tuple(sp.mul(e, phi) for e in draw(row)))  # K image zero
+    if not any(any(e) for r in rows for e in r):
+        rows[0] = (sp.one,) + rows[0][1:]
+    return RingCode(sp, ell, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k_inputs(), st.booleans())
+def test_component_forms_match_the_reference_k_elimination(rc, shared):
+    # the K forms come from one F_q elimination of the rows Y^s * r; the
+    # reference eliminates over K itself, one ResidueField operation per
+    # symbol, and both forms must agree in content and pivot order
+    got = component_forms(rc, shared=shared)
+    want = reference_component_forms(rc, shared=shared)
+    assert [list(f.items()) for f in got] == [list(f.items()) for f in want]
