@@ -43,13 +43,12 @@ from .qc import (
     is_shift_invariant,
 )
 from .rcode import RingCode, StandardForm
-from .ring import CrtPair, RingSpec, ring
+from .ring import RingSpec, ring
 
 __all__ = [
     "BudgetExceeded",
     "ClassificationRun",
     "ConstructionError",
-    "CrtPair",
     "DistanceScan",
     "FieldCode",
     "FieldSpec",

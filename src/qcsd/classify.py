@@ -51,16 +51,17 @@ self-dual codes over the two idempotent components.  Exhaustive runs have
 q = 2 or q = 5 (q = 4 is never primitive modulo an odd prime, and q = 3 is
 3 mod 4), and both have closed forms.
 
-Witnesses live in the two components of R = F_q x K, K = F_q[Y]/Phi (Ling
-and Sole): a self-dual base is a Euclidean self-dual code over F_q, eval1
-of its rows, times a Hermitian self-dual code over K, mod_phi of its rows,
-and <u, v> has the components sum eval1(u_j)*eval1(v_j) and
-sum mod_phi(u_j)*conj(mod_phi(v_j)).  `rcode.component_forms` echelonises
-both; x0 is x reduced against them, zero on their pivots, and
+Witnesses live in the two components of R = e_1*R + e_phi*R, copies of F_q
+and of K = F_q[Y]/Phi (Ling and Sole; see `ring`): a self-dual base is a
+Euclidean self-dual code over F_q, eval1 of its rows, times a Hermitian
+self-dual code over K, e_phi times its rows, and <u, v> has the components
+sum eval1(u_j)*eval1(v_j) and e_phi * <u, v>.  `rcode.component_forms`
+echelonises both; x0 is x reduced against them, zero on their pivots, and
 t = <x - x0, x0>.  Keys, offsets, the particular solution x and the block
 maps (x_j goes to coordinate j' times gamma*Y^s) are all worked per
-component, and crt_combine assembles x; only the final check <x, x> = -1
-multiplies in R.  The standard form starts from the same component forms.
+component, F_q's in field indices and K's in R's own arithmetic on e_phi*R,
+and x_j = u_j * e_1 + v_j assembles x from its parts u and v.  The standard
+form starts from the same component forms.
 """
 
 from dataclasses import asdict, dataclass, field as dc_field
@@ -73,7 +74,7 @@ import random
 
 from . import __version__
 from .errors import BudgetExceeded, UnsupportedCase
-from .ring import RingSpec, ring, CrtPair
+from .ring import RingSpec, ring
 from .qc import FieldCode
 from .rcode import RingCode, component_forms
 from .buildup import extend_i, norm_minus_one_elements
@@ -234,9 +235,10 @@ def _ring_maps(sp: RingSpec, generators, ell: int):
 
 
 class _Component:
-    """One factor of R = F_q x K, as the witnesses of a base see it: the
-    field and its conjugation, the base rows split into it, and the echelon
-    `form` of the base's component code, whose free columns carry x0."""
+    """One component of R, F_q or K = e_phi*R, as the witnesses of a base
+    see it: the field and its conjugation, the base rows split into it, and
+    the echelon `form` of the base's component code, whose free columns
+    carry x0."""
 
     def __init__(self, base: RingCode, form, fld, conj, split, maps):
         self.fld, self.conj, self.ell = fld, conj, base.ell
@@ -336,13 +338,14 @@ def _iter_extension_witnesses(base: RingCode, c_reps, maps):
     lies in the orbit of an earlier key under the base's block
     automorphisms, given as `_ring_maps`."""
     sp = base.spec
-    kf = sp.residue_field()
     forms = component_forms(base)
     if any(len(form) != base.ell // 2 for form in forms):
         raise ValueError("base code components are not half-dimensional")
     comps = (
         _Component(base, forms[0], sp.field, lambda a: a, sp.eval1, maps),
-        _Component(base, forms[1], kf, kf.conj, sp.mod_phi, maps),
+        _Component(
+            base, forms[1], sp.phi_field(), sp.conj, lambda a: sp.mul(sp.ephi, a), maps
+        ),
     )
     minus1 = sp.neg(sp.one)
     seen: set = set()
@@ -356,7 +359,7 @@ def _iter_extension_witnesses(base: RingCode, c_reps, maps):
                 continue
             seen.update(_key_orbit(comps, key))
             parts = [c.witness(w, o[0], t) for c, w, o, t in zip(comps, ws, offs, ts)]
-            x = tuple(sp.crt_combine(CrtPair(u, v)) for u, v in zip(*parts))
+            x = tuple(sp.add(sp.scalar_mul(u, sp.e1), v) for u, v in zip(*parts))
             if sp.hermitian_ip(x, x) != minus1:
                 raise RuntimeError("witness construction lost <x, x> = -1")
             for c in c_reps:
@@ -677,12 +680,12 @@ def _dedup_level(spec, ell, cands, stats, candidate_budget, progress):
             )
         if cand is None:
             stats.exact_duplicates += 1
-            continue
-        code, trail = cand
-        exp = code.expansion()
-        fp = fingerprint(exp)
-        if store.add(exp, fp):
-            reps.append(ClassifiedCode(code, exp, fp, trail))
+        else:
+            code, trail = cand
+            exp = code.expansion()
+            fp = fingerprint(exp)
+            if store.add(exp, fp):
+                reps.append(ClassifiedCode(code, exp, fp, trail))
         if progress is not None and stats.candidates % 5000 == 0:
             progress(
                 f"length {ell}: {stats.candidates} candidates, "
@@ -705,7 +708,7 @@ class ClassReport:
     weight_family: str | None
     beta: int | None
     divisibility_ok: bool
-    aut_order: int | None
+    aut_order: int
 
     def to_dict(self):
         return asdict(self)
@@ -739,12 +742,9 @@ class FilterReport:
         return out
 
 
-AUT_MAX_N = 24  # longest class whose automorphism group `filter_report` searches
-
-
 def filter_report(run: ClassificationRun) -> FilterReport:
     """Per-class parameters, weight-family match, divisibility check, and the
-    automorphism group order where the length is at most AUT_MAX_N."""
+    automorphism group order."""
     from .analysis import (
         divisibility_check,
         match_template,
@@ -764,7 +764,7 @@ def filter_report(run: ClassificationRun) -> FilterReport:
             best = next((m for m in matches if m.in_listed_range), matches[0])
             family, beta = best.family, best.beta
         div_ok = divisibility_check(w, run.spec.m)
-        aut = automorphism_order(exp) if exp.n <= AUT_MAX_N else None
+        aut = automorphism_order(exp)
         rows.append(
             ClassReport(i, exp.n, exp.k, d, family, beta, div_ok, aut)
         )

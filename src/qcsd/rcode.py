@@ -14,14 +14,17 @@ which the code projects onto R^k1: the largest column set independent in
 both component codes.  `standard_form` computes that shape from the two
 component echelon forms.
 
-K has the F_q basis 1, Y, ..., Y^(p-2), so a code over K of length ell is,
-as an F_q space, the code of length ell*(p-1) spanned by the rows Y^s * r,
-s < p - 1, each K entry written as its p - 1 coefficients.  Its F_q RREF
-is the set of rows Y^s * b over the K RREF rows b: Y^s * b is zero left of
-b's pivot block, holds the unit vector e_s on that block and zero on every
-other pivot block, which is the RREF shape, and the RREF is unique.  So K
-is echelonised by the F_q kernels of `qc.rref`, and its basis rows are the
-F_q basis rows whose pivot is the first coefficient of a block.
+The two components are the ideals e_1*R, a copy of F_q, and e_phi*R, a
+copy of K (see `ring`): a row r splits as eval1(r) * e_1 + e_phi * r.  K has
+the F_q basis 1, Y, ..., Y^(p-2) of mod-Phi coefficients, so a code over K
+of length ell is, as an F_q space, the code of length ell*(p-1) spanned by
+the rows Y^s * r, s < p - 1, each K entry written as its p - 1
+coefficients.  Its F_q RREF is the set of rows Y^s * b over the K RREF rows
+b: Y^s * b is zero left of b's pivot block, holds the unit vector e_s on
+that block and zero on every other pivot block, which is the RREF shape,
+and the RREF is unique.  So K is echelonised by the F_q kernels of
+`qc.rref`, its basis rows are the F_q basis rows whose pivot is the first
+coefficient of a block, and they are lifted into e_phi*R.
 """
 
 from __future__ import annotations
@@ -148,16 +151,17 @@ def _coefficients(spec: RingSpec, ell: int, rows):
 
 
 def component_forms(code: RingCode, shared: bool = False):
-    """The two component codes of `code` under R = F_q x K, in echelon form.
+    """The two component codes of `code` under R = e_1*R + e_phi*R, in
+    echelon form.
 
-    Component 1 is eval1 of the rows over F_q and component 2 is mod_phi of
-    the rows over K = F_q[Y]/PHI; `code` is their product.  Both are
+    Component 1 is eval1 of the rows, over F_q, and component 2 is e_phi
+    times the rows, over K = e_phi*R; `code` is their product.  Both are
     echelonised in natural column order, except that component 1's pivots
     lead in component 2 when `shared`.  Each form maps a pivot column to its
-    basis row, in pivot order; a row holds 1 at its pivot, 0 at the others.
-    Component 1's entries are field indices, component 2's are the
-    (p-1)-coefficient tuples of `RingSpec.mod_phi`, echelonised through
-    their F_q image (see the module docstring).
+    basis row, in pivot order; a row holds 1 (e_phi) at its pivot, 0 at the
+    others.  Component 1's entries are field indices, component 2's are
+    ring elements of e_phi*R, echelonised through their mod-Phi
+    coefficients (see the module docstring).
     """
     sp = code.spec
     sp._require_cyclotomic("residue field arithmetic")
@@ -171,19 +175,23 @@ def component_forms(code: RingCode, shared: bool = False):
     images = (split[:, 0, :, m - 1 :], split[..., : m - 1].reshape(k * (m - 1), ell, m - 1))
     forms = []
     lead = ()
-    for image, as_tuples in zip(images, (False, True)):
+    for image, lift in zip(images, (None, _lift_matrix(sp))):
         width = image.shape[2]
         order = list(lead) + [j for j in range(ell) if j not in lead]
         flat = image[:, order].reshape(len(image), ell * width)
         basis, pivots = rref(sp.field, ell * width, flat)
+        # the other basis rows are Y^s times a K basis row, s > 0
+        keep = [p % width == 0 for p in pivots]
+        rows = np.array(list(compress(basis, keep)), dtype=np.uint8).reshape(-1, width)
+        if lift is None:
+            entries = rows[:, 0].tolist()
+        else:
+            entries = list(map(tuple, _matmul(sp.field, rows, lift).tolist()))
         form = {}
-        for row, p in zip(basis, pivots):
-            if p % width:
-                continue  # Y^s times a K basis row, s > 0
+        for at, p in enumerate(compress(pivots, keep)):
             full = [None] * ell
-            for at, j in enumerate(order):
-                block = row[at * width : (at + 1) * width]
-                full[j] = block if as_tuples else block[0]
+            for j, e in zip(order, entries[at * ell : (at + 1) * ell]):
+                full[j] = e
             form[order[p // width]] = full
         forms.append(form)
         if shared:
@@ -193,7 +201,8 @@ def component_forms(code: RingCode, shared: bool = False):
 
 def _split_matrix(sp: RingSpec):
     """The m x m matrix over F_q that takes a ring element's coefficients
-    to mod_phi (the first p - 1 columns) and eval1 (the last)."""
+    to its mod-Phi coefficients (the first p - 1 columns) and eval1 (the
+    last)."""
     m = sp.m
     mat = np.zeros((m, m), dtype=np.uint8)
     mat[: m - 1, : m - 1] = np.eye(m - 1, dtype=np.uint8)
@@ -202,16 +211,12 @@ def _split_matrix(sp: RingSpec):
     return mat
 
 
-def _combine_matrix(sp: RingSpec):
-    """The inverse of `_split_matrix`, as `RingSpec.crt_combine` works it:
-    (g, e1) goes to g + lam with lam = (e1 - g(1)) * p^(-1), padding g with
-    a zero Y^(p-1) coefficient."""
-    fld, m = sp.field, sp.m
-    pinv = fld.inv(sp.p_in_field)
-    mat = np.full((m, m), fld.neg(pinv), dtype=np.uint8)
-    mat[range(m - 1), range(m - 1)] = fld.add(1, fld.neg(pinv))
-    mat[m - 1] = pinv
-    return mat
+def _lift_matrix(sp: RingSpec):
+    """The (p - 1) x m matrix over F_q that lifts mod-Phi coefficients into
+    e_phi*R: its row i is e_phi * Y^i = Y^i - e_1."""
+    return np.array(
+        [sp.sub(sp.shift(sp.one, i), sp.e1) for i in range(sp.m - 1)], dtype=np.uint8
+    )
 
 
 def _augmenting_path(e1, e2, zero2, unit, ell):
@@ -277,15 +282,16 @@ def _standard_form(code: RingCode) -> StandardForm:
     grow along shortest augmenting paths, which move pivots of the same
     forms: along a shortest path the exchanges are triangular, so side 1's
     in path order and side 2's in reverse order never meet a zero pivot.  A
-    row with only a component-1 pivot b, scaled by p = PHI(1), holds PHI at
-    b; one with only a component-2 pivot a, scaled by the residue of Y - 1,
-    holds Y - 1 at a; the k2 block pairs one of each.  With no path left,
-    none of them meets the other side's pivots: the block shape is exact.
+    row with only a component-1 pivot b, scaled by p = PHI(1), holds
+    p * e_1 = PHI at b; one with only a component-2 pivot a, scaled by
+    Y - 1, holds (Y - 1) * e_phi = Y - 1 at a; the k2 block pairs one of
+    each.  With no path left, none of them meets the other side's pivots:
+    the block shape is exact.
     """
     sp = code.spec
     sp._require_cyclotomic("standard_form")
     ell = code.ell
-    f1, f2 = sp.field, sp.residue_field()
+    f1, f2 = sp.field, sp.phi_field()
     e1, e2 = component_forms(code, shared=True)
     unit = {j for j in e1 if j in e2}
     while (path := _augmenting_path(e1, e2, f2.zero, unit, ell)) is not None:
@@ -304,18 +310,20 @@ def _standard_form(code: RingCode) -> StandardForm:
     only1 = sorted(b for b in e1 if b not in unit)
     only2 = sorted(a for a in e2 if a not in unit)
     k2 = min(len(only1), len(only2))
-    ya = sp.mod_phi(sp.sub(sp.y, sp.one))
+    ym1 = sp.sub(sp.y, sp.one)  # in e_phi*R already, as (Y - 1) * e_1 = 0
     scaled1 = [[f1.mul(sp.p_in_field, v) for v in e1[b]] for b in only1]
-    scaled2 = [[f2.mul(ya, v) for v in e2[a]] for a in only2]
+    scaled2 = [[sp.mul(ym1, v) for v in e2[a]] for a in only2]
     pairs = [(e1[s], e2[s]) for s in units] + list(zip_longest(scaled1, scaled2))
+    # each entry is u * e_1 + v: the row [u | v] times the rows e_1 and I_m
     parts = np.array(
         [
-            [b + (a,) for a, b in zip(r1 or [0] * ell, r2 or [f2.zero] * ell)]
+            [(a,) + b for a, b in zip(r1 or [0] * ell, r2 or [sp.zero] * ell)]
             for r1, r2 in pairs
         ],
         dtype=np.uint8,
     )
-    coeffs = _matmul(f1, parts.reshape(-1, sp.m), _combine_matrix(sp))
+    assemble = np.vstack([sp.e1, np.eye(sp.m, dtype=np.uint8)])
+    coeffs = _matmul(f1, parts.reshape(-1, sp.m + 1), assemble)
     rows = coeffs.reshape(len(pairs), ell, sp.m).tolist()
     single = only1[k2:] or only2[k2:]
     col_order = units + only2[:k2] + only1[:k2] + single

@@ -4,35 +4,30 @@ Ring elements are tuples of m field indices, constant coefficient
 first.  The conjugation sends Y to Y^(m-1) = Y^(-1) and fixes F_q; the
 hermitian inner product of vectors over R is sum_j x_j * conj(y_j).
 
-When m is a prime p and q is a primitive root mod p, Y^m - 1 has exactly
-the two irreducible factors (Y - 1) and Phi_p = 1 + Y + ... + Y^(p-1),
-and R splits as F_q x F_q[Y]/Phi_p.  The CRT maps (eval1 and mod_phi
-one way, crt_combine back), the residue field F_q[Y]/Phi_p and the
-standard forms downstream require that situation; the flag
-`cyclotomic_ok` records it.  Units and inverses come from the split as
-well: a is a unit exactly when eval1(a) and mod_phi(a) are both nonzero,
-and its inverse combines their inverses.  So `is_unit` and `inv` also
-need `cyclotomic_ok`, and raise UnsupportedCase without it.
+R splits by the orthogonal idempotents e_1 = p^(-1) * (1 + Y + ... + Y^(m-1))
+and e_phi = 1 - e_1, where p is m read in F_q (nonzero, as m is prime to the
+characteristic); conj fixes both.  Since e_1 * r = eval1(r) * e_1, the ideal
+e_1*R is a copy of F_q and every r is eval1(r) * e_1 + e_phi * r.  When m is
+a prime p and q is a primitive root mod p, Y^m - 1 has exactly the two
+irreducible factors (Y - 1) and Phi_p = 1 + Y + ... + Y^(p-1), and the ideal
+e_phi*R is the residue field K = F_q[Y]/Phi_p (Ling and Sole): the residue
+with mod-Phi coefficients t is the element e_phi * t of R.  K's sums,
+products and conjugates are then R's own, with unit e_phi; `phi_inv`
+inverts in K, and `phi_field` names these operations as FieldSpec does.
+The flag `cyclotomic_ok` records that situation; K, the standard forms and
+the classification downstream require it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
 
 from .errors import UnsupportedCase
 from .gf import FieldSpec, field
 
 RingElem = tuple  # m field indices, constant coefficient first
-
-
-@dataclass(frozen=True)
-class CrtPair:
-    """Image of a ring element under R -> F_q x F_q[Y]/Phi_p."""
-
-    eval1: int
-    evalphi: tuple  # p-1 coefficients of the residue mod Phi_p
 
 
 def _mult_order(q: int, m: int) -> int:
@@ -74,8 +69,10 @@ class RingSpec:
         for _ in range(m):
             p_in_f = f.add(p_in_f, 1)
         self.p_in_field = p_in_f  # m as an element of F_q (nonzero: gcd(m, char)=1)
+        self.e1 = (f.inv(p_in_f),) * m
+        self.ephi = self.sub(self.one, self.e1)
         self._norm_classes = None
-        self._residue_field = None
+        self._phi_elements = None
 
     @property
     def q(self) -> int:
@@ -135,22 +132,7 @@ class RingSpec:
         j %= m
         return a[m - j:] + a[:m - j]
 
-    # -- units -----------------------------------------------------------
-
-    def is_unit(self, a) -> bool:
-        """a is a unit exactly when both CRT components are nonzero."""
-        self._require_cyclotomic("units and inverses")
-        return self.eval1(a) != 0 and any(self.mod_phi(a))
-
-    def inv(self, a):
-        """The inverse, combined from the inverses of the CRT components."""
-        if not self.is_unit(a):
-            raise ValueError(f"{self.poly_str(a)} is not a unit in {self}")
-        return self.crt_combine(CrtPair(
-            self.field.inv(self.eval1(a)), self.residue_field().inv(self.mod_phi(a))
-        ))
-
-    # -- CRT -------------------------------------------------------------
+    # -- the residue field e_phi*R ----------------------------------------
 
     def _require_cyclotomic(self, what: str):
         if not self.cyclotomic_ok:
@@ -159,31 +141,43 @@ class RingSpec:
                 f"Y^{self.m}-1 over F_{self.field.q} has a different factor pattern"
             )
 
-    def mod_phi(self, a):
-        """Residue of a mod Phi_p, as p-1 coefficients (Y^(p-1) = -(Phi_p - Y^(p-1)))."""
-        # Phi_p = 1 + Y + ... + Y^(p-1), so Y^(p-1) = -(1 + Y + ... + Y^(p-2)).
-        fld = self.field
-        top = a[self.m - 1]
-        if top == 0:
-            return a[:-1]
-        nt = fld.neg(top)
-        return tuple(fld.add(a[i], nt) for i in range(self.m - 1))
+    def phi_elements(self):
+        """The q^(p-1) elements of e_phi*R, the lifts e_phi * t of the
+        mod-Phi coefficient tuples t, in lexicographic order of t.  As
+        e_1 * t = eval1(t) * e_1, the lift is t - eval1(t) * e_1.  Cached."""
+        if self._phi_elements is None:
+            self._phi_elements = tuple(
+                self.sub(t + (0,), self.scalar_mul(self.eval1(t), self.e1))
+                for t in product(range(self.q), repeat=self.m - 1)
+            )
+        return self._phi_elements
 
-    def crt_combine(self, pair: CrtPair):
-        self._require_cyclotomic("crt_combine")
+    def phi_inv(self, a):
+        """The inverse of a nonzero a of the field e_phi*R, after Itoh and
+        Tsujii: a^(-1) = a^(r-1) * N(a)^(-1) with r = (|K| - 1)/(q - 1).  The
+        Frobenius a -> a^q sends Y^i to Y^(iq mod p), so a^(r-1) is the
+        product of the coefficient permutations a^(q^i), i = 1..p-2.  The
+        norm N = a * a^(r-1) is n * e_phi with n in F_q, and as e_phi holds
+        1 - 1/p at 1 and -1/p at Y, n = N[0] - N[1]."""
+        m = self.m
+        q_inv = pow(self.q, -1, m)
+        part, image = self.ephi, a  # a^(r-1) = e_phi when p = 2, where K = F_q
+        for i in range(m - 2):
+            image = tuple(image[j * q_inv % m] for j in range(m))
+            part = self.mul(part, image) if i else image
         fld = self.field
-        g = tuple(pair.evalphi) + (0,)
-        # g + lam*Phi_p evaluates to g(1) + lam*p at Y=1; solve for lam.
-        g1 = self.eval1(g)
-        lam = fld.mul(fld.sub(pair.eval1, g1), fld.inv(self.p_in_field))
-        return tuple(fld.add(g[i], lam) for i in range(self.m))
+        norm = self.mul(a, part)
+        return self.scalar_mul(fld.inv(fld.sub(norm[0], norm[1])), part)
 
-    def residue_field(self) -> "ResidueField":
-        """The field F_q[Y]/Phi_p, built on first use.  Cached."""
-        if self._residue_field is None:
-            self._require_cyclotomic("residue field arithmetic")
-            self._residue_field = ResidueField(self)
-        return self._residue_field
+    def phi_field(self):
+        """The residue field K as e_phi*R, under FieldSpec's operation names:
+        R's own sum and product, the unit e_phi, `phi_inv` and
+        `phi_elements`."""
+        self._require_cyclotomic("residue field arithmetic")
+        return SimpleNamespace(
+            zero=self.zero, one=self.ephi, add=self.add, sub=self.sub,
+            neg=self.neg, mul=self.mul, inv=self.phi_inv, elements=self.phi_elements,
+        )
 
     # -- vectors ---------------------------------------------------------
 
@@ -243,66 +237,6 @@ class RingSpec:
 
     def __hash__(self):
         return hash(("RingSpec", self.field.q, self.m))
-
-
-class ResidueField:
-    """The residue field F_q[Y]/Phi_p of size q^(p-1), with FieldSpec's
-    operation names.
-
-    Elements are the (p-1)-coefficient tuples that `RingSpec.mod_phi`
-    returns and `CrtPair.evalphi` holds.  Products go through the ring,
-    so no table grows past the element list.  The Frobenius a -> a^q sends
-    Y^i to Y^(iq mod p), so it permutes coefficients, and inverses follow
-    Itoh and Tsujii: a^(-1) = a^(r-1) * N(a)^(-1) with r = (|K| - 1)/(q - 1),
-    where a^(r-1) is the product of the Frobenius images a^(q^i), i = 1..p-2,
-    and the norm N(a) = a^r lies in F_q.  Conjugation is the map induced by
-    Y -> Y^(-1).
-    """
-
-    def __init__(self, sp: RingSpec):
-        self.ring = sp
-        self.q = sp.q ** (sp.m - 1)  # the field size, as in FieldSpec
-        self.zero = (0,) * (sp.m - 1)
-        self.one = (1,) + (0,) * (sp.m - 2)
-        self._elements = None
-        # a^q has at Y^j the coefficient of Y^(j/q mod p), before mod_phi
-        q_inv = pow(sp.q, -1, sp.m)
-        self._frobenius_from = tuple(j * q_inv % sp.m for j in range(sp.m))
-        # coefficient-wise, exactly as on ring elements
-        self.add, self.sub, self.neg = sp.add, sp.sub, sp.neg
-
-    def elements(self):
-        """All elements in lexicographic order of coefficient tuples."""
-        if self._elements is None:
-            self._elements = tuple(product(range(self.ring.q), repeat=self.ring.m - 1))
-        return self._elements
-
-    def mul(self, a, b):
-        sp = self.ring
-        return sp.mod_phi(sp.mul(a + (0,), b + (0,)))
-
-    def _frobenius(self, a):
-        """a^q: the coefficient of Y^i moves to Y^(iq mod p)."""
-        a = a + (0,)
-        return self.ring.mod_phi(tuple(a[i] for i in self._frobenius_from))
-
-    def inv(self, a):
-        """a^(r-1) * N(a)^(-1), from p - 3 products of Frobenius images."""
-        if not any(a):
-            raise ZeroDivisionError("zero has no inverse in F_q[Y]/Phi_p")
-        part, image = self.one, a  # a^(r-1) = 1 when p = 2, where K = F_q
-        for i in range(self.ring.m - 2):
-            image = self._frobenius(image)
-            part = self.mul(part, image) if i else image
-        fld = self.ring.field
-        return self.ring.scalar_mul(fld.inv(self.mul(a, part)[0]), part)
-
-    def conj(self, a):
-        sp = self.ring
-        return sp.mod_phi(sp.conj(a + (0,)))
-
-    def __repr__(self):
-        return f"ResidueField(q={self.ring.q}, m={self.ring.m})"
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Shared helpers: random witnesses and random self-dual codes over R."""
 
 import functools
+import itertools
 import random
 
 from qcsd.buildup import extend_i, extend_ii, norm_minus_one_elements, seed
@@ -82,11 +83,72 @@ def reference_contains(code, word):
     return not any(w)
 
 
+def mod_phi(sp: RingSpec, a):
+    """The residue of a mod Phi_p = 1 + Y + ... + Y^(p-1), as p - 1
+    coefficients: Y^(p-1) = -(1 + Y + ... + Y^(p-2))."""
+    top = sp.field.neg(a[-1])
+    return tuple(sp.field.add(c, top) for c in a[:-1])
+
+
+def crt_combine(sp: RingSpec, u, g):
+    """The r in R with eval1(r) = u and residue g mod Phi_p: g + lam*Phi_p,
+    which evaluates to g(1) + lam*p at Y = 1."""
+    fld = sp.field
+    g = tuple(g) + (0,)
+    lam = fld.mul(fld.sub(u, sp.eval1(g)), fld.inv(sp.p_in_field))
+    return tuple(fld.add(c, lam) for c in g)
+
+
+class ReferenceK:
+    """The residue field K = F_q[Y]/Phi_p on its (p-1)-coefficient tuples,
+    with FieldSpec's operation names: the oracle that the ideal e_phi*R,
+    where qcsd computes K, is compared with through `lift`.  Products are
+    taken in R and reduced mod Phi_p, and inverses are a^(|K| - 2) by
+    square and multiply."""
+
+    def __init__(self, sp: RingSpec):
+        self.ring = sp
+        self.q = sp.q ** (sp.m - 1)  # the field size, as in FieldSpec
+        self.zero = (0,) * (sp.m - 1)
+        self.one = (1,) + (0,) * (sp.m - 2)
+        self.add, self.sub = sp.add, sp.sub
+
+    def elements(self):
+        """All elements in lexicographic order of coefficient tuples."""
+        return list(itertools.product(range(self.ring.q), repeat=self.ring.m - 1))
+
+    def mul(self, a, b):
+        return mod_phi(self.ring, self.ring.mul(a + (0,), b + (0,)))
+
+    def conj(self, a):
+        return mod_phi(self.ring, self.ring.conj(a + (0,)))
+
+    def inv(self, a):
+        if a == self.zero:
+            raise ZeroDivisionError("zero has no inverse in F_q[Y]/Phi_p")
+        out, power, e = self.one, a, self.q - 2
+        while e:
+            if e & 1:
+                out = self.mul(out, power)
+            power = self.mul(power, power)
+            e >>= 1
+        return out
+
+    def lift(self, t):
+        """The residue t as the element e_phi * t of R."""
+        return self.ring.mul(self.ring.ephi, t + (0,))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_k(q: int, m: int):
+    return ReferenceK(ring(q, m))
+
+
 def naive_rref(fld, n, rows):
     """Textbook reduced row echelon form, written independently of qc.rref,
     one field operation per symbol, for any object with FieldSpec's
-    operation names: over F_q, or over the residue field K on its
-    coefficient tuples."""
+    operation names: over F_q, or over the reference K on its coefficient
+    tuples."""
     zero = fld.zero
     work = [list(r) for r in rows]
     rank = 0
@@ -108,20 +170,25 @@ def naive_rref(fld, n, rows):
 
 
 def reference_component_forms(code, shared: bool = False):
-    """`rcode.component_forms` by elimination over F_q and over K itself,
-    on the eval1 and mod_phi images of the rows."""
+    """`rcode.component_forms` by elimination over F_q and over the
+    reference K, on the eval1 and mod_phi images of the rows; the K forms
+    are lifted into e_phi*R."""
     sp = code.spec
     ell = code.ell
+    kf = reference_k(sp.q, sp.m)
     forms = []
     lead = ()
-    for fld, split in ((sp.field, sp.eval1), (sp.residue_field(), sp.mod_phi)):
+    for fld, split, lift in (
+        (sp.field, sp.eval1, lambda v: v),
+        (kf, lambda e: mod_phi(sp, e), kf.lift),
+    ):
         order = list(lead) + [j for j in range(ell) if j not in lead]
         rows = [[split(r[j]) for j in order] for r in code.rows]
         form = {}
         for row, p in zip(*naive_rref(fld, ell, rows)):
             full = [None] * ell
             for j, v in zip(order, row):
-                full[j] = v
+                full[j] = lift(v)
             form[order[p]] = full
         forms.append(form)
         if shared:

@@ -13,6 +13,7 @@ from qcsd.classify import (
     ClassificationRun,
     ClassifiedCode,
     RunStats,
+    _dedup_level,
     _ring_maps,
     classify,
     euclidean_self_dual_count,
@@ -28,10 +29,16 @@ from qcsd.equiv import (
 )
 from qcsd.errors import BudgetExceeded, UnsupportedCase
 from qcsd.gf import field
-from qcsd.rcode import component_forms
-from qcsd.ring import CrtPair, ring
+from qcsd.rcode import RingCode, component_forms
+from qcsd.ring import ring
 
-from conftest import random_norm_minus_one_vector, random_self_dual
+from conftest import (
+    crt_combine,
+    mod_phi,
+    random_norm_minus_one_vector,
+    random_self_dual,
+    reference_k,
+)
 
 
 def test_self_dual_mass_formulas():
@@ -281,7 +288,7 @@ def test_filter_report_structure():
 
 def test_filter_report_names_the_weight_family():
     # a binary [30, 15, 6] code: n = 30 has weight-enumerator templates, and
-    # the automorphism search stops at AUT_MAX_N = 24
+    # the automorphism group is searched at every length
     sp = ring(2, 3)
     trail = (
         {"kind": "seed", "c": [0, 0, 1]},
@@ -303,7 +310,7 @@ def test_filter_report_names_the_weight_family():
     assert filter_report(run).to_dict() == {
         "classes": [
             {"index": 0, "n": 30, "k": 15, "d": 6, "weight_family": "W_1",
-             "beta": None, "divisibility_ok": True, "aut_order": None},
+             "beta": None, "divisibility_ok": True, "aut_order": 576},
         ],
         "by_distance": [[6, 1]],
         "max_distance": 6,
@@ -318,7 +325,9 @@ def test_filter_report_names_the_weight_family():
         (2, 5, 4, [3715891200, 122880, 1857945600]),
         (2, 11, 2, [81749606400, 887040]),
         (5, 2, 4, [98304, 768]),
-        (2, 13, 2, [None, None]),  # n = 26 is past the search's length limit
+        # n = 26: 2^13 * 13! for the code that is 13 copies of the repetition
+        # code of length 2, up to the coordinate order
+        (2, 13, 2, [51011754393600, 11232]),
     ],
 )
 def test_filter_report_automorphism_orders(q, m, ell, orders):
@@ -487,15 +496,18 @@ def test_block_automorphism_generators_lift_to_extensions(qm, ell, rng):
 def _reference_key(base, x):
     """The witness key of x: per component, x reduced against the echelon
     form of the base's component code (zero on its pivots) and
-    t = <x - x0, x0>."""
+    t = <x - x0, x0>.  K's part is worked in the reference K on residue
+    tuples and lifted into e_phi*R."""
     sp = base.spec
-    kf = sp.residue_field()
+    kf = reference_k(sp.q, sp.m)
     key = []
     components = (
-        (sp.field, sp.eval1, lambda a: a),
-        (kf, sp.mod_phi, kf.conj),
+        (sp.field, sp.eval1, lambda a: a, lambda a: a),
+        (kf, lambda e: mod_phi(sp, e), kf.conj, kf.lift),
     )
-    for form, (fld, split, conj) in zip(component_forms(base), components):
+    form1, form2 = component_forms(base)
+    form2 = {p: [mod_phi(sp, e) for e in row] for p, row in form2.items()}
+    for form, (fld, split, conj, lift) in zip((form1, form2), components):
         y = [split(e) for e in x]
         x0 = list(y)
         for p, row in form.items():
@@ -504,7 +516,7 @@ def _reference_key(base, x):
         t = fld.zero
         for u, v in zip(y, x0):
             t = fld.add(t, fld.mul(fld.sub(u, v), conj(v)))
-        key.append((tuple(x0), t))
+        key.append((tuple(map(lift, x0)), lift(t)))
     return tuple(key)
 
 
@@ -589,7 +601,7 @@ def test_witness_key_orbits_are_block_group_orbits(monkeypatch, q, m, ell):
                 pairings, ts = comp.offsets(w)
                 assert t in ts
                 parts.append(comp.witness(w, pairings, t))
-            x = tuple(sp.crt_combine(CrtPair(u, v)) for u, v in zip(*parts))
+            x = tuple(crt_combine(sp, u, mod_phi(sp, v)) for u, v in zip(*parts))
             assert sp.hermitian_ip(x, x) == minus1
             assert production_key(x) == key
             return x
@@ -611,6 +623,22 @@ def test_witness_key_orbits_are_block_group_orbits(monkeypatch, q, m, ell):
         assert len(set(keys)) == len(keys) == len(out)
         firsts = [production_key(w[1]) for w in out if w is not None]
         assert firsts == [orbit[0] for orbit in orbits]
+
+
+def test_progress_counts_pruned_candidates():
+    # the line every 5,000 candidates counts pruned witnesses as well: here
+    # the 5,000th candidate is pruned, and only the 5,001st is a code
+    sp = ring(2, 3)
+    c = norm_minus_one_elements(sp)[0]
+    cands = [None] * 5000 + [(RingCode(sp, 2, [(sp.one, c)]), ())]
+    stats = RunStats()
+    messages = []
+    reps = _dedup_level(sp, 2, iter(cands), stats, 10**6, messages.append)
+    assert messages == [
+        "length 2: 5000 candidates, 5000 pruned as orbit images, 0 ring classes"
+    ]
+    assert len(reps) == 1
+    assert (stats.candidates, stats.exact_duplicates) == (5001, 5000)
 
 
 @pytest.mark.parametrize("budget", [20, 100, 252])

@@ -10,7 +10,7 @@ from qcsd.qc import FieldCode, is_shift_invariant
 from qcsd.rcode import RingCode, component_forms
 from qcsd.ring import ring
 
-from conftest import naive_rref, reference_component_forms
+from conftest import mod_phi, naive_rref, reference_component_forms, reference_k
 
 
 def test_constructor_validation():
@@ -216,7 +216,7 @@ def _brute_force_k1(rc):
     sp = rc.spec
     comps = [
         (sp.field, [[sp.eval1(e) for e in r] for r in rc.rows]),
-        (sp.residue_field(), [[sp.mod_phi(e) for e in r] for r in rc.rows]),
+        (reference_k(sp.q, sp.m), [[mod_phi(sp, e) for e in r] for r in rc.rows]),
     ]
     for size in range(rc.ell, 0, -1):
         for cols in itertools.combinations(range(rc.ell), size):
@@ -340,9 +340,10 @@ def k_inputs(draw):
 @settings(max_examples=150, deadline=None)
 @given(k_inputs(), st.booleans())
 def test_component_forms_match_the_reference_k_elimination(rc, shared):
-    # the K forms come from one F_q elimination of the rows Y^s * r; the
-    # reference eliminates over K itself, one ResidueField operation per
-    # symbol, and both forms must agree in content and pivot order
+    # the K forms come from one F_q elimination of the rows Y^s * r, lifted
+    # into e_phi*R; the reference eliminates over K on its residue tuples,
+    # one operation per symbol, and lifts its rows, and both forms must
+    # agree in content and pivot order
     got = component_forms(rc, shared=shared)
     want = reference_component_forms(rc, shared=shared)
     assert [list(f.items()) for f in got] == [list(f.items()) for f in want]

@@ -1,14 +1,19 @@
-"""Arithmetic in R = F_q[Y]/(Y^m - 1): products, conjugation, units, CRT."""
+"""Arithmetic in R = F_q[Y]/(Y^m - 1): products, conjugation, and the
+residue field K as the ideal e_phi*R."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcsd.errors import UnsupportedCase
 from qcsd.gf import field
 from qcsd.qc import rref
 from qcsd.rcode import RingCode, component_forms
-from qcsd.ring import CrtPair, ring
+from qcsd.ring import ring
+
+from conftest import crt_combine, mod_phi, reference_k
 
 
 def test_constructor_validation():
@@ -97,47 +102,12 @@ def test_shift_and_eval1():
     assert sp.eval1(a) == 1  # 1 + 2 + 1 = 4 = 1 in F_3
 
 
-def test_units_count_matches_crt_factorization():
-    # R = F_q x F_{q^(m-1)} when Y^m - 1 has exactly two irreducible
-    # factors, so the unit group has (q-1)(q^(m-1)-1) elements
-    for q, m in [(2, 3), (2, 5), (3, 5), (3, 7)]:
-        sp = ring(q, m)
-        units = [a for a in sp.elements() if sp.is_unit(a)]
-        assert len(units) == (q - 1) * (q ** (m - 1) - 1)
-    # and independently of the split: a is a unit exactly when some b
-    # gives ab = 1, by brute force over the whole ring
-    for q, m in [(2, 3), (2, 5), (5, 2)]:
-        sp = ring(q, m)
-        elems = list(sp.elements())
-        for a in elems:
-            has_inverse = any(sp.mul(a, b) == sp.one for b in elems)
-            assert sp.is_unit(a) == has_inverse
-
-
 def _sample(elements, size, seed):
     """All the elements, or a fixed sample of `size` of them."""
     elements = list(elements)
     if size is None:
         return elements
     return random.Random(seed).sample(elements, size)
-
-
-def test_unit_inverses_exhaustive():
-    # every element of each ring, and a fixed sample of (5, 7)
-    for q, m, size in [(2, 3, None), (2, 5, None), (3, 5, None), (5, 3, None),
-                       (3, 7, None), (2, 11, None), (5, 7, 500)]:
-        sp = ring(q, m)
-        for u in _sample(sp.elements(), size, 17):
-            if sp.is_unit(u):
-                assert sp.mul(u, sp.inv(u)) == sp.one
-            else:
-                with pytest.raises(ValueError):
-                    sp.inv(u)
-        phi = (1,) * m  # 1 + Y + ... + Y^(m-1) divides Y^m - 1
-        assert not sp.is_unit(phi)
-        assert not sp.is_unit(sp.sub(sp.y, sp.one))
-        with pytest.raises(ValueError):
-            sp.inv(phi)
 
 
 def test_element_indexing_roundtrip():
@@ -151,56 +121,59 @@ def test_element_indexing_roundtrip():
 
 
 def test_crt_split_combine_roundtrip_exhaustive():
-    for q, m in [(2, 3), (2, 5), (3, 5)]:
+    # r = eval1(r) * e_1 + e_phi * r, and that is the element the reference
+    # CRT combines from eval1(r) and the residue of r mod Phi
+    for q, m in [(2, 3), (2, 5), (3, 5), (5, 2)]:
         sp = ring(q, m)
         for i in range(q**m):
             a = sp.element_from_index(i)
-            assert sp.crt_combine(CrtPair(sp.eval1(a), sp.mod_phi(a))) == a
+            v = sp.mul(sp.ephi, a)
+            assert sp.add(sp.scalar_mul(sp.eval1(a), sp.e1), v) == a
+            assert crt_combine(sp, sp.eval1(a), mod_phi(sp, v)) == a
+            assert sp.eval1(v) == 0
 
 
 def test_crt_split_is_a_ring_map():
-    # eval1 and mod_phi are ring maps onto F_q and the residue field, and
-    # mod_phi carries the conjugation of R to the residue field's
+    # r -> e_phi * r is a ring map onto the ideal that commutes with conj,
+    # as eval1 is onto F_q, and it keeps the residue mod Phi
     rng = random.Random(23)
     for q, m in [(2, 5), (5, 3), (3, 5)]:
         sp = ring(q, m)
-        res = sp.residue_field()
         for _ in range(60):
             a = sp.element_from_index(rng.randrange(q**m))
             b = sp.element_from_index(rng.randrange(q**m))
-            pa, pb = sp.mod_phi(a), sp.mod_phi(b)
+            pa, pb = sp.mul(sp.ephi, a), sp.mul(sp.ephi, b)
             prod = sp.mul(a, b)
             assert sp.eval1(prod) == sp.field.mul(sp.eval1(a), sp.eval1(b))
-            assert sp.mod_phi(prod) == res.mul(pa, pb)
-            assert sp.mod_phi(sp.add(a, b)) == res.add(pa, pb)
-            assert sp.mod_phi(sp.sub(a, b)) == res.sub(pa, pb)
-            assert sp.mod_phi(sp.conj(a)) == res.conj(pa)
+            assert sp.mul(sp.ephi, prod) == sp.mul(pa, pb)
+            assert sp.mul(sp.ephi, sp.add(a, b)) == sp.add(pa, pb)
+            assert sp.mul(sp.ephi, sp.sub(a, b)) == sp.sub(pa, pb)
+            assert sp.mul(sp.ephi, sp.conj(a)) == sp.conj(pa)
+            assert mod_phi(sp, pa) == mod_phi(sp, a)
 
 
 def test_crt_requires_two_factor_splitting():
-    sp = ring(2, 7)
-    with pytest.raises(UnsupportedCase):
-        sp.crt_combine(CrtPair(1, (0,) * 6))
-    with pytest.raises(UnsupportedCase):
-        sp.residue_field()
-    # units and inverses come from the split, so they need it too
+    # e_phi*R is a field, and the component forms and standard form exist,
+    # only when Y^m - 1 = (Y - 1) * Phi_m with Phi_m irreducible
     for q, m in [(2, 7), (4, 5)]:
         sp = ring(q, m)
         with pytest.raises(UnsupportedCase):
-            sp.is_unit(sp.one)
+            sp.phi_field()
+        code = RingCode(sp, 2, [(sp.one, sp.one)])
         with pytest.raises(UnsupportedCase):
-            sp.inv(sp.one)
+            component_forms(code)
+        with pytest.raises(UnsupportedCase):
+            code.standard_form()
 
 
 def test_multiples_of_phi():
-    # the multiples of Phi are exactly the elements with zero residue
+    # the multiples of Phi are exactly the elements that e_phi kills
     sp = ring(2, 3)
-    zero = sp.residue_field().zero
     phi = (1, 1, 1)
     multiples = {sp.mul(c, phi) for c in sp.elements()}
     assert multiples == {sp.zero, phi}
     for a in sp.elements():
-        assert (sp.mod_phi(a) == zero) == (a in multiples)
+        assert (sp.mul(sp.ephi, a) == sp.zero) == (a in multiples)
 
 
 def test_residue_field_is_a_field():
@@ -208,27 +181,28 @@ def test_residue_field_is_a_field():
     for q, m, size in [(2, 3, None), (2, 5, None), (3, 5, None), (5, 2, None),
                        (5, 3, None), (3, 7, None), (2, 11, None), (5, 7, 500)]:
         sp = ring(q, m)
-        res = sp.residue_field()
-        assert res is sp.residue_field()  # built once per ring
-        elems = res.elements()
-        assert res.q == q ** (m - 1) == len(set(elems))
-        assert elems[0] == res.zero and res.one in elems
+        kf = sp.phi_field()
+        elems = kf.elements()
+        assert elems is sp.phi_elements()  # built once per ring
+        assert q ** (m - 1) == len(set(elems))
+        assert elems[0] == kf.zero and kf.one == sp.ephi in elems
         for a in _sample(elems, size, 19):
-            assert res.conj(res.conj(a)) == a
-            assert res.add(a, res.neg(a)) == res.zero
-            if a != res.zero:
-                assert res.mul(a, res.inv(a)) == res.one
+            assert sp.mul(sp.ephi, a) == a  # in the ideal
+            assert sp.conj(sp.conj(a)) == a
+            assert kf.add(a, kf.neg(a)) == kf.zero
+            if a != kf.zero:
+                assert kf.mul(a, kf.inv(a)) == kf.one
         with pytest.raises(ZeroDivisionError):
-            res.inv(res.zero)
+            kf.inv(kf.zero)
 
 
 def test_rref_over_the_residue_field():
     # over (2, 3) the residue field is F_4, with Y a primitive cube root of
     # one; c0 + c1*Y <-> index c0 | c1 << 1 is the isomorphism to field(4),
-    # so the K echelon form of a code is the F_4 RREF of its mod_phi rows
+    # so the K echelon form of a code is the F_4 RREF of its residue rows
     sp = ring(2, 3)
-    res = sp.residue_field()
-    to_f4 = {e: e[0] | (e[1] << 1) for e in res.elements()}
+    kf = reference_k(2, 3)
+    to_f4 = {kf.lift(t): t[0] | (t[1] << 1) for t in kf.elements()}
     rng = random.Random(3)
     for _ in range(30):
         rows = [
@@ -238,9 +212,50 @@ def test_rref_over_the_residue_field():
         if not any(map(any, rows)):
             continue
         form = component_forms(RingCode(sp, 5, rows))[1]
-        basis4, piv4 = rref(field(4), 5, [[to_f4[sp.mod_phi(e)] for e in r] for r in rows])
+        residues = [[to_f4[sp.mul(sp.ephi, e)] for e in r] for r in rows]
+        basis4, piv4 = rref(field(4), 5, residues)
         assert tuple(form) == piv4
         assert [[to_f4[e] for e in r] for r in form.values()] == [list(r) for r in basis4]
+
+
+@functools.lru_cache(maxsize=None)
+def _lifted_tuples(q, m):
+    kf = reference_k(q, m)
+    return tuple(map(kf.lift, kf.elements()))
+
+
+_K_RINGS = [(2, 3), (2, 5), (2, 11), (3, 5), (5, 2), (5, 3), (5, 7)]
+
+
+@st.composite
+def residue_pairs(draw):
+    q, m = draw(st.sampled_from(_K_RINGS))
+    residue = st.tuples(*[st.integers(0, q - 1)] * (m - 1))
+    r = draw(st.tuples(*[st.integers(0, q - 1)] * m))
+    return ring(q, m), draw(residue), draw(residue), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_pairs())
+def test_residue_field_is_the_ideal_of_e_phi(case):
+    sp, t, u, r = case
+    e1, ephi = sp.e1, sp.ephi
+    # orthogonal idempotents with e_1 + e_phi = 1, both fixed by conj
+    assert sp.mul(e1, e1) == e1 and sp.mul(ephi, ephi) == ephi
+    assert sp.mul(e1, ephi) == sp.zero and sp.add(e1, ephi) == sp.one
+    assert sp.conj(e1) == e1 and sp.conj(ephi) == ephi
+    # the lift carries the reference K's operations to R's own
+    kf, ideal = reference_k(sp.q, sp.m), sp.phi_field()
+    lt, lu = kf.lift(t), kf.lift(u)
+    assert kf.lift(kf.add(t, u)) == sp.add(lt, lu)
+    assert kf.lift(kf.mul(t, u)) == sp.mul(lt, lu)
+    assert kf.lift(kf.conj(t)) == sp.conj(lt)
+    if t != kf.zero:
+        assert kf.lift(kf.inv(t)) == ideal.inv(lt)
+    # the ideal's elements are the lifted tuples in lexicographic order
+    assert sp.phi_elements() == _lifted_tuples(sp.q, sp.m)
+    # and every r splits as eval1(r) * e_1 + e_phi * r
+    assert sp.add(sp.scalar_mul(sp.eval1(r), e1), sp.mul(ephi, r)) == r
 
 
 def test_hermitian_ip_sesquilinear():
