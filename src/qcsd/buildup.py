@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConstructionError, UnsupportedCase
 from .gf import sum_of_squares_minus_one
-from .qc import _matmul
+from .qc import _in_span, _matmul
 from .rcode import RingCode
 from .ring import RingSpec
 
@@ -178,6 +178,10 @@ def reduce(code: RingCode) -> RingCode:
     x = first[2:]
     base_rows = [tuple(sp.sub(b, sp.mul(cbar, a)) for a, b in zip(x, second[2:]))]
     base = RingCode(sp, code.ell - 2, base_rows + [r[2:] for r in rest])
-    if not code.permute_columns(sf.col_perm).same_row_space(extend_i(base, c, x)):
+    # the permuted code equals the extension: the same dimension, and the
+    # permuted rows of the code's expansion lie in the extension's
+    ex, back = code.expansion(), extend_i(base, c, x).expansion()
+    cols = (np.arange(sp.m)[:, None] * code.ell + sf.col_perm).ravel()
+    if back.k != ex.k or not _in_span(back, back.matrix, ex.matrix[:, cols]):
         raise RuntimeError("the reduced base does not extend back to the code")
     return base

@@ -21,12 +21,12 @@ slot set with its ratio mates, block successor and predecessor mates and
 base colors; it is built once per shape and shared by every code of that
 shape.  What depends on the code is its refinement profile: the weight
 enumerator, the refinement strata and the word-slot incidence of their
-codewords, kept as int32 arrays (a words-by-weight matrix of slots per
-stratum, and a padded slots-by-degree matrix of words).  The enumerator
-and the strata words come from one walk, the enumerator's: it walks one
-word per scalar class (first nonzero symbol 1; over F_2 the words of S
-when C = S + <1>), and the lightest words are kept as it goes, a weight
-being dropped once the running count of the words up to it passes
+codewords, kept as padded int32 matrices (a words-by-weight matrix of
+slots, with each word's stratum, and a slots-by-degree matrix of words).
+The enumerator and the strata words come from one walk, the enumerator's:
+it walks one word per scalar class (first nonzero symbol 1; over F_2 the
+words of S when C = S + <1>), and the lightest words are kept as it goes,
+a weight being dropped once the running count of the words up to it passes
 `DEFAULT_MAX_WORDS`, then scaled by every nonzero scalar (and
 complemented) at the end.  The profile is built once and kept on the code
 object itself (`FieldCode.cache`), so `fingerprint`, `are_equivalent` and
@@ -36,15 +36,23 @@ search's node budget (DEFAULT_NODE_BUDGET) are module constants, read when
 a profile is built or a search starts.
 
 A refinement round works on whole arrays, in the spirit of McKay &
-Piperno's refinement (Practical graph isomorphism II, 2014): one
-`np.lexsort` ranks every word of a stratum, on both sides of a comparison
-at once, by the sorted colors of its slots; a second ranks every slot by its
-color, its mates' colors and its sorted word ranks, and those ranks are the
-new colors.  Slots meet different numbers of words, so their rows are padded
-with -1.  Every rank is at least 0, so a padded row sorts exactly where its
-unpadded tuple would: a row that is a prefix of another comes first.  The
-colors, and with them fingerprints, witnesses and automorphism generators,
-are those a tuple sort of the signatures gives.
+Piperno's refinement (Practical graph isomorphism II, 2014).  Each
+`are_equivalent`, `fingerprint` and `automorphism_group` call stacks its one
+or two sides once (`_Stack`): index matrices into one value array that holds
+the slot colors of both sides and, later in the round, the word ranks.  A
+round then takes two gathers and two rankings.  The first gathers every
+word's slot colors, sorts them, and ranks all words of all strata at once,
+the stratum leading.  The second gathers every slot's row, its color, its
+mates' colors and its sorted word ranks, and those ranks are the new colors.
+A ranking packs each row into as few int64 keys as fit in 62 bits, by one
+product with powers of two per key; colors are at most nslots and word ranks
+at most the word count, so the widths are fixed per search, and only the
+keys are sorted.  Words and slots meet different numbers of slots and words,
+so their rows are padded with a sentinel.  A word's padding sorts after
+every color.  A slot's padding reads 0, below every word rank plus one, so
+a row that is a prefix of another ranks first.  The colors, and with them
+fingerprints, witnesses and automorphism generators, are those a tuple sort
+of the signatures gives.
 
 `ClassStore` is the one place that sorts codes into classes: it buckets
 codes by fingerprint and compares a new code first-fit against the
@@ -241,30 +249,34 @@ def _shape(fld: FieldSpec, n: int, qc_blocks) -> _Shape:
 
 
 def _incidence(code: FieldCode, strata_weights, words):
-    """Word-slot incidence of the strata words, as int32 arrays: per
-    stratum, a (words x weight) matrix of each word's slots; and an
-    (nslots x max degree) matrix of each slot's words, padded with the word
-    count.  Words are numbered stratum by stratum."""
+    """Word-slot incidence of the strata words, as padded int32 matrices:
+    a (words x heaviest weight) matrix of each word's slots, words numbered
+    stratum by stratum and padded with the sentinel slot nslots, and the
+    stratum of each word; and an (nslots x max degree) matrix of each
+    slot's words, padded with the sentinel word (the word count)."""
     r = max(code.field.q - 1, 1)
+    nslots = code.n * r
     nonzero = words != 0
     weights = nonzero.sum(axis=1)
     slot_ids = np.arange(code.n, dtype=np.int32) * r + words.astype(np.int32) - 1
-    strata = []
-    for wt in strata_weights:
-        rows = weights == wt
-        strata.append(slot_ids[rows][nonzero[rows]].reshape(-1, wt))
-    sizes = [len(st) for st in strata]
-    slots = np.concatenate([st.ravel() for st in strata])
-    word_of = np.repeat(
-        np.arange(sum(sizes), dtype=np.int32), np.repeat(strata_weights, sizes)
-    )
+    slot_ids[~nonzero] = nslots
+    strata = [np.flatnonzero(weights == wt) for wt in strata_weights]
+    # slot ids grow with the column, so sorting moves the padding last
+    word_slots = np.sort(slot_ids[np.concatenate(strata)], axis=1)
+    word_slots = word_slots[:, : max(strata_weights)]
+    stratum = np.repeat(np.arange(len(strata)), [len(st) for st in strata])
+    nwords = len(word_slots)
+    slots = word_slots.ravel()
+    word_of = np.repeat(np.arange(nwords, dtype=np.int32), word_slots.shape[1])
+    word_of = word_of[slots < nslots]
+    slots = slots[slots < nslots]
     order = np.argsort(slots, kind="stable")
     slots = slots[order]
-    degree = np.bincount(slots, minlength=code.n * r)
+    degree = np.bincount(slots, minlength=nslots)
     first = np.cumsum(degree) - degree
-    slot_words = np.full((code.n * r, degree.max()), sum(sizes), dtype=np.int32)
+    slot_words = np.full((nslots, degree.max()), nwords, dtype=np.int32)
     slot_words[slots, np.arange(len(slots)) - first[slots]] = word_of[order]
-    return strata, slot_words
+    return word_slots, stratum, slot_words
 
 
 class _Profile:
@@ -281,8 +293,8 @@ class _Profile:
                 "codeword materialization for equivalence", total, _MATERIALIZE_LIMIT
             )
         self.enum, self.weights, words = _select_strata(code, budget, max_words)
-        self.strata, self.slot_words = _incidence(code, self.weights, words)
-        self.stratum_sizes = {i: len(st) for i, st in enumerate(self.strata)}
+        self.words, self.stratum, self.slot_words = _incidence(code, self.weights, words)
+        self.stratum_sizes = dict(enumerate(np.bincount(self.stratum).tolist()))
 
 
 def _profile(code: FieldCode) -> _Profile:
@@ -296,71 +308,142 @@ def _profile(code: FieldCode) -> _Profile:
     return prof
 
 
-_NO_WORD = np.iinfo(np.int32).max
+def _packing(ncols: int, bits: int, lead_bits: int = 0):
+    """How `ncols` columns of `bits` bits each pack, left to right, into as
+    few int64 keys of at most 62 bits as fit, below `lead_bits` bits kept
+    free at the top of the first key, every key as wide: the columns padded
+    to a whole number of keys, and the powers of two that pack one key."""
+    per = (62 - lead_bits) // bits
+    keys = -(-ncols // per)
+    per = -(-ncols // keys)
+    return keys * per, np.left_shift(1, bits * np.arange(per - 1, -1, -1, dtype=np.int64))
 
 
-def _dense_rank(rows):
-    """The rank of each row of an integer matrix among its distinct rows in
-    lexicographic order, and the number of distinct rows."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    step = np.ones(len(rows), dtype=bool)
-    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    ranks = np.empty(len(rows), dtype=np.int32)
-    ranks[order] = np.cumsum(step) - 1
-    return ranks, int(ranks[order[-1]]) + 1
+def _rank(rows, powers, lead=None):
+    """The rank of each row of a nonnegative int64 matrix among its
+    distinct rows in lexicographic order, and the number of distinct rows.
+    Each run of len(powers) columns packs into one key by a product with
+    `powers`, and `lead`, when given, is added to the first key; only the
+    keys are sorted."""
+    keys = rows.reshape(len(rows), -1, len(powers)) @ powers
+    if lead is not None:
+        keys[:, 0] += lead
+    if keys.shape[1] == 1:
+        keys = keys[:, 0]
+        order = keys.argsort()
+        ordered = keys[order]
+        step = ordered[1:] != ordered[:-1]
+    else:
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        step = (ordered[1:] != ordered[:-1]).any(axis=1)
+    dense = np.zeros(len(rows), dtype=np.int64)
+    step.cumsum(out=dense[1:])
+    ranks = np.empty_like(dense)
+    ranks[order] = dense
+    return ranks, int(dense[-1]) + 1
 
 
-def _refine(shape: _Shape, profs, colors):
-    """Iterated joint recoloring of one or two profiles on a shared shape.
+class _Stack:
+    """The one or two profiles of a search on its shape, stacked once for
+    every refinement round of that search.
 
-    `colors` holds one row of slot colors per profile.  Each round ranks
-    every word of a stratum on both sides at once by the sorted colors of
-    its slots, strata in order, then ranks every slot by the row of its
-    color, its mate colors, its successor and predecessor colors and its
-    sorted word ranks; the slot ranks are the new colors.  Rows are padded
-    with -1 to one width, and -1 lies below every rank, so a row that is a
-    prefix of another ranks first, as in tuple order.  Returns the stable
-    colors as an int32 array, or None when the color class sizes of the
-    two sides diverge."""
-    colors = np.asarray(colors, dtype=np.int32)
-    nslots = shape.nslots
-    width = max(P.slot_words.shape[1] for P in profs)
+    One value array holds, in order: the slot colors of every side (slot s
+    of side i at i*nslots + s), the sentinel slot's color nslots, which
+    sorts after every color, the word ranks plus one of every side (from
+    `words_at`), and the sentinel word's value `no_word`, which sorts after
+    every rank.  `words` indexes each word's slots and `slots` each slot's
+    row (the `lead` colors of the slot and its neighbors, then its words)
+    in that array, each padded with its sentinel to whole keys; `strata` is
+    each word's stratum, shifted to the top of its first key."""
+
+    def __init__(self, shape: _Shape, profs):
+        nslots, sides = shape.nslots, len(profs)
+        nwords = sum(len(P.words) for P in profs)
+        no_slot = sides * nslots
+        self.shape = shape
+        self.lead = shape.neighbors.shape[1]
+        self.words_at = no_slot + 1
+        self.no_word = nwords + 1
+        no_word_at = self.words_at + nwords
+        self.values = np.zeros(no_word_at + 1, dtype=np.int64)
+        self.values[no_slot] = nslots
+        self.values[no_word_at] = self.no_word
+        bits = nslots.bit_length()
+        strata_bits = (len(profs[0].weights) - 1).bit_length()
+        width, self.word_powers = _packing(
+            max(P.words.shape[1] for P in profs), bits, strata_bits
+        )
+        self.strata = np.concatenate([P.stratum for P in profs])
+        self.strata <<= bits * len(self.word_powers)
+        self.words = np.full((nwords, width), no_slot, dtype=np.int64)
+        width, self.slot_powers = _packing(
+            self.lead + max(P.slot_words.shape[1] for P in profs),
+            max(nslots - 1, nwords).bit_length(),
+        )
+        self.slots = np.full((no_slot, width), no_word_at, dtype=np.int64)
+        at = 0
+        for i, P in enumerate(profs):
+            self.words[at : at + len(P.words), : P.words.shape[1]] = np.where(
+                P.words < nslots, P.words + i * nslots, no_slot
+            )
+            slots = self.slots[i * nslots : (i + 1) * nslots]
+            slots[:, : self.lead] = shape.neighbors + i * nslots
+            slots[:, self.lead : self.lead + P.slot_words.shape[1]] = np.where(
+                P.slot_words < len(P.words), P.slot_words + self.words_at + at, no_word_at
+            )
+            at += len(P.words)
+
+
+def _refine(stack: _Stack, colors):
+    """Iterated joint recoloring of the one or two sides of a stack.
+
+    `colors` holds one row of slot colors per side.  Each round ranks every
+    word of both sides at once by its stratum and the sorted colors of its
+    slots, then ranks every slot by the row of its color, its mate colors,
+    its successor and predecessor colors and its sorted word ranks; the
+    slot ranks are the new colors.  A slot row is padded after its words
+    with a value below every rank, so a row that is a prefix of another
+    ranks first, as in tuple order.  Returns the stable colors as an int64
+    array, or None when the color class sizes of the two sides diverge."""
+    colors = np.asarray(colors, dtype=np.int64)
+    sides, nslots = colors.shape
     sizes = [np.bincount(c) for c in colors]
-    if len(profs) == 2 and not np.array_equal(*sizes):
+    if sides == 2 and not np.array_equal(*sizes):
         return None
-    distinct = [int(np.count_nonzero(z)) for z in sizes]
+    distinct = int(np.count_nonzero(sizes[0]))
+    values, lead = stack.values, stack.lead
     while True:
-        # word ranks, stratum by stratum, offset past the earlier strata
-        word_ranks: list[list] = [[] for _ in profs]
-        offset = 0
-        for strata in zip(*(P.strata for P in profs)):
-            parts = [c[st] for c, st in zip(colors, strata)]
-            ranks, count = _dense_rank(np.sort(np.concatenate(parts), axis=1))
-            ranks += offset
-            offset += count
-            at = 0
-            for side, part in zip(word_ranks, parts):
-                side.append(ranks[at : at + len(part)])
-                at += len(part)
-        # slot rows; the padding of slot_words sorts last, then reads -1
-        rows = []
-        for c, P, side in zip(colors, profs, word_ranks):
-            by_word = np.concatenate(side + [np.full(1, _NO_WORD, dtype=np.int32)])
-            incident = by_word[P.slot_words]
-            incident.sort(axis=1)
-            incident[incident == _NO_WORD] = -1
-            pad = np.full((nslots, width - incident.shape[1]), -1, dtype=np.int32)
-            rows.append(np.concatenate([c[shape.neighbors], incident, pad], axis=1))
-        new, count = _dense_rank(np.concatenate(rows))
-        new = new.reshape(len(profs), nslots)
-        sizes = [np.bincount(c, minlength=count) for c in new]
-        if len(profs) == 2 and not np.array_equal(*sizes):
+        values[: sides * nslots] = colors.ravel()
+        rows = values.take(stack.words)
+        rows.sort(axis=1)
+        ranks, _ = _rank(rows, stack.word_powers, stack.strata)
+        np.add(ranks, 1, out=values[stack.words_at : stack.words_at + len(ranks)])
+        rows = values.take(stack.slots)
+        incident = rows[:, lead:]
+        incident.sort(axis=1)
+        # the sentinel word sorted last; it reads 0, below every rank + 1
+        np.remainder(incident, stack.no_word, out=incident)
+        new, count = _rank(rows, stack.slot_powers)
+        new = new.reshape(sides, nslots)
+        if sides == 2 and not np.array_equal(
+            np.bincount(new[0], minlength=count), np.bincount(new[1], minlength=count)
+        ):
             return None
-        new_distinct = [int(np.count_nonzero(z)) for z in sizes]
-        if new_distinct == distinct:
+        if count == distinct:
             return new
-        colors, distinct = new, new_distinct
+        colors, distinct = new, count
+
+
+def _target_cell(colors):
+    """The color of the smallest cell of more than one slot, the lowest
+    such color on ties, or None when the coloring is discrete; `colors` are
+    the ranks `_refine` returns, so every color below their count is used."""
+    sizes = np.bincount(colors)
+    if len(sizes) == len(colors):
+        return None
+    sizes[sizes == 1] = len(colors) + 1
+    return int(sizes.argmin())
 
 
 def _pin_closure(shape: _Shape, pins):
@@ -451,7 +534,7 @@ def _leaf_witness(shape: _Shape, codes, cA, cB):
     return EquivalenceResult(True, tuple(perm), tuple(scal))
 
 
-def _find_map(shape: _Shape, profs, pins, state):
+def _find_map(stack: _Stack, pins, state):
     state["nodes"] += 1
     if state["nodes"] > state["budget"]:
         raise BudgetExceeded(
@@ -459,26 +542,20 @@ def _find_map(shape: _Shape, profs, pins, state):
             state["nodes"],
             state["budget"],
         )
+    shape = stack.shape
     mapping = _pin_closure(shape, pins)
     if mapping is None:
         return None
-    res = _refine(shape, profs, _pinned_colors(shape, mapping))
+    res = _refine(stack, _pinned_colors(shape, mapping))
     if res is None:
         return None
-    cA, cB = res.tolist()
-    if len(set(cA)) == shape.nslots:
-        return _leaf_witness(shape, state["codes"], cA, cB)
-    classesA: dict[int, list] = {}
-    for s, c in enumerate(cA):
-        classesA.setdefault(c, []).append(s)
-    color, slots = min(
-        ((c, ss) for c, ss in classesA.items() if len(ss) > 1),
-        key=lambda item: (len(item[1]), item[0]),
-    )
-    a = slots[0]
-    candidates = sorted(s for s, c in enumerate(cB) if c == color)
-    for b in candidates:
-        res = _find_map(shape, profs, pins + [(a, b)], state)
+    cA, cB = res
+    color = _target_cell(cA)
+    if color is None:
+        return _leaf_witness(shape, state["codes"], cA.tolist(), cB.tolist())
+    a = int(np.argmax(cA == color))
+    for b in np.flatnonzero(cB == color).tolist():
+        res = _find_map(stack, pins + [(a, b)], state)
         if res is not None:
             return res
     return None
@@ -518,7 +595,7 @@ def are_equivalent(
     if p1.weights != p2.weights or p1.stratum_sizes != p2.stratum_sizes:
         return EquivalenceResult(False)
     state = {"nodes": 0, "budget": DEFAULT_NODE_BUDGET, "codes": (d1, d2)}
-    res = _find_map(shape, (p1, p2), [], state)
+    res = _find_map(_Stack(shape, (p1, p2)), [], state)
     return res if res is not None else EquivalenceResult(False)
 
 
@@ -546,8 +623,8 @@ def fingerprint(code: FieldCode) -> CodeFingerprint:
     d = nz[0][0]
     prefix = tuple(nz[:4])
     shape = _shape(code.field, code.n, None)
-    start = np.zeros((1, shape.nslots), dtype=np.int32)
-    (colors,) = _refine(shape, (prof,), start).tolist()
+    start = np.zeros((1, shape.nslots), dtype=np.int64)
+    (colors,) = _refine(_Stack(shape, (prof,)), start).tolist()
     trace = (
         code.n,
         code.k,
@@ -614,7 +691,7 @@ def automorphism_group(
     prof = _profile(code)
     blocks = tuple(qc_blocks) if qc_blocks is not None else None
     S = _shape(code.field, code.n, blocks)
-    profs = (prof, prof)
+    one, both = _Stack(S, (prof,)), _Stack(S, (prof, prof))
     state = {"nodes": 0, "budget": DEFAULT_NODE_BUDGET, "codes": (code, code)}
     # the base, and the cell each base point is taken from, by refinement alone
     levels = []
@@ -622,14 +699,11 @@ def automorphism_group(
     while True:
         pins = [(b, b) for b in base]
         colors, _ = _pinned_colors(S, _pin_closure(S, pins))
-        (colors,) = _refine(S, (prof,), [colors]).tolist()
-        classes: dict[int, list] = {}
-        for s, c in enumerate(colors):
-            classes.setdefault(c, []).append(s)
-        nontrivial = [(c, ss) for c, ss in classes.items() if len(ss) > 1]
-        if not nontrivial:
+        (colors,) = _refine(one, [colors])
+        color = _target_cell(colors)
+        if color is None:
             break
-        _, cell = min(nontrivial, key=lambda item: (len(item[1]), item[0]))
+        cell = np.flatnonzero(colors == color).tolist()
         levels.append((pins, cell))
         base.append(cell[0])
     # orbits of the automorphisms found so far, as a union-find over slots
@@ -653,7 +727,7 @@ def automorphism_group(
             root = find(c)
             if root == find(b0) or root in {find(f) for f in failed}:
                 continue
-            witness = _find_map(S, profs, pins + [(b0, c)], state)
+            witness = _find_map(both, pins + [(b0, c)], state)
             if witness is None:
                 failed.append(c)
                 continue

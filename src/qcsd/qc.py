@@ -139,35 +139,36 @@ def _rref_array(fld, n: int, a):
 
 def _rref_gf2(n: int, a):
     """RREF over GF(2) of a 0/1 array, on rows packed into bit masks (bit
-    j = column j)."""
+    j = column j).  The basis rows are keyed by their pivot bit; each is
+    zero at every other pivot, so an incoming row is reduced only at the
+    pivot bits it has."""
     packed = np.packbits(a, axis=1, bitorder="little")
     width = packed.shape[1]
     buf = packed.tobytes()
-    basis = []
-    pivots = []
+    basis: dict[int, int] = {}
+    pivot_mask = 0
     for start in range(0, len(buf), width):
         x = int.from_bytes(buf[start : start + width], "little")
-        for p, b in zip(pivots, basis):
-            if (x >> p) & 1:
-                x ^= b
+        hits = x & pivot_mask
+        while hits:
+            bit = hits & -hits
+            x ^= basis[bit]
+            hits ^= bit
         if x == 0:
             continue
-        p = (x & -x).bit_length() - 1
-        for i in range(len(basis)):
-            if (basis[i] >> p) & 1:
-                basis[i] ^= x
-        # keep rows ordered by pivot
-        at = 0
-        while at < len(pivots) and pivots[at] < p:
-            at += 1
-        pivots.insert(at, p)
-        basis.insert(at, x)
+        bit = x & -x
+        for pivot, row in basis.items():
+            if row & bit:
+                basis[pivot] = row ^ x
+        basis[bit] = x
+        pivot_mask |= bit
     if not basis:
         return (), ()
-    buf = b"".join(x.to_bytes(width, "little") for x in basis)
-    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(basis), width)
+    pivots = sorted(basis)
+    buf = b"".join(basis[pivot].to_bytes(width, "little") for pivot in pivots)
+    bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(pivots), width)
     rows = np.unpackbits(bits, axis=1, count=n, bitorder="little")
-    return tuple(map(tuple, rows.tolist())), tuple(pivots)
+    return tuple(map(tuple, rows.tolist())), tuple(b.bit_length() - 1 for b in pivots)
 
 
 def _symbols(fld, n: int, rows):
@@ -278,18 +279,21 @@ def is_shift_invariant(code: FieldCode, step: int) -> bool:
 
 
 def expand(rc) -> FieldCode:
-    """Image of a ring code as an m*ell field code.
+    """Image of a ring code as an m*ell field code, row-reduced once per
+    code: it is kept on `rc` and returned by `rc.expansion()` as well.
 
     Each generator row r contributes the field rows of r, Y*r, ...,
     Y^(m-1)*r; field position i*ell + j carries the Y^i coefficient of
     ring coordinate j, which in Y^s*r is coefficient (i - s) mod m of r_j.
     """
-    spec = rc.spec
-    m, ell = spec.m, rc.ell
-    i = np.arange(m)
-    # [r, s, i, j] = coefficient (i - s) mod m of r_j
-    frows = rc.coeffs.transpose(0, 2, 1)[:, (i - i[:, None]) % m]
-    return FieldCode(spec.field, m * ell, frows.reshape(-1, m * ell))
+    if rc._expansion is None:
+        spec = rc.spec
+        m, ell = spec.m, rc.ell
+        i = np.arange(m)
+        # [r, s, i, j] = coefficient (i - s) mod m of r_j
+        frows = rc.coeffs.transpose(0, 2, 1)[:, (i - i[:, None]) % m]
+        rc._expansion = FieldCode(spec.field, m * ell, frows.reshape(-1, m * ell))
+    return rc._expansion
 
 
 def collapse(code: FieldCode, m: int, ell: int):

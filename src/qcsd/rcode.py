@@ -89,9 +89,7 @@ class RingCode:
         return self.spec.m
 
     def expansion(self) -> FieldCode:
-        if self._expansion is None:
-            self._expansion = expand(self)
-        return self._expansion
+        return expand(self)
 
     def same_row_space(self, other: "RingCode") -> bool:
         return (

@@ -316,6 +316,26 @@ def test_reduce_of_an_extension_extends_back(qm, steps, rnd):
     assert again.same_row_space(code.permute_columns(sf.col_perm))
 
 
+def test_reduce_refuses_a_base_that_does_not_extend_back(monkeypatch):
+    # a standard form whose column order is wrong: the base is built from
+    # its rows as before, but the permuted code is not the extension
+    import dataclasses
+
+    rng = random.Random(36)
+    code = random_extension_i(random_extension_i(seeds_for(2, 3)[0], rng), rng)
+    sf = code.standard_form()
+    wrong = sf.col_perm[:2] + sf.col_perm[:1:-1]
+    assert not code.permute_columns(wrong).same_row_space(
+        code.permute_columns(sf.col_perm)
+    )
+    assert reduce(code).ell == code.ell - 2
+    monkeypatch.setattr(
+        RingCode, "standard_form", lambda self: dataclasses.replace(sf, col_perm=wrong)
+    )
+    with pytest.raises(RuntimeError, match="does not extend back"):
+        reduce(code)
+
+
 def test_reduce_unsupported_cases():
     sp = ring(2, 3)
     with pytest.raises(UnsupportedCase, match="below the reducible minimum"):

@@ -4,6 +4,7 @@ import gc
 import random
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -463,8 +464,8 @@ def tuple_sort_refine(shape, profs, colors_list):
 
     incidence = []
     for P in profs:
-        word_slots = [tuple(row) for st in P.strata for row in st.tolist()]
-        word_stratum = [i for i, st in enumerate(P.strata) for _ in range(len(st))]
+        word_slots = [tuple(s for s in row if s != shape.nslots) for row in P.words.tolist()]
+        word_stratum = P.stratum.tolist()
         nwords = len(word_slots)
         slot_words = [[w for w in row if w != nwords] for row in P.slot_words.tolist()]
         incidence.append((word_slots, word_stratum, slot_words))
@@ -530,16 +531,92 @@ def test_refine_matches_tuple_sort_reference(case):
     shape = E._shape(code.field, code.n, blocks)
     profs = tuple(E._Profile(c, 1 << 20, E.DEFAULT_MAX_WORDS) for c in (code, moved))
     start = [[0] * shape.nslots]
-    assert E._refine(shape, profs[:1], start).tolist() == tuple_sort_refine(
+    assert E._refine(E._Stack(shape, profs[:1]), start).tolist() == tuple_sort_refine(
         shape, profs[:1], start
     )
     mapping = E._pin_closure(shape, [pin])
     if mapping is None:
         return
     start = list(E._pinned_colors(shape, mapping))
-    got = E._refine(shape, profs, start)
+    got = E._refine(E._Stack(shape, profs), start)
     want = tuple_sort_refine(shape, profs, start)
     assert (got if got is None else got.tolist()) == want
+
+
+@pytest.mark.parametrize(
+    "q, m, ell, blocks", [(2, 3, 6, None), (2, 3, 6, (3, 6)), (4, 3, 4, None)]
+)
+def test_refine_matches_tuple_sort_reference_on_wide_slot_rows(q, m, ell, blocks):
+    # slots meet tens of words here, so each slot row packs into several keys
+    import qcsd.equiv as E
+
+    rng = random.Random(61)
+    code = random_self_dual(q, m, ell, rng).expansion()
+    perm, scalars = random_monomial(code.n, q, rng)
+    if blocks is not None:  # a map the block restriction keeps: the identity
+        perm, scalars = range(code.n), (1,) * code.n
+    moved = apply_monomial(code, perm, scalars)
+    shape = E._shape(code.field, code.n, blocks)
+    profs = tuple(E._Profile(c, 1 << 20, E.DEFAULT_MAX_WORDS) for c in (code, moved))
+    # slot 0 pinned to itself, and to its image under the monomial map
+    image = perm[0] * shape.r + scalars[0] - 1
+    for sides, pin in ((profs[:1], (0, 0)), (profs, (0, image))):
+        stack = E._Stack(shape, sides)
+        assert stack.slots.shape[1] // len(stack.slot_powers) >= 2
+        start = list(E._pinned_colors(shape, E._pin_closure(shape, [pin])))
+        start = start[: len(sides)]
+        want = tuple_sort_refine(shape, sides, start)
+        assert want is not None and len(set(want[0])) > len(set(start[0]))
+        assert E._refine(stack, start).tolist() == want
+
+
+def dense_rank(rows):
+    """The rank of each row of an integer matrix among its distinct rows in
+    lexicographic order, and the number of distinct rows: the ranking that
+    `equiv._refine` ran on whole rows, one lexsort pass per column, before
+    its columns were packed into keys."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    step = np.ones(len(rows), dtype=bool)
+    step[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(rows), dtype=np.int32)
+    ranks[order] = np.cumsum(step) - 1
+    return ranks, int(ranks[order[-1]]) + 1
+
+
+@st.composite
+def packed_rank_cases(draw):
+    """Rows whose width and bit bound take exactly `keys` packed keys, drawn
+    from a few distinct rows so that ties occur, with a leading column of
+    `lead_bits` bits and a pad value for the columns that fill the last key."""
+    keys = draw(st.integers(1, 4))
+    bits = draw(st.integers(1, 21))
+    lead_bits = draw(st.integers(0, 4))
+    per = (62 - lead_bits) // bits
+    ncols = draw(st.integers((keys - 1) * per + 1, keys * per))
+    value = st.integers(0, (1 << bits) - 1)
+    row = st.tuples(st.integers(0, (1 << lead_bits) - 1), *[value] * ncols)
+    pool = draw(st.lists(row, min_size=1, max_size=5))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+    return keys, bits, lead_bits, np.array(rows, dtype=np.int64), draw(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_rank_cases())
+def test_packed_ranks_match_dense_rank(case):
+    import qcsd.equiv as E
+
+    keys, bits, lead_bits, rows, pad = case
+    lead, cols = rows[:, 0], rows[:, 1:]
+    width, powers = E._packing(cols.shape[1], bits, lead_bits)
+    assert width // len(powers) == keys
+    padded = np.full((len(rows), width), pad, dtype=np.int64)
+    padded[:, : cols.shape[1]] = cols
+    shifted = lead << (bits * len(powers)) if lead_bits else None
+    ranks, count = E._rank(padded, powers, shifted)
+    want, want_count = dense_rank(rows if lead_bits else cols)
+    assert ranks.tolist() == want.tolist()
+    assert count == want_count
 
 
 @settings(max_examples=80, deadline=None)

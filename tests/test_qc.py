@@ -62,9 +62,10 @@ def _dependent_rows(fld, rng, n, count):
     return rows
 
 
-@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_rref_matches_naive_reduction_at_kernel_sizes(q):
-    # up to n = 100 and 60 rows, rank-deficient, and more rows than columns
+    # up to n = 100 and 60 rows, rank-deficient, and more rows than columns;
+    # over F_2 the bit masks span several bytes
     fld = field(q)
     rng = random.Random(100 + q)
     shapes = [(rng.randrange(0, 61), rng.randrange(1, 101)) for _ in range(12)]
@@ -305,6 +306,15 @@ def test_collapse_expand_roundtrip_random_multirow():
             assert is_shift_invariant(fc, ell)
             back = collapse(fc, m, ell)
             assert back.expansion() == fc
+
+
+def test_expand_fills_the_cached_expansion():
+    # one row reduction per ring code, whichever of the two is called first
+    rc = random_self_dual(2, 3, 4, random.Random(12))
+    fc = expand(rc)
+    assert expand(rc) is fc is rc.expansion()
+    other = RingCode(rc.spec, rc.ell, rc.rows)
+    assert other.expansion() is expand(other) == fc
 
 
 def test_collapse_rejects_bad_input():
