@@ -6,12 +6,14 @@ from .analysis import (
     DistanceScan,
     WeightEnum,
     divisibility_check,
+    fixed_subcode,
     is_type_ii_binary,
     is_type_ii_f4,
     macwilliams_transform,
     match_template,
     min_distance,
     min_distance_prefix,
+    shift_congruence_check,
     weight_enumerator,
 )
 from .buildup import extend_i, extend_ii, reduce, seed

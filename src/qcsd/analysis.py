@@ -21,6 +21,27 @@ code that contains the all-ones word 1 is C = S + <1>, where S is spanned
 by every RREF row but the first; only S is walked, and A_w(C) = A_w(S) +
 A_{n-w}(S).
 
+Told the code's quasi-cyclic index ell, the enumerator also uses the shift
+sigma by ell, an automorphism of order m = n/ell (multiplication by Y on
+R^ell, R = F_q[Y]/(Y^m - 1)).  With e_1 = m^-1 (1 + sigma + .. +
+sigma^(m-1)), C splits as C_1 + C_phi, where C_1 = e_1*C is the subcode
+sigma fixes and C_phi = (1 - e_1)*C (Ling and Sole, "On the algebraic
+structure of quasi-cyclic codes I", IEEE Trans. IT 47, 2001).  When m is
+prime and prime to q and to q - 1, Y^e - 1 is a unit on e_phi*R for
+0 < e < m and no power of Y other than 1 is a scalar there, so F_q^* x
+<sigma> acts freely on C minus C_1: every such word lies in an orbit of
+(q - 1)m words of one weight.  C_phi is row-reduced with its ring
+coordinates major and its rows grouped by the ring coordinate j of their
+pivot; group j holds the words whose first nonzero ring coordinate is j,
+and their values there form a Y-stable subspace M_j of e_phi*R.  One
+element of each orbit of F_q^* x <Y> on M_j minus 0, the one with the
+least integer label among its (q - 1)m images, is lifted through the
+group's rows to a head; each head plus the span of the later groups and
+of C_1 is walked on the same table and Gray order, counting each word
+(q - 1)m times, and C_1 is walked projectively.  That is about
+q^k/((q - 1)m) words.  Over F_2 the all-ones split moves inside C_1,
+since 1 is fixed by sigma: S_1 takes C_1's place.
+
 Above the enumeration budget, `min_distance_prefix` enumerates low
 message weights over a greedy chain of information sets (the
 Brouwer-Zimmermann bound).  With deficits d_1..d_s after exhausting
@@ -39,16 +60,25 @@ reach Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, groupby, product
+from math import comb, gcd
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .qc import FieldCode, gray_image, is_euclidean_self_dual, rref
+from .qc import (
+    FieldCode,
+    _matmul,
+    gray_image,
+    is_euclidean_self_dual,
+    is_shift_invariant,
+    rref,
+)
+from .ring import _is_prime
 
 DEFAULT_WEIGHT_BUDGET = 1 << 28
 _SCAN_TABLE_COLUMNS = 1 << 16
+_LABELLED_ELEMENTS = 1 << 16  # of e_phi*R, for the orbit walk's labels
 
 
 @dataclass(frozen=True)
@@ -94,17 +124,29 @@ class _ScanLayout:
         )
         self.inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.uint8)
 
-    def scaled(self, rows):
-        """Every row times 1, 2, .., q-1, as columns: shape (rows, q - 1,
-        column length)."""
-        words = np.moveaxis(self.mul[1:, np.array(rows, dtype=np.intp)], 0, 1)
+    def words(self, sym):
+        """Symbol rows, shape (..., n), as words: shape (..., column length)."""
         if not self.packed:
-            return words
-        planes = np.stack([words & 1, words >> 1], axis=2)[:, :, : self.planes]
-        bits = np.zeros(planes.shape[:3] + (64 * self.nwords,), dtype=np.uint8)
+            return sym
+        planes = np.stack([sym & 1, sym >> 1], axis=-2)[..., : self.planes, :]
+        bits = np.zeros(planes.shape[:-1] + (64 * self.nwords,), dtype=np.uint8)
         bits[..., : self.n] = planes
         packed = np.packbits(bits, axis=-1, bitorder="little").view("<u8")
-        return packed.reshape(len(rows), self.q - 1, -1).astype(np.uint64)
+        shape = sym.shape[:-1] + (self.planes * self.nwords,)
+        return packed.reshape(shape).astype(np.uint64)
+
+    def scaled(self, rows):
+        """Every row times 1, 2, .., q-1: shape (rows, q - 1, column
+        length)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return self.words(np.moveaxis(self.mul[1:, rows], 0, 1))
+
+    def generators(self, rows):
+        """The rows of a 2-D symbol array as heads, one column each, and
+        the F_p generators of their span, one word each: every row and,
+        over F_4, w times it (1 and w, stored as 2, span F_4 over F_2)."""
+        gens = self.scaled(rows)[:, : self.planes]
+        return gens[:, 0].T, gens.reshape(-1, gens.shape[-1])
 
     def add(self, a, b):
         if self.packed:
@@ -144,6 +186,54 @@ class _ScanLayout:
         return [row.tobytes() for row in np.ascontiguousarray(sym, dtype=np.uint8)]
 
 
+def _walk(layout: _ScanLayout, gens, segments):
+    """Walk segments that share one list of F_p generators, in blocks.
+
+    Segment s = (heads, after) is each head, a column of `heads`, plus each
+    word of the F_p span of gens[after:].  A table of all p^t combinations
+    of the last t generators, at most `_SCAN_TABLE_COLUMNS` columns and no
+    more generators than the widest segment spans, is built so that the
+    combinations of the last u <= t generators are its first p^u columns.
+    Heads are added to the table, or to the prefix that spans gens[after:],
+    as many at once as fit in one table block, and that is added to each
+    combination of the generators left over in p-ary modular Gray order:
+    step j adds one more copy of the generator whose index is the number of
+    times p divides j.  Yields (words, weights) with the words in the
+    `_ScanLayout` form, one per column.
+    """
+    p = layout.p
+    # no segment spans more than the generators after the earliest one
+    widest = len(gens) - min((after for _, after in segments), default=len(gens))
+    t = 0
+    while t < widest and p ** (t + 1) <= _SCAN_TABLE_COLUMNS:
+        t += 1
+    split = len(gens) - t
+    table = np.zeros((gens.shape[1], 1), dtype=gens.dtype)
+    for g in gens[split:][::-1]:
+        parts = [table]
+        for _ in range(p - 1):
+            parts.append(layout.add(parts[-1], g[:, None]))
+        table = np.concatenate(parts, axis=1)
+    for heads, after in segments:
+        span = table[:, : p ** (len(gens) - max(after, split))]
+        rest = gens[after:split]
+        batch = max(1, _SCAN_TABLE_COLUMNS // span.shape[1])
+        for at in range(0, heads.shape[1], batch):
+            if heads.shape[1] == 1:  # the walk by scalar classes: a plain broadcast
+                words = layout.add(span, heads)
+            else:  # each head of the batch plus the span, head-major
+                words = layout.add(span[:, None, :], heads[:, at : at + batch, None])
+                words = words.reshape(len(span), -1)
+            yield words, layout.weights(words)
+            for j in range(1, p ** len(rest)):
+                v = 0
+                while j % p == 0:
+                    j //= p
+                    v += 1
+                words = layout.add(words, rest[v][:, None])
+                yield words, layout.weights(words)
+
+
 def codeword_blocks(code: FieldCode):
     """Walk the nonzero codewords of a code with k >= 1 whose first nonzero
     symbol is 1, each exactly once, in blocks; over F_2 that is every
@@ -151,47 +241,14 @@ def codeword_blocks(code: FieldCode):
 
     The rows are in RREF, so these words are the messages whose first
     nonzero coefficient is 1: row i plus each word of the span of the rows
-    after it.  That span is walked over the prime field F_p, whose
-    generators are those rows and, over F_4, also w times each row.  A
-    table of all p^t combinations of the last t generators, at most
-    `_SCAN_TABLE_COLUMNS` columns, is built so that the combinations of the
-    last s <= t generators are its first p^s columns.  Row i is added to
-    the table, or to the prefix that spans the rows after it, and that is
-    added to each combination of the generators left over in p-ary modular
-    Gray order: step j adds one more copy of the generator whose index is
-    the number of times p divides j.  Yields (words, weights) with the
-    words in the `_ScanLayout` form, one per column; `_ScanLayout.symbols`
-    decodes them.
+    after it, one `_walk` segment per row.  The blocks are (words,
+    weights), with the words in the `_ScanLayout` form, one per column;
+    `_ScanLayout.symbols` decodes them.
     """
     layout = _ScanLayout(code.field, code.n)
-    p, planes = layout.p, layout.planes
-    # 1 and w (stored as 2) span F_4 over F_2
-    gens = layout.scaled(code.rows)[:, :planes]
-    heads = gens[:, 0]
-    gens = gens.reshape(-1, gens.shape[-1])
-    t = 0
-    while t < len(gens) and p ** (t + 1) <= _SCAN_TABLE_COLUMNS:
-        t += 1
-    split = len(gens) - t
-    table = np.zeros_like(gens[0])[:, None]
-    for g in gens[split:][::-1]:
-        parts = [table]
-        for _ in range(p - 1):
-            parts.append(layout.add(parts[-1], g[:, None]))
-        table = np.concatenate(parts, axis=1)
-    for i, head in enumerate(heads):
-        after = planes * (i + 1)  # the generators of the rows after row i
-        span = table[:, : p ** (len(gens) - max(after, split))]
-        words = layout.add(span, head[:, None])
-        yield words, layout.weights(words)
-        rest = gens[after:split]
-        for j in range(1, p ** len(rest)):
-            v = 0
-            while j % p == 0:
-                j //= p
-                v += 1
-            words = layout.add(words, rest[v][:, None])
-            yield words, layout.weights(words)
+    heads, gens = layout.generators(code.matrix)
+    segments = [(heads[:, i : i + 1], layout.planes * (i + 1)) for i in range(code.k)]
+    return _walk(layout, gens, segments)
 
 
 def _splits_off_ones(code: FieldCode) -> bool:
@@ -202,19 +259,157 @@ def _splits_off_ones(code: FieldCode) -> bool:
     return code.field.q == 2 and code.k > 0 and all(sum(col) % 2 for col in zip(*code.rows))
 
 
+# -- the shift by ell ------------------------------------------------------
+
+
+def _shift_order(code: FieldCode, ell: int) -> int:
+    """m = n/ell, for a code invariant under the shift by ell."""
+    if ell < 1 or code.n % ell:
+        raise ValueError(f"length {code.n} is not a multiple of ell = {ell}")
+    if not is_shift_invariant(code, ell):
+        raise ValueError(f"code is not invariant under the shift by {ell}")
+    return code.n // ell
+
+
+def _orbits_are_free(q: int, m: int) -> bool:
+    """Whether F_q^* x <Y> acts freely on e_phi*R minus 0, for R =
+    F_q[Y]/(Y^m - 1): m prime and prime to q and to q - 1.  The walk also
+    lists subspaces of e_phi*R element by element to label them, so it asks
+    that its q^(m - 1) elements number at most `_LABELLED_ELEMENTS`."""
+    return (
+        _is_prime(m)
+        and q % m != 0
+        and gcd(m, q - 1) == 1
+        and q ** (m - 1) <= _LABELLED_ELEMENTS
+    )
+
+
+def _averaged(code: FieldCode, m: int):
+    """The first ell columns of e_1*G: m^-1 times the sum of the m symbols of
+    each ring coordinate, for every row of the generator matrix G."""
+    fld = code.field
+    blocks = code.matrix.reshape(code.k, m, code.n // m)
+    if fld.characteristic == 2:
+        sums = np.bitwise_xor.reduce(blocks, axis=1)
+    else:
+        sums = blocks.sum(axis=1) % fld.q
+    scale = fld.inv(m % fld.characteristic)
+    return np.array(fld._mul[scale], dtype=np.uint8)[sums]
+
+
+def _tiled(fld, m: int, rows) -> FieldCode:
+    """The code spanned by the rows of a 2-D array, each repeated m times;
+    the rows are row-reduced before they are repeated."""
+    ell = rows.shape[1]
+    basis = np.array(rref(fld, ell, rows)[0], dtype=np.uint8).reshape(-1, ell)
+    return FieldCode(fld, m * ell, np.tile(basis, m))
+
+
+def fixed_subcode(code: FieldCode, ell: int) -> FieldCode:
+    """The subcode C_1 = e_1*C that the shift sigma by ell fixes, for a code
+    invariant under sigma whose order m = n/ell is prime to q; e_1 =
+    m^-1 (1 + sigma + .. + sigma^(m-1)).  Each of its words repeats one
+    length-ell word m times, so its weights are multiples of m."""
+    m = _shift_order(code, ell)
+    if m % code.field.characteristic == 0:
+        raise ValueError(f"m = {m} is not a unit of F_{code.field.q}")
+    return _tiled(code.field, m, _averaged(code, m))
+
+
+def _orbit_representatives(layout: _ScanLayout, block):
+    """One coefficient vector a per orbit of F_q^* x <Y> on the nonzero
+    elements h = a*block of M, the row space of `block` (d x m, in RREF and
+    Y-stable).
+
+    The elements are listed as the walker's table is built, so element i
+    has the coefficients a_r, the base-q digits of i, which are also its
+    entries at the pivot columns.  Y*h lies in M, so Y and a generator of
+    F_q^* permute the indices.  Each element is labelled by the least index
+    of its orbit, by min-label doubling along the two permutations (powers
+    1, 2, 4, .. of each, on the cycles of m and of q - 1 they make), and the
+    element whose index is its label is kept."""
+    q, (d, m) = layout.q, block.shape
+    h = np.zeros((1, m), dtype=np.uint8)
+    for row in block:
+        h = layout.add(h[None], layout.mul[:, row][:, None]).reshape(-1, m)
+    pivots = (block != 0).argmax(axis=1)
+
+    # the index of each Y*h: a float product runs on BLAS, and the sums are
+    # integers below 2^53
+    digits = q ** np.arange(d, dtype=np.float64)
+    shift = (h[:, (pivots - 1) % m].astype(np.float64) @ digits).astype(np.intp)
+    # 2 generates F_3^*, F_4^* (it stands for w) and F_5^*; it maps each
+    # digit c of an index to 2c
+    double = layout.mul[2 if q > 2 else 1].astype(np.intp)
+    scale = np.zeros(1, dtype=np.intp)
+    for r in range(d):
+        scale = (double[:, None] * q**r + scale).ravel()
+    least = np.arange(q**d)
+    for perm, order in ((shift, m), (scale, q - 1)):
+        reach = 1
+        while reach < order:
+            least = np.minimum(least, least[perm])
+            perm = perm[perm]
+            reach *= 2
+    return h[least == np.arange(q**d)][1:, pivots]  # the first is the zero vector
+
+
+def _orbit_blocks(code: FieldCode, ell: int, m: int, walked: FieldCode):
+    """The walk of C minus C_1 by orbits of F_q^* x <sigma>, for
+    `_orbits_are_free` rings: one word per orbit, which stands for its
+    (q - 1)m words, and for their complements too when `walked` is S_1.
+    The heads run over the span of the later groups and of `walked` (C_1,
+    or S_1 when the binary code contains 1)."""
+    fld, n = code.field, code.n
+    layout = _ScanLayout(fld, n)
+    e1g = np.tile(_averaged(code, m), m)
+    g = code.matrix
+    if fld.characteristic == 2:
+        phi = g ^ e1g
+    else:
+        phi = ((g.astype(np.int16) - e1g) % fld.q).astype(np.uint8)
+    # ring coordinates major: column jm + t is the code's column t*ell + j
+    order = (np.arange(m) * ell + np.arange(ell)[:, None]).ravel()
+    basis, pivots = rref(fld, n, phi[:, order])
+    major = np.array(basis, dtype=np.uint8).reshape(len(basis), n)
+    rows = major[:, np.argsort(order)]  # in the code's own column order
+    gens = np.concatenate([layout.generators(r)[1] for r in (rows, walked.matrix)])
+    # group j: the rows that pivot in ring coordinate j, columns jm..jm+m-1
+    segments = []
+    at = 0
+    for j, group in groupby(p // m for p in pivots):
+        d = len(list(group))
+        reps = _orbit_representatives(layout, major[at : at + d, j * m : (j + 1) * m])
+        heads = layout.words(_matmul(fld, reps, rows[at : at + d])).T
+        at += d
+        segments.append((heads, layout.planes * at))
+    return _walk(layout, gens, segments)
+
+
 def weight_enumerator(
-    code: FieldCode, budget: int = DEFAULT_WEIGHT_BUDGET, *, _visit=None
+    code: FieldCode,
+    budget: int = DEFAULT_WEIGHT_BUDGET,
+    *,
+    ell: int | None = None,
+    _visit=None,
 ) -> WeightEnum:
     """Exact weight distribution by full enumeration.
 
     `budget` bounds the q^k codewords, although the walk takes only the
     (q^k - 1)/(q - 1) whose first nonzero symbol is 1 (half as many over F_2
     when the code contains 1) and counts each for its q - 1 nonzero
-    multiples, which share its weight.  The equivalence engine passes
-    `_visit(words, weights, counts)`, which sees every walked block with the
-    running counts A_0..A_n of the code's words accounted for so far.
+    multiples, which share its weight.  Given `ell`, the code must be
+    invariant under the shift by ell (ValueError otherwise), and when its
+    order m = n/ell is prime and prime to q and to q - 1 the walk takes one
+    word per orbit of F_q^* x <shift> off the fixed subcode, a further
+    factor m fewer (see the module docstring), unless the walk by scalar
+    classes fits one table block anyway.  The equivalence engine
+    passes `_visit(words, weights, counts)`, without `ell`, which sees every
+    walked block with the running counts A_0..A_n of the code's words
+    accounted for so far.
     """
     q, k, n = code.field.q, code.k, code.n
+    m = 1 if ell is None else _shift_order(code, ell)
     total = q**k
     if total > budget:
         raise BudgetExceeded(
@@ -223,10 +418,7 @@ def weight_enumerator(
             total,
             budget,
         )
-    walked = code
     all_ones = _splits_off_ones(code)
-    if all_ones:
-        walked = FieldCode(code.field, n, code.rows[1:])
 
     def whole(walked_counts):
         counts = walked_counts * (q - 1)
@@ -234,7 +426,22 @@ def weight_enumerator(
         # each word s of S stands for s and its complement s + 1 in C
         return counts + counts[::-1] if all_ones else counts
 
+    # labelling orbits pays only once the walk by scalar classes outgrows
+    # one table block
+    scalar_classes = (q ** (k - all_ones) - 1) // (q - 1)
+    orbits = (
+        ell is not None
+        and _orbits_are_free(q, m)
+        and scalar_classes > _SCAN_TABLE_COLUMNS
+    )
+    walked = _tiled(code.field, m, _averaged(code, m)) if orbits else code  # C_1 or C
+    if all_ones:
+        walked = FieldCode(code.field, n, walked.rows[1:])
     counts = np.zeros(n + 1, dtype=np.int64)
+    if orbits:
+        for _, weights in _orbit_blocks(code, ell, m, walked):
+            counts += np.bincount(weights, minlength=n + 1)
+        counts *= m
     if walked.k:
         for words, weights in codeword_blocks(walked):
             counts += np.bincount(weights, minlength=n + 1)
@@ -404,6 +611,16 @@ def divisibility_check(w: WeightEnum, p: int) -> bool:
     )
 
 
+def shift_congruence_check(w: WeightEnum, w1: WeightEnum, m: int) -> bool:
+    """A_i(C) = A_i(C_1) (mod m) for every i that w counts, where w1 is the
+    enumerator of the subcode C_1 fixed by a shift of prime order m.
+
+    Every word of C outside C_1 lies in a shift orbit of m words of one
+    weight.  C_1's weights are multiples of m, so this is the sharp form of
+    `divisibility_check`."""
+    return all((a - a1) % m == 0 for a, a1 in zip(w.counts, w1.counts))
+
+
 @dataclass(frozen=True)
 class Template:
     name: str  # W_1 / W_2 / W_3 for the length
@@ -510,19 +727,32 @@ class WeightProfile:
     certificate: dict  # how the numbers were certified, as JSON-ready keys:
     # {"method": "enumerate"}, or an information-set scan's "method": "scan",
     # "message_weight", "deficits" and "bound"
+    fixed: WeightEnum | None = None  # the enumerator of the subcode that the
+    # shift by ell fixes, when ell was given, the shift's order is prime and
+    # the subcode fits the cap
 
     @property
     def cut(self) -> int:
         return len(self.enum.counts) - 1
 
 
-def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProfile:
+def weight_profile(
+    code: FieldCode, cap: int, message_weight: int, *, ell: int | None = None
+) -> WeightProfile:
     """Enumerate every codeword when q^k <= cap; otherwise scan the
     information sets at `message_weight`, which certifies the distance or
-    a lower bound and the counts below it."""
+    a lower bound and the counts below it.  Given the quasi-cyclic index
+    `ell`, the enumeration walks shift orbits (`weight_enumerator`), and
+    when the shift's order m is prime the fixed subcode (`fixed_subcode`,
+    which needs m prime to q) is enumerated too, if it fits the cap."""
     q, n, k = code.field.q, code.n, code.k
+    fixed = None
+    if ell is not None:
+        sub = fixed_subcode(code, ell)
+        if _is_prime(n // ell) and q**sub.k <= cap:
+            fixed = weight_enumerator(sub, budget=cap)
     if q**k <= cap:
-        w = weight_enumerator(code, budget=cap)
+        w = weight_enumerator(code, budget=cap, ell=ell)
         d = next((i for i, a in enumerate(w.counts) if i and a), None)
         d_exact = True
         how = {"method": "enumerate"}
@@ -540,7 +770,7 @@ def weight_profile(code: FieldCode, cap: int, message_weight: int) -> WeightProf
     if needed is not None and needed < len(w.counts):
         full = list(w.counts) + [0] * (n + 1 - len(w.counts))
         templates = tuple(match_template(None, n=n, counts=full))
-    return WeightProfile(w, d, d_exact, templates, how)
+    return WeightProfile(w, d, d_exact, templates, how, fixed)
 
 
 def macwilliams_transform(w: WeightEnum) -> WeightEnum:

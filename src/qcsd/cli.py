@@ -15,7 +15,12 @@ import sys
 import time
 
 from . import corpus
-from .analysis import DEFAULT_WEIGHT_BUDGET, divisibility_check, weight_profile
+from .analysis import (
+    DEFAULT_WEIGHT_BUDGET,
+    divisibility_check,
+    shift_congruence_check,
+    weight_profile,
+)
 from .buildup import extend_i, extend_ii, seed as make_seeds
 from .classify import (
     DEFAULT_CANDIDATE_BUDGET,
@@ -108,7 +113,8 @@ def _scan_weight_for(code, work_cap: int) -> int:
 def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
                   budget: int):
     cap = corpus.word_cap(exact, budget)
-    prof = weight_profile(fc, cap, _scan_weight_for(fc, max(1 << 22, cap >> 4)))
+    mw = _scan_weight_for(fc, max(1 << 22, cap >> 4))
+    prof = weight_profile(fc, cap, mw, ell=ell)
     info = {
         "q": fc.field.q,
         "n": fc.n,
@@ -131,6 +137,8 @@ def _analyze_code(fc, ell: int | None, m: int | None, exact: bool,
     if m is not None:
         info["divisibility_ok"] = divisibility_check(prof.enum, m)
         info["m"] = m
+    if prof.fixed is not None:
+        info["congruence_ok"] = shift_congruence_check(prof.enum, prof.fixed, m)
     return info, prof.enum
 
 
@@ -165,6 +173,12 @@ def _print_analysis(info, enum, fmt: str, out):
         print(
             f"A_i divisible by {info['m']} for i not divisible by "
             f"{info['m']}: {'yes' if info['divisibility_ok'] else 'NO'}",
+            file=out,
+        )
+    if "congruence_ok" in info:
+        print(
+            f"A_i congruent mod {info['m']} to A_i of the shift-fixed subcode: "
+            f"{'yes' if info['congruence_ok'] else 'NO'}",
             file=out,
         )
 

@@ -24,6 +24,7 @@ from .analysis import (
     is_type_ii_binary,
     is_type_ii_f4,
     min_distance_prefix,
+    shift_congruence_check,
     weight_profile,
 )
 from .formats import parse_field_code, parse_ring_code
@@ -323,7 +324,7 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
     cap = word_cap(exact, budget)
     mw = entry.scan_weight_exact if exact and entry.scan_weight_exact \
         else entry.scan_weight
-    prof = weight_profile(fc, cap, mw)
+    prof = weight_profile(fc, cap, mw, ell=entry.ell)
     counts, cut = prof.enum.counts, prof.cut
     summary["d"] = prof.d
     summary["d_exact"] = prof.d_exact
@@ -360,6 +361,10 @@ def verify_entry(entry: CorpusEntry, exact: bool = False,
 
     _check(checks, f"A_i divisible by {entry.m} when {entry.m} does not divide i",
            divisibility_check(prof.enum, entry.m), f"checked i <= {cut}")
+    if prof.fixed is not None:
+        _check(checks, f"A_i congruent mod {entry.m} to A_i of the shift-fixed subcode",
+               shift_congruence_check(prof.enum, prof.fixed, entry.m),
+               f"checked i <= {cut}")
 
     if exp.get("type_ii"):
         _check(checks, "type II", is_type_ii_binary(fc), "doubly even basis")

@@ -12,17 +12,20 @@ from qcsd import analysis
 from qcsd.analysis import (
     WeightEnum,
     divisibility_check,
+    fixed_subcode,
     is_type_ii_binary,
     is_type_ii_f4,
     macwilliams_transform,
     match_template,
     min_distance,
     min_distance_prefix,
+    shift_congruence_check,
     weight_enumerator,
+    weight_profile,
 )
 from qcsd.errors import BudgetExceeded
 from qcsd.gf import FIELD_SIZES, field
-from qcsd.qc import FieldCode
+from qcsd.qc import FieldCode, is_shift_invariant
 
 from conftest import reference_contains, random_self_dual
 
@@ -165,6 +168,200 @@ def test_enumerator_matches_naive_at_every_table_size(code, table_columns):
         return
     with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
         assert weight_enumerator(code).counts == naive_weight_enumerator(code)
+
+
+# -- the walk by shift orbits ------------------------------------------------
+
+# rings where F_q^* x <Y> acts freely off the fixed subcode
+ORBIT_RINGS = [(2, 3), (2, 5), (2, 7), (3, 5), (4, 5), (4, 7), (5, 3), (5, 7)]
+# the smallest length each ring's random self-dual codes reach
+SELF_DUAL_ELL = {(3, 5): 4}
+
+
+def message_codewords(code):
+    """Every codeword as one row of an array, from every message: the
+    message enumeration of `naive_codewords`, vectorized over messages, so
+    that the [14, 7] code over F_5 and the [20, 10] code over F_3 check in
+    well under a second."""
+    fld = code.field
+    q, k = fld.q, code.k
+    add, mul = np.array(fld._add), np.array(fld._mul)
+    msgs = np.arange(q**k)[:, None] // q ** np.arange(k) % q
+    words = np.zeros((q**k, code.n), dtype=np.int64)
+    for r, row in enumerate(code.rows):
+        words = add[words, mul[msgs[:, r][:, None], np.array(row)]]
+    return words
+
+
+def _word_set(words):
+    return {row.tobytes() for row in np.ascontiguousarray(words, dtype=np.uint8)}
+
+
+def shift_invariant_code(q, m, self_dual, words, block, rng):
+    """A random self-dual code over F_q[Y]/(Y^m - 1), or the span of the
+    shifts of `words` random words plus, with `block`, a random word that
+    repeats one block m times (so that C_1 is not always zero); all at most
+    5^7 codewords.  Returns the code and its ell."""
+    if self_dual:
+        ell = SELF_DUAL_ELL.get((q, m), 2)
+        return random_self_dual(q, m, ell, rng).expansion(), ell
+    ell = rng.randint(1, max(1, int(17 / (m * np.log2(q)))))
+    n = m * ell
+    rows = []
+    for _ in range(words):
+        v = [rng.randrange(q) for _ in range(n)]
+        rows += [v[-s * ell:] + v[: -s * ell] if s else v for s in range(m)]
+    if block:
+        rows.append([rng.randrange(q) for _ in range(ell)] * m)
+    code = FieldCode(field(q), n, rows)
+    assert is_shift_invariant(code, ell)
+    return code, ell
+
+
+def _check_orbit_walk(code, ell):
+    """The orbit walk yields exactly one word per orbit of F_q^* x <sigma> on
+    C minus C_1 (with its complement's orbit, when the binary code contains
+    1), each with its weight; `weight_enumerator` counts every codeword."""
+    fld, n = code.field, code.n
+    q, m = fld.q, n // ell
+    mul = np.array(fld._mul, dtype=np.uint8)
+    layout = analysis._ScanLayout(fld, n)
+    ones = analysis._splits_off_ones(code)
+    fixed = fixed_subcode(code, ell)
+    walked = FieldCode(fld, n, fixed.rows[1:]) if ones else fixed
+    blocks = [np.zeros((0, n), np.uint8)]
+    for words, weights in analysis._orbit_blocks(code, ell, m, walked):
+        blocks.append(layout.symbols(words))
+        assert (weights == (blocks[-1] != 0).sum(axis=1)).all()
+    reps = np.concatenate(blocks)
+    images = [mul[c][np.roll(reps, s * ell, axis=1)]
+              for c in range(1, q) for s in range(m)]
+    if ones:
+        images += [image ^ 1 for image in images]
+    images = np.concatenate(images)
+    codewords = message_codewords(code)
+    want = _word_set(codewords) - _word_set(message_codewords(fixed))
+    assert len(_word_set(images)) == len(images) == len(want)
+    assert _word_set(images) == want
+    counts = np.bincount((codewords != 0).sum(axis=1), minlength=n + 1)
+    assert weight_enumerator(code, ell=ell).counts == tuple(counts.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(ORBIT_RINGS),
+    st.booleans(),
+    st.integers(1, 2),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+    st.sampled_from([1, 3, 8, 1 << 16]),
+)
+def test_orbit_walk_yields_one_word_per_shift_orbit(
+    ring_, self_dual, words, block, rng, table_columns
+):
+    code, ell = shift_invariant_code(*ring_, self_dual, words, block, rng)
+    with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
+        _check_orbit_walk(code, ell)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(5, 2, 2), (5, 2, 4), (3, 2, 4), (4, 3, 2), (4, 3, 4)]),
+    st.randoms(use_true_random=False),
+    st.sampled_from([1, 8, 1 << 16]),
+)
+def test_rings_without_free_orbits_keep_the_scalar_walk(case, rng, table_columns):
+    # m = 2 divides q - 1 over F_3 and F_5, and m = 3 divides 4 - 1
+    q, m, ell = case
+    code = random_self_dual(q, m, ell, rng).expansion()
+    assert not analysis._orbits_are_free(q, m)
+    with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
+        assert weight_enumerator(code, ell=ell) == weight_enumerator(code)
+
+
+def test_orbit_walk_takes_a_factor_m_fewer_words(monkeypatch):
+    # C_54_1 is binary with k = 27 and contains 1: the walk by scalar classes
+    # takes 2^26 words, the walk by orbits about 2^26/3
+    from qcsd import corpus
+
+    entry = corpus.get("C_54_1")
+    code = corpus.field_form(entry)
+    counted = []
+    walk = analysis._walk
+
+    def counting(layout, gens, segments):
+        for words, weights in walk(layout, gens, segments):
+            counted[-1] += len(weights)
+            yield words, weights
+
+    monkeypatch.setattr(analysis, "_walk", counting)
+    for ell in (None, entry.ell):
+        counted.append(0)
+        weight_enumerator(code, ell=ell)
+    assert counted[0] == 2**26 - 1
+    assert 2**26 // 3 <= counted[1] < 2**26 // 3 + 2**10
+
+
+def test_weight_enumerator_refuses_a_shift_the_code_does_not_have():
+    rng = random.Random(78)
+    code = random_self_dual(2, 3, 4, rng).expansion()
+    rows = [list(r) for r in code.rows]
+    rows[0][-1] ^= 1  # one corrupted generator
+    bad = FieldCode(code.field, code.n, rows)
+    assert not is_shift_invariant(bad, 4)
+    with pytest.raises(ValueError, match="not invariant"):
+        weight_enumerator(bad, ell=4)
+    with pytest.raises(ValueError, match="not a multiple"):
+        weight_enumerator(code, ell=5)
+    with pytest.raises(ValueError, match="not invariant"):
+        weight_profile(bad, 1 << 20, 3, ell=4)
+
+
+def test_fixed_subcode_literal():
+    # the shifts of 110000 by 2 span a [6, 3] code; averaging each ring
+    # coordinate {0, 2, 4} and {1, 3, 5} over F_2 gives 1
+    rows = [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)]
+    code = FieldCode(field(2), 6, rows)
+    assert fixed_subcode(code, 2).rows == ((1,) * 6,)
+    w = weight_enumerator(code, ell=2)
+    assert w.counts == (1, 0, 3, 0, 3, 0, 1)
+    assert shift_congruence_check(w, weight_enumerator(fixed_subcode(code, 2)), 3)
+    # over F_5, e_1 = 3^-1 (1 + sigma + sigma^2) = 2 (1 + sigma + sigma^2)
+    code = FieldCode(field(5), 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert fixed_subcode(code, 1).rows == ((1, 1, 1),)
+    with pytest.raises(ValueError, match="not a unit"):
+        fixed_subcode(FieldCode(field(2), 4, [(1, 0, 1, 0)]), 2)
+
+
+def test_shift_congruence_check_literals():
+    fixed = WeightEnum(n=6, counts=(1, 0, 0, 0, 0, 0, 1), complete=True, q=2, k=1)
+    w = WeightEnum(n=6, counts=(1, 0, 3, 0, 3, 0, 1), complete=True, q=2, k=3)
+    assert shift_congruence_check(w, fixed, 3)
+    # A_4 = 1 is not 0 mod 3
+    bad = WeightEnum(n=6, counts=(1, 0, 3, 0, 1, 0, 3), complete=False, q=2, k=3)
+    assert not shift_congruence_check(bad, fixed, 3)
+    # divisible by 3 off multiples of 3, but A_6 = 3 is not 1 mod 3
+    bad = WeightEnum(n=6, counts=(1, 0, 3, 0, 0, 0, 3), complete=False, q=2, k=3)
+    assert divisibility_check(bad, 3) and not shift_congruence_check(bad, fixed, 3)
+    # a scan prefix is checked up to its cut
+    prefix = WeightEnum(n=6, counts=(1, 0, 3), complete=False, q=2, k=3)
+    assert shift_congruence_check(prefix, fixed, 3)
+    assert not shift_congruence_check(prefix, fixed, 2)
+
+
+def test_profile_certifies_the_congruence_on_shift_invariant_codes():
+    rng = random.Random(79)
+    for q, m, ell in [(2, 3, 6), (2, 5, 4), (3, 5, 4), (4, 5, 2), (5, 3, 4), (5, 2, 4)]:
+        code = random_self_dual(q, m, ell, rng).expansion()
+        fixed = fixed_subcode(code, ell)
+        for cap in (q**code.k, q**code.k - 1):  # enumerate, then scan
+            prof = weight_profile(code, cap, 3, ell=ell)
+            method = "enumerate" if cap == q**code.k else "scan"
+            assert prof.certificate["method"] == method
+            assert prof.fixed.counts == naive_weight_enumerator(fixed)
+            assert shift_congruence_check(prof.enum, prof.fixed, m)
+        assert weight_profile(code, q**fixed.k - 1, 3, ell=ell).fixed is None
+        assert weight_profile(code, 1 << 28, 3).fixed is None
 
 
 def _binary_dual(code):

@@ -110,6 +110,7 @@ def test_analyze_poly_output(capsys):
     assert "d = 10" in out
     assert "768y^10" in out
     assert "divisib" in out.lower()
+    assert "A_i congruent mod 3 to A_i of the shift-fixed subcode: yes" in out
 
 
 def test_analyze_json_and_csv(capsys):
@@ -121,6 +122,7 @@ def test_analyze_json_and_csv(capsys):
     assert info["n"] == 42 and info["k"] == 21 and info["d"] == 8
     assert info["self_dual"] is True
     assert info["divisibility_ok"] is True
+    assert info["congruence_ok"] is True
     assert info["method"] == "enumerate" and "bound" not in info
 
     code, out, err = run(
@@ -201,6 +203,12 @@ def test_scan_certificates_in_json(capsys):
     info = json.loads(out)
     assert info["method"] == "scan" and info["d"] == 10
     assert len(info["counts"]) == min(info["bound"], info["n"] + 1)
+    assert info["congruence_ok"] is True  # on the certified prefix
+
+    # a field code has no quasi-cyclic index to check against
+    code, out, err = run(capsys, "analyze", data_file("SSD_28_4.fc"), "--format", "json")
+    assert code == OK
+    assert "congruence_ok" not in json.loads(out)
 
 
 def test_classify_text_output_and_artifacts(capsys, tmp_path):

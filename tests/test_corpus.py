@@ -82,9 +82,9 @@ def test_exact_mode_never_lowers_an_explicit_budget(monkeypatch):
 
     caps = []
 
-    def capture(fc, cap, message_weight):
+    def capture(fc, cap, message_weight, **kwargs):
         caps.append(cap)
-        return weight_profile(fc, corpus.DEFAULT_WEIGHT_BUDGET, message_weight)
+        return weight_profile(fc, corpus.DEFAULT_WEIGHT_BUDGET, message_weight, **kwargs)
 
     monkeypatch.setattr(corpus, "weight_profile", capture)
     entry = corpus.get("K_2")
