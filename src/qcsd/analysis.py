@@ -119,10 +119,7 @@ class _ScanLayout:
         self.p = 2 if self.packed else q  # the characteristic
         self.planes = 2 if q == 4 else 1
         self.nwords = (n + 63) // 64
-        self.mul = np.array(
-            [[fld.mul(a, b) for b in range(q)] for a in range(q)], dtype=np.uint8
-        )
-        self.inv = np.array([0] + [fld.inv(c) for c in range(1, q)], dtype=np.uint8)
+        self.mul, self.inv = fld.mul_table, fld.inv_table
 
     def words(self, sym):
         """Symbol rows, shape (..., n), as words: shape (..., column length)."""
@@ -256,7 +253,11 @@ def _splits_off_ones(code: FieldCode) -> bool:
     enumerator walks S, spanned by every RREF row but the first, and
     C = S + <1>.  The RREF rows sum to 1 exactly when it is a codeword (its
     pivot entries are all 1), and only the first row has the first pivot."""
-    return code.field.q == 2 and code.k > 0 and all(sum(col) % 2 for col in zip(*code.rows))
+    return (
+        code.field.q == 2
+        and code.k > 0
+        and bool(np.bitwise_xor.reduce(code.matrix, axis=0).all())
+    )
 
 
 # -- the shift by ell ------------------------------------------------------
@@ -293,16 +294,14 @@ def _averaged(code: FieldCode, m: int):
         sums = np.bitwise_xor.reduce(blocks, axis=1)
     else:
         sums = blocks.sum(axis=1) % fld.q
-    scale = fld.inv(m % fld.characteristic)
-    return np.array(fld._mul[scale], dtype=np.uint8)[sums]
+    return fld.mul_table[fld.inv(m % fld.characteristic)][sums]
 
 
 def _tiled(fld, m: int, rows) -> FieldCode:
     """The code spanned by the rows of a 2-D array, each repeated m times;
     the rows are row-reduced before they are repeated."""
-    ell = rows.shape[1]
-    basis = np.array(rref(fld, ell, rows)[0], dtype=np.uint8).reshape(-1, ell)
-    return FieldCode(fld, m * ell, np.tile(basis, m))
+    basis, _ = rref(fld, rows.shape[1], rows)
+    return FieldCode(fld, m * basis.shape[1], np.tile(basis, m))
 
 
 def fixed_subcode(code: FieldCode, ell: int) -> FieldCode:
@@ -370,8 +369,7 @@ def _orbit_blocks(code: FieldCode, ell: int, m: int, walked: FieldCode):
         phi = ((g.astype(np.int16) - e1g) % fld.q).astype(np.uint8)
     # ring coordinates major: column jm + t is the code's column t*ell + j
     order = (np.arange(m) * ell + np.arange(ell)[:, None]).ravel()
-    basis, pivots = rref(fld, n, phi[:, order])
-    major = np.array(basis, dtype=np.uint8).reshape(len(basis), n)
+    major, pivots = rref(fld, n, phi[:, order])
     rows = major[:, np.argsort(order)]  # in the code's own column order
     gens = np.concatenate([layout.generators(r)[1] for r in (rows, walked.matrix)])
     # group j: the rows that pivot in ring coordinate j, columns jm..jm+m-1
@@ -392,6 +390,7 @@ def weight_enumerator(
     *,
     ell: int | None = None,
     _visit=None,
+    _c1=None,
 ) -> WeightEnum:
     """Exact weight distribution by full enumeration.
 
@@ -406,10 +405,15 @@ def weight_enumerator(
     classes fits one table block anyway.  The equivalence engine
     passes `_visit(words, weights, counts)`, without `ell`, which sees every
     walked block with the running counts A_0..A_n of the code's words
-    accounted for so far.
+    accounted for so far.  `weight_profile` passes `_c1`, the fixed
+    subcode that it built after checking the shift by `ell`, so the shift
+    is neither checked nor its subcode built again.
     """
     q, k, n = code.field.q, code.k, code.n
-    m = 1 if ell is None else _shift_order(code, ell)
+    if ell is None:
+        m = 1
+    else:
+        m = _shift_order(code, ell) if _c1 is None else n // ell
     total = q**k
     if total > budget:
         raise BudgetExceeded(
@@ -434,9 +438,11 @@ def weight_enumerator(
         and _orbits_are_free(q, m)
         and scalar_classes > _SCAN_TABLE_COLUMNS
     )
-    walked = _tiled(code.field, m, _averaged(code, m)) if orbits else code  # C_1 or C
+    if orbits and _c1 is None:
+        _c1 = _tiled(code.field, m, _averaged(code, m))
+    walked = _c1 if orbits else code  # C_1 or C
     if all_ones:
-        walked = FieldCode(code.field, n, walked.rows[1:])
+        walked = FieldCode(code.field, n, walked.matrix[1:])
     counts = np.zeros(n + 1, dtype=np.int64)
     if orbits:
         for _, weights in _orbit_blocks(code, ell, m, walked):
@@ -493,18 +499,13 @@ def _information_sets(code: FieldCode):
     used: set[int] = set()
     sets = []
     while True:
-        order = [c for c in range(n) if c not in used] + sorted(used)
-        reordered = [[r[c] for c in order] for r in code.rows]
-        basis, pivots = rref(fld, n, reordered)
-        piv_orig = [order[p] for p in pivots]
+        order = np.array([c for c in range(n) if c not in used] + sorted(used))
+        basis, pivots = rref(fld, n, code.matrix[:, order])
+        piv_orig = order[list(pivots)].tolist()
         deficit = sum(1 for c in piv_orig if c in used)
         if deficit >= code.k:
             break
-        back = [0] * n
-        for newpos, c in enumerate(order):
-            back[c] = newpos
-        rows_orig = [tuple(row[back[c]] for c in range(n)) for row in basis]
-        sets.append((rows_orig, deficit))
+        sets.append((basis[:, np.argsort(order)], deficit))
         used.update(piv_orig)
         if deficit > 0:
             break
@@ -746,13 +747,13 @@ def weight_profile(
     when the shift's order m is prime the fixed subcode (`fixed_subcode`,
     which needs m prime to q) is enumerated too, if it fits the cap."""
     q, n, k = code.field.q, code.n, code.k
-    fixed = None
+    fixed = sub = None
     if ell is not None:
-        sub = fixed_subcode(code, ell)
+        sub = fixed_subcode(code, ell)  # checks the shift
         if _is_prime(n // ell) and q**sub.k <= cap:
             fixed = weight_enumerator(sub, budget=cap)
     if q**k <= cap:
-        w = weight_enumerator(code, budget=cap, ell=ell)
+        w = weight_enumerator(code, budget=cap, ell=ell, _c1=sub)
         d = next((i for i, a in enumerate(w.counts) if i and a), None)
         d_exact = True
         how = {"method": "enumerate"}
@@ -804,7 +805,7 @@ def is_type_ii_binary(code: FieldCode) -> bool:
         raise ValueError("Type II in this sense is a binary property")
     if not is_euclidean_self_dual(code):
         return False
-    return all(sum(r) % 4 == 0 for r in code.rows)
+    return not (code.matrix.sum(axis=1, dtype=np.int64) % 4).any()
 
 
 def is_type_ii_f4(code: FieldCode) -> bool:

@@ -87,6 +87,7 @@ from .equiv import (
 
 DEFAULT_CANDIDATE_BUDGET = 5_000_000
 CONSTRUCTIVE_SEED = 20260814  # seeds the witness sampling of constructive runs
+CONSTRUCTIVE_SAMPLES = 400  # witnesses x sampled per base in constructive runs
 
 
 # -- closed-form counts of self-dual codes ------------------------------------
@@ -542,7 +543,6 @@ def classify(
     spec: RingSpec,
     target_ell: int,
     constructive: bool = False,
-    constructive_samples: int = 400,
     candidate_budget: int = DEFAULT_CANDIDATE_BUDGET,
     checkpoint_path: str | None = None,
     resume: bool = False,
@@ -615,7 +615,7 @@ def classify(
                     )
                 else:
                     cands = _constructive_candidates(
-                        levels[ell - 2], c_reps, constructive_samples, rng
+                        levels[ell - 2], c_reps, CONSTRUCTIVE_SAMPLES, rng
                     )
                 reps = _dedup_level(
                     spec, ell, cands, stats, candidate_budget, progress

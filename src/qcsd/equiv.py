@@ -172,12 +172,12 @@ def _select_strata(code: FieldCode, budget: int, max_words: int):
         raise UnsupportedCase(
             f"more than {max_words} low-weight codewords; equivalence undecided"
         )
-    basis: tuple = ()
+    basis = words[:0]
     for i, wt in enumerate(chosen):
-        stratum = words[word_weights == wt].tolist()
+        stratum = words[word_weights == wt]
         for at in range(0, len(stratum), code.k):
             chunk = stratum[at : at + code.k]
-            basis, _ = rref(code.field, code.n, list(basis) + chunk)
+            basis, _ = rref(code.field, code.n, np.concatenate([basis, chunk]))
             if len(basis) == code.k:
                 break
         if len(basis) == code.k:
@@ -493,45 +493,34 @@ class EquivalenceResult:
 
 
 def apply_monomial(code: FieldCode, perm, scalars) -> FieldCode:
-    fld, n = code.field, code.n
-    rows = []
-    for row in code.rows:
-        new = [0] * n
-        for j, v in enumerate(row):
-            new[perm[j]] = fld.mul(scalars[j], v)
-        rows.append(tuple(new))
-    return FieldCode(fld, n, rows)
+    """The image of `code` under the monomial map that scales column j by
+    scalars[j] and moves it to column perm[j]."""
+    mapped = np.empty_like(code.matrix)
+    mapped[:, perm] = code.field.mul_table[scalars, code.matrix]
+    return FieldCode(code.field, code.n, mapped)
 
 
 def _leaf_witness(shape: _Shape, codes, cA, cB):
     """Read the unique candidate map off discrete colorings and verify it
-    against the two codes."""
-    where_b = {}
-    for s, c in enumerate(cB):
-        where_b[c] = s
+    against the two codes.
+
+    Both colorings give the slots the colors 0..nslots-1, one each, so slot
+    s of A maps to the slot of B with its color.  The slots (j, 1) fix the
+    map: column j goes to column perm[j] scaled by lam[j], and then every
+    slot (j, v) of A must land on (perm[j], v*lam[j])."""
     n, r = shape.n, shape.r
     code_a, code_b = codes
-    fld = code_a.field
-    perm = [0] * n
-    scal = [1] * n
-    for j in range(n):
-        t = where_b.get(cA[j * r])
-        if t is None:
-            return None
-        j2, vi = divmod(t, r)
-        lam = vi + 1
-        perm[j] = j2
-        scal[j] = lam
-        for v in range(2, fld.q):
-            t2 = where_b.get(cA[j * r + (v - 1)])
-            if t2 != j2 * r + (fld.mul(v, lam) - 1):
-                return None
-    if len(set(perm)) != n:
+    target = np.argsort(cB)[cA].reshape(n, r)
+    perm, lam = np.divmod(target[:, 0], r)
+    lam += 1
+    mul = code_a.field.mul_table
+    if (target != perm[:, None] * r + mul[1:, lam].T - 1).any():
         return None
-    mapped = apply_monomial(code_a, perm, scal)
-    if mapped.key() != code_b.key():
+    if np.bincount(perm, minlength=n).max() > 1:
         return None
-    return EquivalenceResult(True, tuple(perm), tuple(scal))
+    if apply_monomial(code_a, perm, lam) != code_b:
+        return None
+    return EquivalenceResult(True, tuple(perm.tolist()), tuple(lam.tolist()))
 
 
 def _find_map(stack: _Stack, pins, state):
@@ -552,7 +541,7 @@ def _find_map(stack: _Stack, pins, state):
     cA, cB = res
     color = _target_cell(cA)
     if color is None:
-        return _leaf_witness(shape, state["codes"], cA.tolist(), cB.tolist())
+        return _leaf_witness(shape, state["codes"], cA, cB)
     a = int(np.argmax(cA == color))
     for b in np.flatnonzero(cB == color).tolist():
         res = _find_map(stack, pins + [(a, b)], state)

@@ -91,7 +91,7 @@ def parse_ring_code(text: str) -> RingCode:
 def serialize_field_code(code: FieldCode) -> str:
     fld = code.field
     out = [f"{fld.q} {code.n} {code.k}"]
-    for row in code.rows:
+    for row in code.matrix.tolist():
         out.append(" ".join(_sym(fld, v) for v in row))
     return "\n".join(out) + "\n"
 

@@ -9,6 +9,8 @@ basis {1, w}), which several internal kernels rely on.
 
 from __future__ import annotations
 
+import numpy as np
+
 FIELD_SIZES = (2, 3, 4, 5)
 
 
@@ -16,7 +18,9 @@ class FieldSpec:
     """Operation tables for one of the supported fields.
 
     Use the module-level :func:`field` factory; instances are cached and
-    can be compared by identity.
+    can be compared by identity.  `mul_table` and `inv_table` hold the
+    products and inverses (0 for 0) as read-only uint8 arrays, for the
+    array kernels to index; the scalar methods index Python lists.
     """
 
     zero = 0
@@ -58,6 +62,9 @@ class FieldSpec:
         self._inv = [0] + [
             next(b for b in range(1, q) if mul[a][b] == 1) for a in range(1, q)
         ]
+        self.mul_table = np.array(mul, dtype=np.uint8)
+        self.inv_table = np.array(self._inv, dtype=np.uint8)
+        self.mul_table.flags.writeable = self.inv_table.flags.writeable = False
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]

@@ -22,13 +22,12 @@ clears the pivot column from every other row in one whole-matrix step: it
 adds the table of the row's negated multiples, indexed by the column.  Over
 F_4 adding is XOR; over F_p it is the integer sum, reduced mod p only where
 an entry is read.  Below the cut the loop over symbols is faster; F_2
-reduces rows packed into bit masks.  Every path returns the same canonical
-tuples.
+reduces rows packed into bit masks.  Every path takes a uint8 array and
+returns the same canonical basis, a read-only uint8 array, which
+`FieldCode` stores as it is.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -44,18 +43,19 @@ _ARRAY_CUT = 200
 def rref(fld: FieldSpec, n: int, rows):
     """Reduced row echelon form over F_q.
 
-    `rows` is a sequence of rows or a 2-D array of symbol indices.  Returns
-    (basis_rows, pivot_columns), tuples of ints; zero rows are dropped.
-    The result is canonical for the row space.
+    `rows` is a 2-D uint8 array of symbol indices with n columns.  Returns
+    (basis, pivot_columns): the nonzero rows of the RREF as a read-only,
+    C-contiguous (rank, n) uint8 array, and the pivot columns as a tuple of
+    ints.  The result is canonical for the row space.
     """
     if len(rows):
         if fld.q == 2:
-            return _rref_gf2(n, _symbol_array(n, rows))
+            return _rref_gf2(n, rows)
         if len(rows) * n >= _ARRAY_CUT:
-            return _rref_array(fld, n, _symbol_array(n, rows))
+            return _rref_array(fld, n, rows)
 
     zero = fld.zero
-    work = rows.tolist() if isinstance(rows, np.ndarray) else [list(r) for r in rows]
+    work = rows.tolist()
     pivots = []
     rank = 0
     for col in range(n):
@@ -82,32 +82,23 @@ def rref(fld: FieldSpec, n: int, rows):
         rank += 1
         if rank == len(work):
             break
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
+    # bytes are immutable, so the array over them is read-only
+    buf = b"".join(map(bytes, work[:rank]))
+    return np.frombuffer(buf, dtype=np.uint8).reshape(rank, n), tuple(pivots)
 
 
-def _symbol_array(n: int, rows):
-    """Rows of symbol indices as a (len(rows), n) uint8 array."""
-    if isinstance(rows, np.ndarray):
-        return rows
-    if not len(rows):
-        return np.zeros((0, n), dtype=np.uint8)
-    buf = b"".join(map(bytes, rows))
-    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), n)
-
-
-@functools.cache
-def _kernel_tables(q: int):
-    """Products a*b, clearing steps -(a*b) and inverses over F_q."""
-    fld = field(q)
-    mul = np.array(fld._mul, dtype=np.int64)
-    step = np.array([[fld.neg(v) for v in r] for r in fld._mul], dtype=np.int64)
-    return mul, step, (0,) + tuple(fld.inv(a) for a in range(1, q))
+def _frozen(a):
+    """`a`, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _rref_array(fld, n: int, a):
     """RREF over F_3, F_4 or F_5 of a 2-D array of symbol indices."""
     q = fld.q
-    mul, step, inv = _kernel_tables(q)
+    # int64 like the work array, so that no step casts
+    mul = fld.mul_table.astype(np.int64)
+    step = mul[fld.minus_one].take(mul)  # the clearing steps -(a*b)
     # adding symbol indices: XOR over F_4; over F_p the integer sum, taken
     # mod p only where it is read (entries grow by < p per pivot)
     add = np.bitwise_xor if q == 4 else np.add
@@ -125,7 +116,7 @@ def _rref_array(fld, n: int, a):
             w[[rank, rank + i]] = w[[rank + i, rank]]
         row = w[rank] % q
         if p != 1:
-            row = mul[inv[p]].take(row)
+            row = mul[fld.inv(p)].take(row)
         w[rank] = row
         c = w[:, col] % q
         c[rank] = 0
@@ -133,8 +124,7 @@ def _rref_array(fld, n: int, a):
         pivots.append(col)
         if len(pivots) == len(w):
             break
-    basis = w[: len(pivots)] % q
-    return tuple(map(tuple, basis.tolist())), tuple(pivots)
+    return _frozen((w[: len(pivots)] % q).astype(np.uint8)), tuple(pivots)
 
 
 def _rref_gf2(n: int, a):
@@ -162,13 +152,11 @@ def _rref_gf2(n: int, a):
                 basis[pivot] = row ^ x
         basis[bit] = x
         pivot_mask |= bit
-    if not basis:
-        return (), ()
     pivots = sorted(basis)
     buf = b"".join(basis[pivot].to_bytes(width, "little") for pivot in pivots)
     bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(pivots), width)
     rows = np.unpackbits(bits, axis=1, count=n, bitorder="little")
-    return tuple(map(tuple, rows.tolist())), tuple(b.bit_length() - 1 for b in pivots)
+    return _frozen(rows), tuple(b.bit_length() - 1 for b in pivots)
 
 
 def _symbols(fld, n: int, rows):
@@ -183,10 +171,14 @@ def _symbols(fld, n: int, rows):
         ok = a.shape[1] == n and (not a.size or (a.min() >= 0 and a.max() < fld.q))
     else:
         rows = [tuple(r) for r in rows]
-        try:
-            a = _symbol_array(n, rows) if all(len(r) == n for r in rows) else None
-        except ValueError:  # bytes() refuses symbols outside 0..255
-            a = None
+        a = None
+        if all(len(r) == n for r in rows):
+            try:
+                buf = b"".join(map(bytes, rows))
+            except ValueError:  # bytes() refuses symbols outside 0..255
+                pass
+            else:
+                a = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), n)
         ok = a is not None and (not a.size or a.max() < fld.q)
     if not ok:
         for r in rows.tolist() if isinstance(rows, np.ndarray) else rows:
@@ -201,12 +193,14 @@ def _symbols(fld, n: int, rows):
 class FieldCode:
     """A linear [n, k] code over F_q, stored by its canonical RREF basis.
 
-    Two FieldCode objects compare equal exactly when they have the same
-    row space.  `rows` holds the basis as tuples and `matrix` as a k x n
-    uint8 array, built on first use.  `cache` holds what other modules
-    derive from the row space and reuse (the equivalence engine's
-    refinement profiles); it is freed with the object and takes no part in
-    equality.
+    It is built from `rows`, a sequence of rows or a 2-D array of symbol
+    indices, which is validated (ValueError) and row-reduced by `rref`.
+    `matrix` is the basis as a read-only k x n uint8 array of symbol
+    indices and `pivots` its pivot columns.  Two FieldCode objects compare
+    equal exactly when they have the same row space, that is the same
+    basis.  `cache` holds what other modules derive from the row space and
+    reuse (the equivalence engine's refinement profiles); it is freed with
+    the object and takes no part in equality.
     """
 
     def __init__(self, fld: FieldSpec, n: int, rows):
@@ -214,31 +208,20 @@ class FieldCode:
             raise ValueError("length must be positive")
         self.field = fld
         self.n = n
-        self.rows, self.pivots = rref(fld, n, _symbols(fld, n, rows))
-        self.k = len(self.rows)
+        self.matrix, self.pivots = rref(fld, n, _symbols(fld, n, rows))
+        self.k = len(self.pivots)
         self.cache: dict = {}
-
-    @functools.cached_property
-    def matrix(self):
-        """The RREF basis as a k x n uint8 array."""
-        return _symbol_array(self.n, self.rows)
-
-    def key(self) -> bytes:
-        """Canonical bytes for the row space (dedup key)."""
-        return bytes([self.field.q, self.n % 256, self.n // 256]) + b"".join(
-            bytes(r) for r in self.rows
-        )
 
     def __eq__(self, other):
         return (
             isinstance(other, FieldCode)
             and other.field.q == self.field.q
             and other.n == self.n
-            and other.rows == self.rows
+            and other.matrix.tobytes() == self.matrix.tobytes()
         )
 
     def __hash__(self):
-        return hash((self.field.q, self.n, self.rows))
+        return hash((self.field.q, self.n, self.matrix.tobytes()))
 
     def __repr__(self):
         return f"FieldCode(q={self.field.q}, n={self.n}, k={self.k})"

@@ -91,19 +91,6 @@ class RingCode:
     def expansion(self) -> FieldCode:
         return expand(self)
 
-    def same_row_space(self, other: "RingCode") -> bool:
-        return (
-            self.q == other.q
-            and self.m == other.m
-            and self.ell == other.ell
-            and self.expansion() == other.expansion()
-        )
-
-    def permute_columns(self, perm) -> "RingCode":
-        """New code whose column j is this code's column perm[j]."""
-        rows = [tuple(r[perm[j]] for j in range(self.ell)) for r in self.rows]
-        return RingCode(self.spec, self.ell, rows)
-
     def is_self_dual(self) -> bool:
         """Self-dual under the hermitian product, decided in the field image:
         the expansion must be self-orthogonal of dimension m*ell/2."""
@@ -180,7 +167,7 @@ def component_forms(code: RingCode, shared: bool = False):
         basis, pivots = rref(sp.field, ell * width, flat)
         # the other basis rows are Y^s times a K basis row, s > 0
         keep = [p % width == 0 for p in pivots]
-        rows = np.array(list(compress(basis, keep)), dtype=np.uint8).reshape(-1, width)
+        rows = basis[np.array(keep, dtype=bool)].reshape(-1, width)
         if lift is None:
             entries = rows[:, 0].tolist()
         else:

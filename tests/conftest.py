@@ -5,6 +5,7 @@ import itertools
 import random
 
 from qcsd.buildup import extend_i, extend_ii, norm_minus_one_elements, seed
+from qcsd.rcode import RingCode
 from qcsd.ring import RingSpec, ring
 
 
@@ -77,10 +78,22 @@ def reference_contains(code, word):
     rows, one field operation per symbol."""
     fld = code.field
     w = list(word)
-    for piv, row in zip(code.pivots, code.rows):
+    for piv, row in zip(code.pivots, code.matrix.tolist()):
         c = w[piv]
         w = [fld.sub(a, fld.mul(c, b)) for a, b in zip(w, row)]
     return not any(w)
+
+
+def permute_columns(rc, perm):
+    """The ring code whose column j is column perm[j] of `rc`."""
+    rows = [tuple(r[perm[j]] for j in range(rc.ell)) for r in rc.rows]
+    return RingCode(rc.spec, rc.ell, rows)
+
+
+def same_row_space(a, b):
+    """Whether two ring codes over one ring and of one length span the same
+    module, compared through their expansions."""
+    return (a.q, a.m, a.ell) == (b.q, b.m, b.ell) and a.expansion() == b.expansion()
 
 
 def mod_phi(sp: RingSpec, a):

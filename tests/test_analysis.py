@@ -36,7 +36,7 @@ def naive_weight_enumerator(code):
     counts = [0] * (code.n + 1)
     for msg in itertools.product(range(fld.q), repeat=code.k):
         word = [0] * code.n
-        for c, row in zip(msg, code.rows):
+        for c, row in zip(msg, code.matrix.tolist()):
             if c == 0:
                 continue
             for j, v in enumerate(row):
@@ -80,7 +80,7 @@ def test_weight_enumerator_wide_binary_code_past_one_table_block():
         code = FieldCode(f2, n, rows)
         if code.k == k and not reference_contains(code, (1,) * n):
             break
-    gen = np.array(code.rows, dtype=np.int64)
+    gen = code.matrix.astype(np.int64)
     counts = np.zeros(n + 1, dtype=np.int64)
     chunk = 1 << 14
     for start in range(0, 1 << k, chunk):
@@ -106,7 +106,7 @@ def naive_codewords(code):
     words = set()
     for msg in itertools.product(range(fld.q), repeat=code.k):
         word = [0] * code.n
-        for c, row in zip(msg, code.rows):
+        for c, row in zip(msg, code.matrix.tolist()):
             for j, v in enumerate(row):
                 word[j] = fld.add(word[j], fld.mul(c, v))
         words.add(tuple(word))
@@ -188,7 +188,7 @@ def message_codewords(code):
     add, mul = np.array(fld._add), np.array(fld._mul)
     msgs = np.arange(q**k)[:, None] // q ** np.arange(k) % q
     words = np.zeros((q**k, code.n), dtype=np.int64)
-    for r, row in enumerate(code.rows):
+    for r, row in enumerate(code.matrix.tolist()):
         words = add[words, mul[msgs[:, r][:, None], np.array(row)]]
     return words
 
@@ -228,7 +228,7 @@ def _check_orbit_walk(code, ell):
     layout = analysis._ScanLayout(fld, n)
     ones = analysis._splits_off_ones(code)
     fixed = fixed_subcode(code, ell)
-    walked = FieldCode(fld, n, fixed.rows[1:]) if ones else fixed
+    walked = FieldCode(fld, n, fixed.matrix[1:]) if ones else fixed
     blocks = [np.zeros((0, n), np.uint8)]
     for words, weights in analysis._orbit_blocks(code, ell, m, walked):
         blocks.append(layout.symbols(words))
@@ -305,7 +305,7 @@ def test_orbit_walk_takes_a_factor_m_fewer_words(monkeypatch):
 def test_weight_enumerator_refuses_a_shift_the_code_does_not_have():
     rng = random.Random(78)
     code = random_self_dual(2, 3, 4, rng).expansion()
-    rows = [list(r) for r in code.rows]
+    rows = code.matrix.tolist()
     rows[0][-1] ^= 1  # one corrupted generator
     bad = FieldCode(code.field, code.n, rows)
     assert not is_shift_invariant(bad, 4)
@@ -322,13 +322,13 @@ def test_fixed_subcode_literal():
     # coordinate {0, 2, 4} and {1, 3, 5} over F_2 gives 1
     rows = [(1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)]
     code = FieldCode(field(2), 6, rows)
-    assert fixed_subcode(code, 2).rows == ((1,) * 6,)
+    assert fixed_subcode(code, 2).matrix.tolist() == [[1] * 6]
     w = weight_enumerator(code, ell=2)
     assert w.counts == (1, 0, 3, 0, 3, 0, 1)
     assert shift_congruence_check(w, weight_enumerator(fixed_subcode(code, 2)), 3)
     # over F_5, e_1 = 3^-1 (1 + sigma + sigma^2) = 2 (1 + sigma + sigma^2)
     code = FieldCode(field(5), 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert fixed_subcode(code, 1).rows == ((1, 1, 1),)
+    assert fixed_subcode(code, 1).matrix.tolist() == [[1, 1, 1]]
     with pytest.raises(ValueError, match="not a unit"):
         fixed_subcode(FieldCode(field(2), 4, [(1, 0, 1, 0)]), 2)
 
@@ -372,7 +372,7 @@ def _binary_dual(code):
             continue
         v = [0] * code.n
         v[j] = 1
-        for piv, row in zip(code.pivots, code.rows):
+        for piv, row in zip(code.pivots, code.matrix.tolist()):
             v[piv] = row[j]
         rows.append(tuple(v))
     return FieldCode(code.field, code.n, rows)

@@ -261,8 +261,10 @@ def test_classify_refuses_out_of_scope_rings():
         classify(ring(2, 3), 0)
 
 
-def test_constructive_mode_builds_self_dual_codes():
-    run = classify(ring(4, 3), 4, constructive=True, constructive_samples=40)
+def test_constructive_mode_builds_self_dual_codes(monkeypatch):
+    module = importlib.import_module("qcsd.classify")
+    monkeypatch.setattr(module, "CONSTRUCTIVE_SAMPLES", 40)
+    run = classify(ring(4, 3), 4, constructive=True)
     assert not run.complete
     assert len(run.classes) >= 1
     for cc in run.classes:

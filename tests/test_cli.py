@@ -60,7 +60,8 @@ def test_extend_and_expand_pipeline(capsys, tmp_path):
     assert code == OK
     fc_path = out.strip()
     assert fc_path.endswith("base_ext4.fc")
-    fc = parse_field_code(open(fc_path).read())
+    with open(fc_path) as fh:
+        fc = parse_field_code(fh.read())
     assert fc.n == 12 and fc.k == 6
 
 
@@ -219,17 +220,20 @@ def test_classify_text_output_and_artifacts(capsys, tmp_path):
     )
     assert code == OK
     assert out.splitlines()[0] == "2 classes"
-    run_manifest = json.load(open(os.path.join(out_dir, "run.json")))
+    with open(os.path.join(out_dir, "run.json")) as fh:
+        run_manifest = json.load(fh)
     assert run_manifest["q"] == 2 and run_manifest["ell"] == 4
     assert run_manifest["class_count"] == 2
     assert run_manifest["complete"] is True
     assert run_manifest["stats"]["mass_per_level"] == {"2": 3, "4": 81}
-    csv_lines = open(os.path.join(out_dir, "summary.csv")).read().splitlines()
+    with open(os.path.join(out_dir, "summary.csv")) as fh:
+        csv_lines = fh.read().splitlines()
     assert csv_lines[0] == "index,n,k,d,weight_family,beta,divisibility_ok,aut_order,file"
     assert len(csv_lines) == 3
     assert os.path.exists(os.path.join(out_dir, "checkpoint.jsonl"))
     for entry in run_manifest["classes"]:
-        rc = parse_ring_code(open(os.path.join(out_dir, entry["file"])).read())
+        with open(os.path.join(out_dir, entry["file"])) as fh:
+            rc = parse_ring_code(fh.read())
         assert rc.is_self_dual()
 
 

@@ -30,6 +30,19 @@ def random_monomial(n, q, rng):
     return tuple(perm), scalars
 
 
+def reference_monomial(code, perm, scalars):
+    """`apply_monomial` one symbol at a time: column j, scaled by
+    scalars[j], becomes column perm[j]."""
+    fld, n = code.field, code.n
+    rows = []
+    for row in code.matrix.tolist():
+        new = [0] * n
+        for j, v in enumerate(row):
+            new[perm[j]] = fld.mul(scalars[j], v)
+        rows.append(new)
+    return FieldCode(fld, n, rows)
+
+
 def test_apply_monomial_literal():
     f3 = field(3)
     code = FieldCode(f3, 3, [(1, 2, 0)])
@@ -44,12 +57,13 @@ def test_equivalent_after_random_monomial_maps():
         code = random_self_dual(q, m, ell, rng).expansion()
         perm, scalars = random_monomial(code.n, q, rng)
         moved = apply_monomial(code, perm, scalars)
+        assert moved == reference_monomial(code, perm, scalars)
         res = are_equivalent(code, moved)
         assert res
         assert res.equivalent
         # the returned witness maps code onto moved exactly
         again = apply_monomial(code, res.perm, res.scalars)
-        assert again == moved
+        assert again == moved == reference_monomial(code, res.perm, res.scalars)
 
 
 def test_inequivalent_known_pair():
@@ -267,7 +281,7 @@ def naive_strata(code, cap):
     by_weight = {}
     for msg in product(range(fld.q), repeat=code.k):
         word = [0] * code.n
-        for c, row in zip(msg, code.rows):
+        for c, row in zip(msg, code.matrix.tolist()):
             for j, v in enumerate(row):
                 word[j] = fld.add(word[j], fld.mul(c, v))
         wt = sum(1 for v in word if v)
@@ -281,7 +295,7 @@ def naive_strata(code, cap):
         chosen.append(wt)
     for i in range(len(chosen)):
         words = [w for wt in chosen[: i + 1] for w in by_weight[wt]]
-        if len(rref(fld, code.n, words)[0]) == code.k:
+        if len(rref(fld, code.n, np.array(words, dtype=np.uint8))[0]) == code.k:
             chosen = chosen[: i + 1]
             break
     return chosen, {wt: by_weight[wt] for wt in chosen}
@@ -642,7 +656,7 @@ def test_strata_are_the_shortest_spanning_prefix(case):
     assert sorted(set(weights.tolist())) == chosen
 
     def rank(upto):
-        return len(rref(code.field, code.n, words[weights <= upto].tolist())[0])
+        return len(rref(code.field, code.n, words[weights <= upto])[0])
 
     # the strata span the code, or the next stratum would pass the cap
     later = [i for i in range(chosen[-1] + 1, code.n + 1) if counts[i]]

@@ -110,7 +110,7 @@ def test_file_helpers(tmp_path):
     path = tmp_path / "code.fc"
     save_field_code(fc, str(path))
     back = load_field_code(str(path))
-    assert (back.field.q, back.n, back.rows) == (5, 14, fc.rows)
+    assert (back.field.q, back.n, back.matrix.tolist()) == (5, 14, fc.matrix.tolist())
 
 
 def test_corpus_files_parse_and_reserialize():

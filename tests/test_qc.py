@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import naive_rref, random_self_dual, reference_contains
+from conftest import naive_rref, random_self_dual, reference_contains, same_row_space
 from qcsd.gf import FIELD_SIZES, field
 from qcsd import qc
 from qcsd.qc import (
@@ -22,6 +22,11 @@ from qcsd.rcode import RingCode
 from qcsd.ring import ring
 
 
+def _array(rows, n):
+    """Rows of symbol indices as the (len(rows), n) uint8 array rref takes."""
+    return np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+
+
 def test_rref_matches_naive_reduction():
     rng = random.Random(11)
     for q in FIELD_SIZES:
@@ -32,9 +37,9 @@ def test_rref_matches_naive_reduction():
                 tuple(rng.randrange(q) for _ in range(n))
                 for _ in range(rng.randrange(0, 6))
             ]
-            got_rows, got_piv = rref(fld, n, rows)
+            got_rows, got_piv = rref(fld, n, _array(rows, n))
             want_rows, want_piv = naive_rref(fld, n, rows)
-            assert list(got_rows) == want_rows
+            assert got_rows.tolist() == [list(r) for r in want_rows]
             assert list(got_piv) == want_piv
 
 
@@ -79,20 +84,23 @@ def test_rref_matches_naive_reduction_at_kernel_sizes(q):
     for count, n in [(40, 100), (60, 45)]:
         rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(count)]
         cases.append((n, rows))
+    # rank 0 on both sides of the cut, and no rows at all
+    cases += [(n, [(0,) * n] * count) for count, n in [(2, 5), (cut // 10, 10), (0, 7)]]
     for n, rows in cases:
-        count = len(rows)
         want_rows, want_piv = naive_rref(fld, n, rows)
-        for given in (rows, np.array(rows, dtype=np.uint8).reshape(count, n)):
-            got_rows, got_piv = rref(fld, n, given)
-            assert list(got_rows) == want_rows
-            assert list(got_piv) == want_piv
-            assert all(type(v) is int for r in got_rows for v in r)
+        want = [list(r) for r in want_rows]
+        got, got_piv = rref(fld, n, _array(rows, n))
+        assert got.dtype == np.uint8 and got.shape == (len(want), n)
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert got.tolist() == want
+        assert got_piv == tuple(want_piv) and all(type(p) is int for p in got_piv)
         code = FieldCode(fld, n, rows)
-        assert (list(code.rows), list(code.pivots)) == (want_rows, want_piv)
+        assert (code.matrix.tolist(), code.pivots) == (want, got_piv)
 
 
 def test_field_code_from_tuples_equals_field_code_from_array():
     rng = random.Random(15)
+    seen = set()
     for q in FIELD_SIZES:
         fld = field(q)
         for count, n in [(3, 5), (7, 14), (20, 40), (30, 12)]:
@@ -100,9 +108,27 @@ def test_field_code_from_tuples_equals_field_code_from_array():
             a = FieldCode(fld, n, rows)
             b = FieldCode(fld, n, np.array(rows, dtype=np.int64))
             assert a == b and hash(a) == hash(b)
-            assert a.rows == b.rows and a.pivots == b.pivots
-            assert a.matrix.tolist() == [list(r) for r in a.rows]
+            assert a.pivots == b.pivots
+            assert a.matrix.tolist() == b.matrix.tolist()
             assert a.matrix.dtype == np.uint8 and a.matrix.shape == (a.k, n)
+            with pytest.raises(ValueError, match="read-only"):
+                a.matrix[:, 0] = 1
+            # random combinations of the rows: usually the same space, over
+            # F_2 and with few rows sometimes a smaller one
+            combos = []
+            for _ in range(rng.randrange(1, count + 2)):
+                acc = [0] * n
+                for r in rows:
+                    c = rng.randrange(q)
+                    acc = [fld.add(x, fld.mul(c, y)) for x, y in zip(acc, r)]
+                combos.append(tuple(acc))
+            c = FieldCode(fld, n, combos)
+            same = len(naive_rref(fld, n, rows + combos)[0]) == a.k == c.k
+            seen.add(same)
+            assert (a == c) is same and (c == a) is same and (a != c) is not same
+            if same:
+                assert hash(a) == hash(c)
+    assert seen == {False, True}
 
 
 def test_rref_shape_properties():
@@ -112,7 +138,7 @@ def test_rref_shape_properties():
         for _ in range(25):
             n = rng.randrange(2, 9)
             rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(4)]
-            red, piv = rref(fld, n, rows)
+            red, piv = rref(fld, n, _array(rows, n))
             assert list(piv) == sorted(piv)
             for i, p in enumerate(piv):
                 assert red[i][p] == 1
@@ -127,8 +153,10 @@ def test_field_code_equality_is_row_space_equality():
     c = FieldCode(f, 3, [(1, 2, 0)])
     assert a == b
     assert hash(a) == hash(b)
-    assert a.key() == b.key()
     assert a != c
+    # the same symbols over another field or length are another code
+    assert FieldCode(field(5), 3, [(1, 2, 0), (0, 1, 1)]) != a
+    assert FieldCode(f, 3, []) != FieldCode(f, 4, [])
     assert a.k == 2 and c.k == 1
 
 
@@ -209,7 +237,7 @@ def _dot(fld, a, b):
 
 
 def _reference_self_dual(code):
-    rows = code.rows
+    rows = code.matrix.tolist()
     return 2 * code.k == code.n and all(
         _dot(code.field, a, b) == 0 for a in rows for b in rows
     )
@@ -222,7 +250,7 @@ def _rotate(word, step):
 
 
 def _reference_shift_invariant(code, step):
-    return all(reference_contains(code, _rotate(r, step)) for r in code.rows)
+    return all(reference_contains(code, _rotate(r, step)) for r in code.matrix.tolist())
 
 
 @st.composite
@@ -281,7 +309,7 @@ def test_expand_collapse_roundtrip_exhaustive_single_generator():
             row = (sp.element_from_index(idx_a), sp.element_from_index(idx_b))
             rc = RingCode(sp, 2, [row])
             back = collapse(rc.expansion(), sp.m, 2)
-            assert back.same_row_space(rc)
+            assert same_row_space(back, rc)
             assert back.expansion() == rc.expansion()
             count += 1
     assert count == 63

@@ -4,6 +4,7 @@ residue field K as the ideal e_phi*R."""
 import functools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -213,9 +214,9 @@ def test_rref_over_the_residue_field():
             continue
         form = component_forms(RingCode(sp, 5, rows))[1]
         residues = [[to_f4[sp.mul(sp.ephi, e)] for e in r] for r in rows]
-        basis4, piv4 = rref(field(4), 5, residues)
+        basis4, piv4 = rref(field(4), 5, np.array(residues, dtype=np.uint8))
         assert tuple(form) == piv4
-        assert [[to_f4[e] for e in r] for r in form.values()] == [list(r) for r in basis4]
+        assert [[to_f4[e] for e in r] for r in form.values()] == basis4.tolist()
 
 
 @functools.lru_cache(maxsize=None)
