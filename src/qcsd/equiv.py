@@ -68,6 +68,19 @@ orbit where a search already failed.  The maps the search verifies generate
 the group; `automorphism_group` returns them with the order, also under the
 block restriction (qc_blocks), where they are block maps that `classify`
 uses to prune a base's extension witnesses.
+
+The root of an `are_equivalent` search is pruned by the target's
+automorphisms, as in the same authors' searches.  An automorphism phi of
+D2 in the query's shape keeps base colors, ratio mates and block
+successors, so it carries the subtree under the root pin (a, b) onto the
+one under (a, phi b): once (a, b) fails, so does every b' in its orbit, and
+those are skipped.  The orbits come from `automorphism_group(D2,
+qc_blocks)`, computed when the first root candidate fails and kept in
+`D2.cache` per shape, so a representative that `ClassStore` or `seed`
+compares again and again pays for its group once.  Only candidates that
+must fail are skipped, so answers and witnesses are those of the unpruned
+search.  When the group's search runs out of nodes, every slot is its own
+orbit and the root is searched in full.
 """
 
 from __future__ import annotations
@@ -162,8 +175,9 @@ def _select_strata(code: FieldCode, budget: int, max_words: int):
     """The weight enumerator, the weights of the strata used for
     refinement, smallest first, adding strata until they span the code (or
     words run out), and their words, one symbol row each, all from one walk.
-    The span is tested on one word per scalar class, a chunk at a time, and
-    the test stops as soon as k independent words are found."""
+    The span is tested on one word per scalar class, one stratum at a time,
+    and on the pivot columns alone: a codeword is w = w[pivots]*G, so words
+    and their pivot entries have the same rank."""
     low = _LowWords(code, max_words)
     w = weight_enumerator(code, budget, _visit=low)
     words, word_weights = low.classes(w.counts)
@@ -172,14 +186,11 @@ def _select_strata(code: FieldCode, budget: int, max_words: int):
         raise UnsupportedCase(
             f"more than {max_words} low-weight codewords; equivalence undecided"
         )
-    basis = words[:0]
+    pivots = list(code.pivots)
+    basis = words[:0, pivots]
     for i, wt in enumerate(chosen):
-        stratum = words[word_weights == wt]
-        for at in range(0, len(stratum), code.k):
-            chunk = stratum[at : at + code.k]
-            basis, _ = rref(code.field, code.n, np.concatenate([basis, chunk]))
-            if len(basis) == code.k:
-                break
+        stratum = words[word_weights == wt][:, pivots]
+        basis, _ = rref(code.field, code.k, np.concatenate([basis, stratum]))
         if len(basis) == code.k:
             chosen = chosen[: i + 1]
             break
@@ -324,19 +335,24 @@ def _rank(rows, powers, lead=None):
     distinct rows in lexicographic order, and the number of distinct rows.
     Each run of len(powers) columns packs into one key by a product with
     `powers`, and `lead`, when given, is added to the first key; only the
-    keys are sorted."""
+    keys are sorted.  Rows of three keys or more are sorted in one pass, as
+    big-endian bytes, which compare as the nonnegative keys do, where
+    `np.lexsort` would take one pass per key."""
     keys = rows.reshape(len(rows), -1, len(powers)) @ powers
     if lead is not None:
         keys[:, 0] += lead
-    if keys.shape[1] == 1:
+    nkeys = keys.shape[1]
+    if nkeys == 1:
         keys = keys[:, 0]
         order = keys.argsort()
-        ordered = keys[order]
-        step = ordered[1:] != ordered[:-1]
-    else:
+    elif nkeys == 2:
         order = np.lexsort(keys.T[::-1])
-        ordered = keys[order]
-        step = (ordered[1:] != ordered[:-1]).any(axis=1)
+    else:
+        order = keys.astype(">i8").view(f"V{8 * nkeys}")[:, 0].argsort()
+    ordered = keys[order]
+    step = ordered[1:] != ordered[:-1]
+    if nkeys > 1:
+        step = step.any(axis=1)
     dense = np.zeros(len(rows), dtype=np.int64)
     step.cumsum(out=dense[1:])
     ranks = np.empty_like(dense)
@@ -543,10 +559,16 @@ def _find_map(stack: _Stack, pins, state):
     if color is None:
         return _leaf_witness(shape, state["codes"], cA, cB)
     a = int(np.argmax(cA == color))
+    roots, failed = None, set()
     for b in np.flatnonzero(cB == color).tolist():
+        if roots is not None and roots[b] in failed:
+            continue
         res = _find_map(stack, pins + [(a, b)], state)
         if res is not None:
             return res
+        if not pins:  # the root of an are_equivalent search
+            roots = roots or _target_orbits(state["codes"][1], state["blocks"])
+            failed.add(roots[b])
     return None
 
 
@@ -583,7 +605,12 @@ def are_equivalent(
     p2 = _profile(d2)
     if p1.weights != p2.weights or p1.stratum_sizes != p2.stratum_sizes:
         return EquivalenceResult(False)
-    state = {"nodes": 0, "budget": DEFAULT_NODE_BUDGET, "codes": (d1, d2)}
+    state = {
+        "nodes": 0,
+        "budget": DEFAULT_NODE_BUDGET,
+        "codes": (d1, d2),
+        "blocks": blocks,
+    }
     res = _find_map(_Stack(shape, (p1, p2)), [], state)
     return res if res is not None else EquivalenceResult(False)
 
@@ -667,6 +694,47 @@ class AutomorphismGroup:
     generators: tuple
 
 
+class _Orbits:
+    """The orbits on slots of the group that the monomial maps joined so
+    far generate, as a union-find."""
+
+    def __init__(self, shape: _Shape, fld: FieldSpec):
+        self.parent = list(range(shape.nslots))
+        self.r, self.mul = shape.r, fld.mul
+
+    def find(self, s):
+        parent = self.parent
+        while parent[s] != s:
+            parent[s] = parent[parent[s]]
+            s = parent[s]
+        return s
+
+    def join(self, perm, scalars):
+        find, r = self.find, self.r
+        for s in range(len(self.parent)):
+            j, vi = divmod(s, r)
+            t = perm[j] * r + self.mul(scalars[j], vi + 1) - 1
+            self.parent[find(s)] = find(t)
+
+
+def _target_orbits(code: FieldCode, blocks):
+    """The orbit root of each slot under the automorphisms of `code` in the
+    shape `blocks`, computed on first use and kept in `code.cache` for that
+    shape.  When the group's search runs out of nodes every slot is its own
+    orbit, and that is kept too, so the search is not repeated."""
+    key = ("equiv orbits", blocks)
+    roots = code.cache.get(key)
+    if roots is None:
+        orbits = _Orbits(_shape(code.field, code.n, blocks), code.field)
+        try:
+            for perm, scalars in automorphism_group(code, blocks).generators:
+                orbits.join(perm, scalars)
+        except BudgetExceeded:
+            pass
+        roots = code.cache[key] = [orbits.find(s) for s in range(len(orbits.parent))]
+    return roots
+
+
 def automorphism_group(
     code: FieldCode,
     qc_blocks: tuple | None = None,
@@ -695,16 +763,9 @@ def automorphism_group(
         cell = np.flatnonzero(colors == color).tolist()
         levels.append((pins, cell))
         base.append(cell[0])
-    # orbits of the automorphisms found so far, as a union-find over slots
-    parent = list(range(S.nslots))
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    fld, r = code.field, S.r
+    # orbits of the automorphisms found so far
+    orbits = _Orbits(S, code.field)
+    find = orbits.find
     order = 1
     generators = []
     for pins, cell in reversed(levels):
@@ -721,10 +782,7 @@ def automorphism_group(
                 failed.append(c)
                 continue
             generators.append((witness.perm, witness.scalars))
-            for s in range(S.nslots):
-                j, vi = divmod(s, r)
-                t = witness.perm[j] * r + fld.mul(witness.scalars[j], vi + 1) - 1
-                parent[find(s)] = find(t)
+            orbits.join(witness.perm, witness.scalars)
         order *= sum(1 for c in cell if find(c) == find(b0))
     return AutomorphismGroup(order, tuple(generators))
 

@@ -22,7 +22,8 @@ clears the pivot column from every other row in one whole-matrix step: it
 adds the table of the row's negated multiples, indexed by the column.  Over
 F_4 adding is XOR; over F_p it is the integer sum, reduced mod p only where
 an entry is read.  Below the cut the loop over symbols is faster; F_2
-reduces rows packed into bit masks.  Every path takes a uint8 array and
+reduces rows packed into bit masks, one row at a time, and stops once n
+rows are independent.  Every path takes a uint8 array and
 returns the same canonical basis, a read-only uint8 array, which
 `FieldCode` stores as it is.
 """
@@ -131,7 +132,7 @@ def _rref_gf2(n: int, a):
     """RREF over GF(2) of a 0/1 array, on rows packed into bit masks (bit
     j = column j).  The basis rows are keyed by their pivot bit; each is
     zero at every other pivot, so an incoming row is reduced only at the
-    pivot bits it has."""
+    pivot bits it has.  Once n rows are independent the rest are not read."""
     packed = np.packbits(a, axis=1, bitorder="little")
     width = packed.shape[1]
     buf = packed.tobytes()
@@ -152,6 +153,8 @@ def _rref_gf2(n: int, a):
                 basis[pivot] = row ^ x
         basis[bit] = x
         pivot_mask |= bit
+        if len(basis) == n:  # every later row is in the span
+            break
     pivots = sorted(basis)
     buf = b"".join(basis[pivot].to_bytes(width, "little") for pivot in pivots)
     bits = np.frombuffer(buf, dtype=np.uint8).reshape(len(pivots), width)

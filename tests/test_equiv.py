@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qcsd.equiv import (
     ClassStore,
+    EquivalenceResult,
     apply_monomial,
     are_equivalent,
     automorphism_order,
@@ -20,7 +21,7 @@ from qcsd.errors import BudgetExceeded, UnsupportedCase
 from qcsd.gf import field
 from qcsd.qc import FieldCode
 
-from conftest import random_self_dual
+from conftest import random_self_dual, seeds_for
 
 
 def random_monomial(n, q, rng):
@@ -109,6 +110,109 @@ def test_node_budget_overrun_is_budget_exceeded(monkeypatch):
     with pytest.raises(BudgetExceeded) as exc:
         are_equivalent(code, code)
     assert exc.value.budget == 1 and exc.value.required == 2
+
+
+def counting_searches(monkeypatch):
+    """Count the search nodes and the automorphism groups that
+    `are_equivalent` computes from here on."""
+    import qcsd.equiv as E
+
+    count = {"nodes": 0, "groups": 0}
+    find_map, group = E._find_map, E.automorphism_group
+
+    def node(*args):
+        count["nodes"] += 1
+        return find_map(*args)
+
+    def counted_group(*args):
+        count["groups"] += 1
+        return group(*args)
+
+    monkeypatch.setattr(E, "_find_map", node)
+    monkeypatch.setattr(E, "automorphism_group", counted_group)
+    return count
+
+
+def fresh_seed_expansions(q, m):
+    """The expansions of seed(ring(q, m)), as new code objects with empty
+    caches."""
+    expansions = [rc.expansion() for rc in seeds_for(q, m)]
+    return [FieldCode(e.field, e.n, e.matrix) for e in expansions]
+
+
+def test_root_pruning_decides_the_unsplit_5_7_pair_in_seven_nodes(monkeypatch):
+    # refinement leaves all 56 slots of classes 2 and 4 of (5, 7) in one
+    # cell; the first root candidate fails, and the orbits of class 4's
+    # automorphisms rule out every other one
+    seeds = fresh_seed_expansions(5, 7)
+    a, b = seeds[2], seeds[4]
+    count = counting_searches(monkeypatch)
+    assert are_equivalent(a, b) == EquivalenceResult(False)
+    assert count == {"nodes": 7, "groups": 1}  # the group's own nodes included
+    # the orbits are kept on the target for its shape: no second group
+    assert not are_equivalent(fresh_seed_expansions(5, 7)[2], b)
+    assert count == {"nodes": 9, "groups": 1}
+    # and a block-restricted query needs the group of block maps
+    assert not are_equivalent(a, b, qc_blocks=(7, 2))
+    assert count["groups"] == 2
+
+
+def test_a_pruning_group_out_of_nodes_leaves_the_answer(monkeypatch):
+    import qcsd.equiv as E
+
+    tries = []
+
+    def out_of_nodes(code, qc_blocks=None):
+        tries.append(code)
+        raise BudgetExceeded("equivalence search nodes (result undecided)", 2, 1)
+
+    seeds = fresh_seed_expansions(5, 7)
+    a, b = seeds[2], seeds[4]
+    monkeypatch.setattr(E, "automorphism_group", out_of_nodes)
+    count = counting_searches(monkeypatch)
+    assert are_equivalent(a, b) == EquivalenceResult(False)
+    assert tries == [b] and count["nodes"] == 57  # every root candidate
+    # the singleton orbits are kept, so the group is not tried again
+    assert are_equivalent(a, b) == EquivalenceResult(False)
+    assert tries == [b]
+
+
+# rings and lengths whose random self-dual codes give equal-profile
+# inequivalent pairs, and root candidates that fail, unrestricted or in blocks
+PRUNING_SHAPES = [(2, 5, 2), (2, 7, 2), (3, 2, 4), (3, 5, 4), (4, 5, 2),
+                  (4, 7, 2), (5, 2, 4), (5, 7, 2)]
+
+
+@st.composite
+def queries_for_pruning(draw):
+    q, m, ell = draw(st.sampled_from(PRUNING_SHAPES))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a, b = (random_self_dual(q, m, ell, rng).expansion() for _ in range(2))
+    target = draw(st.sampled_from([a, b]))
+    if draw(st.booleans()):
+        target = apply_monomial(target, *random_monomial(target.n, q, rng))
+    return a, target, draw(st.sampled_from([None, (m, ell)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(queries_for_pruning())
+def test_root_pruning_changes_no_result(case):
+    # pruning skips only root candidates that must fail, so the answer and
+    # the first witness found are those of the search that tries them all
+    import qcsd.equiv as E
+
+    a, b, blocks = case
+    pruned = are_equivalent(a, b, qc_blocks=blocks)
+    orbits = E._target_orbits
+
+    def singletons(code, blocks):
+        return range(E._shape(code.field, code.n, blocks).nslots)
+
+    E._target_orbits = singletons
+    try:
+        assert are_equivalent(a, b, qc_blocks=blocks) == pruned
+    finally:
+        E._target_orbits = orbits
 
 
 def test_are_equivalent_rejects_mixed_fields():
@@ -603,7 +707,7 @@ def packed_rank_cases(draw):
     """Rows whose width and bit bound take exactly `keys` packed keys, drawn
     from a few distinct rows so that ties occur, with a leading column of
     `lead_bits` bits and a pad value for the columns that fill the last key."""
-    keys = draw(st.integers(1, 4))
+    keys = draw(st.integers(1, 8))
     bits = draw(st.integers(1, 21))
     lead_bits = draw(st.integers(0, 4))
     per = (62 - lead_bits) // bits
