@@ -74,13 +74,16 @@ automorphisms, as in the same authors' searches.  An automorphism phi of
 D2 in the query's shape keeps base colors, ratio mates and block
 successors, so it carries the subtree under the root pin (a, b) onto the
 one under (a, phi b): once (a, b) fails, so does every b' in its orbit, and
-those are skipped.  The orbits come from `automorphism_group(D2,
-qc_blocks)`, computed when the first root candidate fails and kept in
+those are skipped.  Below the root only the stabiliser of the pins could
+prune, so deeper nodes try every candidate.  The orbits come from the
+group of D2 in the query's shape, computed when the first root candidate
+fails; the group (`cached_automorphism_group`) and its orbits are kept in
 `D2.cache` per shape, so a representative that `ClassStore` or `seed`
-compares again and again pays for its group once.  Only candidates that
-must fail are skipped, so answers and witnesses are those of the unpruned
-search.  When the group's search runs out of nodes, every slot is its own
-orbit and the root is searched in full.
+compares again and again pays for its group once, and `classify`'s mass
+identity reads the same group.  Only candidates that must fail are
+skipped, so answers and witnesses are those of the unpruned search.  When
+the group's search runs out of nodes, every slot is its own orbit and the
+root is searched in full.
 """
 
 from __future__ import annotations
@@ -335,7 +338,7 @@ def _rank(rows, powers, lead=None):
     distinct rows in lexicographic order, and the number of distinct rows.
     Each run of len(powers) columns packs into one key by a product with
     `powers`, and `lead`, when given, is added to the first key; only the
-    keys are sorted.  Rows of three keys or more are sorted in one pass, as
+    keys are sorted.  Rows of several keys are sorted in one pass, as
     big-endian bytes, which compare as the nonnegative keys do, where
     `np.lexsort` would take one pass per key."""
     keys = rows.reshape(len(rows), -1, len(powers)) @ powers
@@ -345,8 +348,6 @@ def _rank(rows, powers, lead=None):
     if nkeys == 1:
         keys = keys[:, 0]
         order = keys.argsort()
-    elif nkeys == 2:
-        order = np.lexsort(keys.T[::-1])
     else:
         order = keys.astype(">i8").view(f"V{8 * nkeys}")[:, 0].argsort()
     ordered = keys[order]
@@ -727,7 +728,7 @@ def _target_orbits(code: FieldCode, blocks):
     if roots is None:
         orbits = _Orbits(_shape(code.field, code.n, blocks), code.field)
         try:
-            for perm, scalars in automorphism_group(code, blocks).generators:
+            for perm, scalars in cached_automorphism_group(code, blocks).generators:
                 orbits.join(perm, scalars)
         except BudgetExceeded:
             pass
@@ -785,6 +786,21 @@ def automorphism_group(
             orbits.join(witness.perm, witness.scalars)
         order *= sum(1 for c in cell if find(c) == find(b0))
     return AutomorphismGroup(order, tuple(generators))
+
+
+def cached_automorphism_group(
+    code: FieldCode,
+    qc_blocks: tuple | None = None,
+) -> AutomorphismGroup:
+    """`automorphism_group(code, qc_blocks)`, computed on first use and kept
+    in `code.cache` for that shape, so that the pruning of `are_equivalent`
+    and `classify`'s mass identity share the group of a representative.
+    When the search runs out of nodes it raises, and nothing is kept."""
+    key = ("equiv group", tuple(qc_blocks) if qc_blocks is not None else None)
+    group = code.cache.get(key)
+    if group is None:
+        group = code.cache[key] = automorphism_group(code, qc_blocks)
+    return group
 
 
 def automorphism_order(code: FieldCode) -> int:

@@ -177,6 +177,42 @@ def test_a_pruning_group_out_of_nodes_leaves_the_answer(monkeypatch):
     assert tries == [b]
 
 
+def test_only_the_root_reads_the_orbits(monkeypatch):
+    # below the root only the stabiliser of the pins could prune.  This
+    # monomial image fails 21 nodes two pins deep under its first root
+    # candidate, which succeeds, so no node reads the orbits (pruning there
+    # by the root's orbits answers "not equivalent"); classes 2 and 4 of
+    # (5, 7) fail at the root, which reads them once
+    import qcsd.equiv as E
+
+    find_map, orbits = E._find_map, E._target_orbits
+    depth, failed_deep, consulted = [], [], []
+
+    def node(stack, pins, state):
+        depth.append(len(pins))
+        try:
+            res = find_map(stack, pins, state)
+        finally:
+            depth.pop()
+        if res is None and len(pins) >= 2:
+            failed_deep.append(pins)
+        return res
+
+    def spied(code, blocks):
+        consulted.append(depth[-1])
+        return orbits(code, blocks)
+
+    monkeypatch.setattr(E, "_find_map", node)
+    monkeypatch.setattr(E, "_target_orbits", spied)
+    rng = random.Random(5)
+    a = random_self_dual(5, 3, 4, rng).expansion()
+    assert are_equivalent(a, apply_monomial(a, *random_monomial(a.n, 5, rng)))
+    assert len(failed_deep) == 21 and consulted == []
+    seeds = fresh_seed_expansions(5, 7)
+    assert not are_equivalent(seeds[2], seeds[4])
+    assert consulted == [0]
+
+
 # rings and lengths whose random self-dual codes give equal-profile
 # inequivalent pairs, and root candidates that fail, unrestricted or in blocks
 PRUNING_SHAPES = [(2, 5, 2), (2, 7, 2), (3, 2, 4), (3, 5, 4), (4, 5, 2),
@@ -577,7 +613,7 @@ def test_class_store_matches_unbucketed_first_fit(monkeypatch):
 
 def tuple_sort_refine(shape, profs, colors_list):
     """Refinement by sorting signature tuples over list incidence, the
-    reference that the lexsort ranking of `equiv._refine` must agree with."""
+    reference that the packed ranking of `equiv._refine` must agree with."""
     from collections import Counter
 
     incidence = []
