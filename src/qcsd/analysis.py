@@ -16,7 +16,11 @@ its prefix that spans the rows after row i, is shifted by row i and added
 to each combination of the remaining generators in p-ary modular Gray
 order (Knuth, TAOCP 4A, 7.2.1.1), in which each step adds one generator
 once.  Each block of up to p^t words costs one addition and one weight
-pass; for p = 2 the order is the binary reflected Gray code.  A binary
+pass; for p = 2 the order is the binary reflected Gray code.  Below n =
+256 the weights are bytes, and `_tally` counts each pair of adjacent ones
+in a block of at least 256(n + 1) as one 16-bit bin index, so one
+`np.bincount` takes two weights per bin and the two byte marginals, added,
+are the counts.  A binary
 code that contains the all-ones word 1 is C = S + <1>, where S is spanned
 by every RREF row but the first; only S is walked, and A_w(C) = A_w(S) +
 A_{n-w}(S).
@@ -52,15 +56,18 @@ every s <= t, the sums of all s-subsets of its rows, under every nonzero
 scalar pattern, form a lex-ordered table, so the subsets that start at
 row a or later are a suffix of it; t is the largest size whose table
 has at most 2^16 columns.  A combination of message weight w is a head
-of max(1, w - t) rows (first scalar 1), built in Python, plus one table
-suffix, added in a single numpy pass; only words at or below the cut
-reach Python.
+of max(1, w - t) rows (first scalar 1) plus one table suffix, the
+subsets after the head's last row.  The heads that end at row a share
+that suffix, so they are built as one array, from the heads of one fewer
+row that end before a, and added to it in batches of at most 2^16
+machine words per numpy pass; only words at or below the cut reach
+Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby, product
+from itertools import groupby
 from math import comb, gcd
 
 import numpy as np
@@ -153,14 +160,17 @@ class _ScanLayout:
         return np.minimum(s, s - self.q, out=s)
 
     def weights(self, words):
+        """The weight of each column word: uint8 below n = 256, which
+        `_tally` counts two to a bin, else uint16."""
+        dtype = np.uint8 if self.n < 256 else np.uint16
         if not self.packed:
-            return (words != 0).sum(axis=0, dtype=np.uint16)
+            return (words != 0).sum(axis=0, dtype=dtype)
         nw = self.nwords
         # a symbol is nonzero where any of its planes has a bit
         support = words[:nw] | words[nw:] if self.planes == 2 else words
         if nw == 1:
-            return np.bitwise_count(support[0])
-        return np.bitwise_count(support).sum(axis=0, dtype=np.uint16)
+            return np.bitwise_count(support[0])  # uint8
+        return np.bitwise_count(support).sum(axis=0, dtype=dtype)
 
     def symbols(self, words):
         """The symbols of column words, one row each, shape (m, n)."""
@@ -384,6 +394,41 @@ def _orbit_blocks(code: FieldCode, ell: int, m: int, walked: FieldCode):
     return _walk(layout, gens, segments)
 
 
+def _tally(n: int, blocks, visit=None):
+    """A_0..A_n of the weights of walked blocks (words, weights).
+
+    Below n = 256 the weights are uint8, and each pair of adjacent weights
+    a, b is read as one uint16 index, so one `np.bincount` takes two weights
+    per bin over 256(n + 1) bins; the counts are the two byte marginals
+    added, whichever byte is the high one.  An odd block's last weight, a
+    block of fewer weights than there are pair bins (the small walks of the
+    equivalence engine, where clearing and folding the bins costs more than
+    halving the count saves) and every weight from n = 256 up are counted
+    one per bin.  `visit(words, weights, counts)` sees each block with the
+    counts so far."""
+    bins = 256 * (n + 1)
+    pairs = None  # the pair bins, from the first block that fills them
+    single = np.zeros(n + 1, dtype=np.int64)
+
+    def counts():
+        if pairs is None:
+            return single.copy()
+        grid = pairs.reshape(n + 1, 256)
+        return single + grid.sum(axis=1) + grid[:, : n + 1].sum(axis=0)
+
+    for words, weights in blocks:
+        even = len(weights) & -2 if n < 256 and len(weights) >= bins else 0
+        if even:
+            if pairs is None:
+                pairs = np.zeros(bins, dtype=np.int64)
+            pairs += np.bincount(weights[:even].view(np.uint16), minlength=bins)
+        if even < len(weights):
+            single += np.bincount(weights[even:], minlength=n + 1)
+        if visit is not None:
+            visit(words, weights, counts())
+    return counts()
+
+
 def weight_enumerator(
     code: FieldCode,
     budget: int = DEFAULT_WEIGHT_BUDGET,
@@ -445,14 +490,12 @@ def weight_enumerator(
         walked = FieldCode(code.field, n, walked.matrix[1:])
     counts = np.zeros(n + 1, dtype=np.int64)
     if orbits:
-        for _, weights in _orbit_blocks(code, ell, m, walked):
-            counts += np.bincount(weights, minlength=n + 1)
-        counts *= m
+        counts += m * _tally(n, _orbit_blocks(code, ell, m, walked))
     if walked.k:
-        for words, weights in codeword_blocks(walked):
-            counts += np.bincount(weights, minlength=n + 1)
-            if _visit is not None:
-                _visit(words, weights, whole(counts))
+        visit = None if _visit is None else (
+            lambda words, weights, c: _visit(words, weights, whole(counts + c))
+        )
+        counts += _tally(n, codeword_blocks(walked), visit)
     counts = whole(counts)
     return WeightEnum(n=n, counts=tuple(int(c) for c in counts), complete=True, q=q, k=k)
 
@@ -523,7 +566,7 @@ def _scan_set(layout: _ScanLayout, rows, w: int, cut: int, seen: dict) -> int:
     `seen` deduplicates across sets.
     """
     q, k = layout.q, len(rows)
-    scaled = [list(s) for s in layout.scaled(rows)]
+    scaled = layout.scaled(rows)
     t = 0
     while t < min(w - 1, k) and (
         comb(k, t + 1) * (q - 1) ** (t + 1) <= _SCAN_TABLE_COLUMNS
@@ -542,16 +585,34 @@ def _scan_set(layout: _ScanLayout, rows, w: int, cut: int, seen: dict) -> int:
         ]
         tables.append(np.concatenate(parts, axis=1))
         starts.append(np.cumsum([0] + [p.shape[1] for p in parts])[:: q - 1].tolist())
+    # heads: the sums of r rows, first scalar 1, one column each, ordered by
+    # their last row; those that end before row a are the first ends[a]
+    heads, ends, r = scaled[:, 0].T, np.arange(k + 1), 1
+    # a batch holds at most 2^16 machine words, a column counting as one at
+    # least: F_3/F_5 columns of n bytes in batches of 2^16 columns spill out
+    # of the cache
+    width = max(1, scaled.shape[-1] * scaled.itemsize // 8)
     found = layout.n + 1
     for wt in range(1, w + 1):
         s = min(wt - 1, t)
+        while r < wt - s:  # each head that ends before row a, plus row a
+            groups = [
+                layout.add(heads[:, : ends[a], None], scaled[a].T[:, None, :])
+                .reshape(len(heads), -1)
+                for a in range(k)
+            ]
+            heads = np.concatenate(groups, axis=1)
+            ends = np.cumsum([0] + [g.shape[1] for g in groups])
+            r += 1
         table, start = tables[s], starts[s]
-        for head_rows in combinations(range(k - s), wt - s):
-            for pattern in product(range(q - 1), repeat=wt - s - 1):
-                head = scaled[head_rows[0]][0]
-                for i, c in zip(head_rows[1:], pattern):
-                    head = layout.add(head, scaled[i][c])
-                words = layout.add(head[:, None], table[:, start[head_rows[-1] + 1]:])
+        for a in range(k - s):
+            # the heads that end at row a share the subsets after row a
+            tail = table[:, start[a + 1]:]
+            batch = max(1, _SCAN_TABLE_COLUMNS // (tail.shape[1] * width))
+            for at in range(ends[a], ends[a + 1], batch):
+                group = heads[:, at : min(at + batch, ends[a + 1])]
+                words = layout.add(tail[:, None, :], group[:, :, None])
+                words = words.reshape(len(tail), -1)
                 wts = layout.weights(words)
                 low = int(wts.min())
                 found = min(found, low)

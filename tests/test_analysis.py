@@ -1,12 +1,13 @@
 """Weight analytics: enumerators, distance scans, templates, MacWilliams."""
 
 import itertools
+import math
 import random
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qcsd import analysis
 from qcsd.analysis import (
@@ -68,25 +69,52 @@ def test_weight_enumerator_wide_binary_words():
     assert weight_enumerator(code).counts == naive_weight_enumerator(code)
 
 
+def _random_binary_code(rng, n, k):
+    """A random binary [n, k] code that does not contain 1."""
+    while True:
+        rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)]
+        code = FieldCode(field(2), n, rows)
+        if code.k == k and not reference_contains(code, (1,) * n):
+            return code
+
+
+def _message_product_counts(code):
+    """The weight distribution of a binary code from every message times
+    the generator matrix, in chunks of 2^14 messages."""
+    n, k = code.n, code.k
+    gen = code.matrix.astype(np.int64)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    chunk = min(1 << 14, 1 << k)
+    for start in range(0, 1 << k, chunk):
+        msgs = (np.arange(start, start + chunk)[:, None] >> np.arange(k)) & 1
+        counts += np.bincount((msgs @ gen % 2).sum(axis=1), minlength=n + 1)
+    return tuple(counts.tolist())
+
+
 def test_weight_enumerator_wide_binary_code_past_one_table_block():
     # n > 64 and k = 18 > 16: two machine words per word, and the Gray walk
     # runs past the first 2^16-word table block; without 1 the whole code
     # is walked
-    rng = random.Random(77)
-    f2 = field(2)
-    n, k = 70, 18
-    while True:
-        rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(k)]
-        code = FieldCode(f2, n, rows)
-        if code.k == k and not reference_contains(code, (1,) * n):
-            break
-    gen = code.matrix.astype(np.int64)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    chunk = 1 << 14
-    for start in range(0, 1 << k, chunk):
-        msgs = (np.arange(start, start + chunk)[:, None] >> np.arange(k)) & 1
-        counts += np.bincount((msgs @ gen % 2).sum(axis=1), minlength=n + 1)
-    assert weight_enumerator(code).counts == tuple(counts.tolist())
+    code = _random_binary_code(random.Random(77), 70, 18)
+    assert weight_enumerator(code).counts == _message_product_counts(code)
+
+
+def test_codes_of_length_256_and_up_keep_uint16_weights():
+    # from n = 256 a weight no longer fits a byte: the walk yields uint16
+    # weights, which the tally counts one per bin; five machine words per
+    # word, and k = 16 fills one table block
+    code = _random_binary_code(random.Random(78), 260, 16)
+    assert {weights.dtype for _, weights in analysis.codeword_blocks(code)} == {
+        np.dtype(np.uint16)
+    }
+    assert weight_enumerator(code).counts == _message_product_counts(code)
+    _check_scan(code, 3)
+
+
+def _example_code(q, n, k, seed):
+    """A seeded random code of k rows of length n over F_q, for `@example`s."""
+    rng = random.Random(seed)
+    return FieldCode(field(q), n, [tuple(rng.randrange(q) for _ in range(n)) for _ in range(k)])
 
 
 @st.composite
@@ -168,6 +196,66 @@ def test_enumerator_matches_naive_at_every_table_size(code, table_columns):
         return
     with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
         assert weight_enumerator(code).counts == naive_weight_enumerator(code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 2, 54, 254, 255, 256, 257, 300]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(-1, 1)), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_tally_counts_as_bincount(n, sizes, seed):
+    # blocks of odd and even length on both sides of the 256(n + 1) pair
+    # bins, with uint8 weights below n = 256 and uint16 ones from there up;
+    # each block is seen with the counts so far
+    rng = np.random.default_rng(seed)
+    dtype = np.uint8 if n < 256 else np.uint16
+    blocks = [
+        (None, rng.integers(0, n + 1, max(0, f * 256 * (n + 1) + d)).astype(dtype))
+        for f, d in sizes
+    ]
+    running = np.zeros(n + 1, dtype=np.int64)
+    expected = []
+    for _, weights in blocks:
+        running += np.bincount(weights, minlength=n + 1)
+        expected.append(running.tolist())
+    seen = []
+    counts = analysis._tally(n, iter(blocks), lambda _w, _x, c: seen.append(c.tolist()))
+    assert seen == expected
+    assert counts.tolist() == running.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_codes(), st.sampled_from([1, 3, 8, 1 << 16]))
+# walks with blocks of at least 256(n + 1) weights, which the tally counts
+# two per bin: 2^13 of them over F_2 at n = 20, and 3^8 over F_3 at n = 12
+@example(_example_code(2, 20, 14, 5), 1 << 16)
+@example(_example_code(3, 12, 9, 6), 1 << 16)
+def test_visit_sees_the_counts_of_the_blocks_so_far(code, table_columns):
+    # the counts each walked block is seen with are those that counting
+    # every block so far, one bincount each, gives: walked words times
+    # q - 1, the zero word, and over F_2 with 1 the complements
+    if not code.k:
+        return
+    q, n = code.field.q, code.n
+    blocks = []
+
+    def visit(words, weights, counts):
+        assert weights.dtype == np.uint8
+        blocks.append((weights.copy(), counts.tolist()))
+
+    with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
+        final = weight_enumerator(code, _visit=visit).counts
+    running = np.zeros(n + 1, dtype=np.int64)
+    for weights, counts in blocks:
+        running += np.bincount(weights, minlength=n + 1)
+        want = running * (q - 1)
+        want[0] = 1
+        if analysis._splits_off_ones(code):
+            want = want + want[::-1]
+        assert counts == want.tolist()
+    if blocks:  # else the code is <1>, and S is the zero code
+        assert tuple(blocks[-1][1]) == final
 
 
 # -- the walk by shift orbits ------------------------------------------------
@@ -485,15 +573,74 @@ def _check_scan(code, w):
         assert scan.distance == true_d
 
 
+def per_head_scan_set(layout, rows, w, cut, seen):
+    """`analysis._scan_set` with one numpy pass per head, built row by row
+    in Python: the reference that the scan's batches of heads must agree
+    with."""
+    q, k = layout.q, len(rows)
+    scaled = [list(s) for s in layout.scaled(rows)]
+    t = 0
+    while t < min(w - 1, k) and (
+        math.comb(k, t + 1) * (q - 1) ** (t + 1) <= analysis._SCAN_TABLE_COLUMNS
+    ):
+        t += 1
+    zero = np.zeros_like(scaled[0][0])[:, None]
+    tables, starts = [zero], [[0] * (k + 1)]
+    for s in range(1, t + 1):
+        parts = [
+            layout.add(v[:, None], tables[-1][:, starts[-1][a + 1]:])
+            for a in range(k)
+            for v in scaled[a]
+        ]
+        tables.append(np.concatenate(parts, axis=1))
+        starts.append(np.cumsum([0] + [p.shape[1] for p in parts])[:: q - 1].tolist())
+    found = layout.n + 1
+    for wt in range(1, w + 1):
+        s = min(wt - 1, t)
+        table, start = tables[s], starts[s]
+        for head_rows in itertools.combinations(range(k - s), wt - s):
+            for pattern in itertools.product(range(q - 1), repeat=wt - s - 1):
+                head = scaled[head_rows[0]][0]
+                for i, c in zip(head_rows[1:], pattern):
+                    head = layout.add(head, scaled[i][c])
+                words = layout.add(head[:, None], table[:, start[head_rows[-1] + 1]:])
+                wts = layout.weights(words)
+                low = int(wts.min())
+                found = min(found, low)
+                if low <= cut:
+                    hits = np.flatnonzero(wts <= cut)
+                    seen.update(zip(layout.keys(words[:, hits]), wts[hits].tolist()))
+    return found
+
+
+def _check_scan_batches(code, w):
+    """Each information set's batched scan finds the weight and records the
+    words that the per-head reference does, with every word recorded."""
+    layout = analysis._ScanLayout(code.field, code.n)
+    for rows, _ in analysis._information_sets(code):
+        batched, reference = {}, {}
+        found = analysis._scan_set(layout, rows, w, code.n, batched)
+        assert found == per_head_scan_set(layout, rows, w, code.n, reference)
+        assert batched == reference
+
+
 @settings(max_examples=120, deadline=None)
 @given(small_codes(), st.integers(1, 9), st.sampled_from([1, 3, 8, 1 << 16]))
+# heads of 4 rows and more on every field: t = 1 at 8 table columns over
+# F_2, t = 0 in the others
+@example(_example_code(2, 10, 8, 1), 6, 8)
+@example(_example_code(3, 9, 5, 2), 5, 8)
+@example(_example_code(4, 8, 4, 3), 4, 3)
+@example(_example_code(5, 8, 4, 4), 4, 3)
 def test_distance_scan_property(code, w, table_columns):
     # small tables make the tail size t small, so messages of weight w > t + 1
-    # run the head loop; large ones put every weight on one table suffix
+    # run on heads of several rows; large ones put every weight on one table
+    # suffix
     if code.k == 0:
         return
     with mock.patch.object(analysis, "_SCAN_TABLE_COLUMNS", table_columns):
         _check_scan(code, w)
+        _check_scan_batches(code, w)
 
 
 def test_distance_scan_wide_binary_code():
