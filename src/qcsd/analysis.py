@@ -586,20 +586,23 @@ def _scan_set(layout: _ScanLayout, rows, w: int, cut: int, seen: dict) -> int:
         tables.append(np.concatenate(parts, axis=1))
         starts.append(np.cumsum([0] + [p.shape[1] for p in parts])[:: q - 1].tolist())
     # heads: the sums of r rows, first scalar 1, one column each, ordered by
-    # their last row; those that end before row a are the first ends[a]
+    # their last row; those that end before row a are the first ends[a].
+    # Heads of two rows and more need s = t, so a table suffix, after them:
+    # only those that end before row k - t are built
     heads, ends, r = scaled[:, 0].T, np.arange(k + 1), 1
     # a batch holds at most 2^16 machine words, a column counting as one at
     # least: F_3/F_5 columns of n bytes in batches of 2^16 columns spill out
     # of the cache
     width = max(1, scaled.shape[-1] * scaled.itemsize // 8)
     found = layout.n + 1
-    for wt in range(1, w + 1):
+    # no message has more than k nonzero symbols
+    for wt in range(1, min(w, k) + 1):
         s = min(wt - 1, t)
         while r < wt - s:  # each head that ends before row a, plus row a
             groups = [
                 layout.add(heads[:, : ends[a], None], scaled[a].T[:, None, :])
                 .reshape(len(heads), -1)
-                for a in range(k)
+                for a in range(k - t)
             ]
             heads = np.concatenate(groups, axis=1)
             ends = np.cumsum([0] + [g.shape[1] for g in groups])

@@ -81,7 +81,7 @@ from .buildup import extend_i, norm_minus_one_elements
 from .equiv import (
     ClassStore,
     CodeFingerprint,
-    cached_automorphism_group,
+    automorphism_group,
     fingerprint,
 )
 
@@ -643,7 +643,7 @@ def classify(
             # next level's witnesses, orders for the mass identity
             if exhaustive:
                 groups = [
-                    cached_automorphism_group(cc.expansion, qc_blocks=(spec.m, ell))
+                    automorphism_group(cc.expansion, qc_blocks=(spec.m, ell))
                     for cc in levels[ell]
                 ]
                 _check_mass(spec, ell, [g.order for g in groups], stats)

@@ -17,12 +17,13 @@ the search is exhaustive.
 
 The structure has two halves.  What depends only on the shape (field,
 length and, for block-restricted equivalence, the block layout) is the
-slot set with its ratio mates, block successor and predecessor mates and
-base colors; it is built once per shape and shared by every code of that
-shape.  What depends on the code is its refinement profile: the weight
-enumerator, the refinement strata and the word-slot incidence of their
-codewords, kept as padded int32 matrices (a words-by-weight matrix of
-slots, with each word's stratum, and a slots-by-degree matrix of words).
+slot set with one row of neighbors per slot (its ratio mates, then its
+block successor and predecessor) and base colors; it is built once per
+shape and shared by every code of that shape.  What depends on the code
+is its refinement profile: the weight enumerator, the refinement strata
+and the word-slot incidence of their codewords, kept as padded int32
+matrices (a words-by-weight matrix of slots, with each word's stratum,
+and a slots-by-degree matrix of words).
 The enumerator and the strata words come from one walk, the enumerator's:
 it walks one word per scalar class (first nonzero symbol 1; over F_2 the
 words of S when C = S + <1>), and the lightest words are kept as it goes,
@@ -31,9 +32,11 @@ a weight being dropped once the running count of the words up to it passes
 complemented) at the end.  The profile is built once and kept on the code
 object itself (`FieldCode.cache`), so `fingerprint`, `are_equivalent` and
 `automorphism_order` share it, in every shape, and it is freed with the
-code.  The walk's budget (DEFAULT_WEIGHT_BUDGET), the word cap and the
-search's node budget (DEFAULT_NODE_BUDGET) are module constants, read when
-a profile is built or a search starts.
+code.  The walk's budget (DEFAULT_WEIGHT_BUDGET) and the word cap
+(DEFAULT_MAX_WORDS) are a profile's only bounds: the walk counts every
+word but keeps at most the cap.  They and the search's node budget
+(DEFAULT_NODE_BUDGET) are module constants, read when a profile is built
+or a search starts.
 
 A refinement round works on whole arrays, in the spirit of McKay &
 Piperno's refinement (Practical graph isomorphism II, 2014).  Each
@@ -77,13 +80,13 @@ one under (a, phi b): once (a, b) fails, so does every b' in its orbit, and
 those are skipped.  Below the root only the stabiliser of the pins could
 prune, so deeper nodes try every candidate.  The orbits come from the
 group of D2 in the query's shape, computed when the first root candidate
-fails; the group (`cached_automorphism_group`) and its orbits are kept in
-`D2.cache` per shape, so a representative that `ClassStore` or `seed`
-compares again and again pays for its group once, and `classify`'s mass
-identity reads the same group.  Only candidates that must fail are
-skipped, so answers and witnesses are those of the unpruned search.  When
-the group's search runs out of nodes, every slot is its own orbit and the
-root is searched in full.
+fails; `automorphism_group` keeps the group, and the root pruning its
+orbits, in `D2.cache` per shape, so a representative that `ClassStore` or
+`seed` compares again and again pays for its group once, and `classify`'s
+mass identity and `automorphism_order` read the same group.  Only
+candidates that must fail are skipped, so answers and witnesses are those
+of the unpruned search.  When the group's search runs out of nodes, every
+slot is its own orbit and the root is searched in full.
 """
 
 from __future__ import annotations
@@ -107,10 +110,9 @@ from .qc import FieldCode, rref
 
 DEFAULT_NODE_BUDGET = 500000
 DEFAULT_MAX_WORDS = 20000
-_MATERIALIZE_LIMIT = 1 << 24
 
 
-# -- codeword materialization ------------------------------------------------
+# -- low-weight codewords ----------------------------------------------------
 
 
 class _LowWords:
@@ -206,10 +208,10 @@ def _select_strata(code: FieldCode, budget: int, max_words: int):
 
 
 class _Shape:
-    """The slot structure fixed by (field, length, qc_blocks) alone: ratio
-    mates, block successor and predecessor mates, and base colors.  Built
-    once per shape and shared by every code of that shape; it holds no
-    reference to any code, so caching it pins none."""
+    """The slot structure fixed by (field, length, qc_blocks) alone: each
+    slot's neighbors and base colors.  Built once per shape and shared by
+    every code of that shape; it holds no reference to any code, so caching
+    it pins none."""
 
     def __init__(self, fld: FieldSpec, n: int, qc_blocks):
         q = fld.q
@@ -218,43 +220,26 @@ class _Shape:
         self.r = r
         self.nslots = n * r
         # slot id for (col j, value v >= 1) is j*r + (v-1)
-        mates = []
-        ratios = list(range(2, q))
-        for s in range(self.nslots):
-            j, vi = divmod(s, r)
-            v = vi + 1
-            mates.append(tuple(j * r + (fld.mul(rho, v) - 1) for rho in ratios))
-        self.mates = mates
+        col, value = np.divmod(np.arange(self.nslots), r)
+        value += 1
+        # each slot's row: the slot itself, its ratio mates (j, rho*v) for
+        # rho = 2..q-1, then its block successor and predecessor; their
+        # colors lead the slot's refinement row
+        columns = list(col * r + fld.mul_table[1:, value] - 1)
         if qc_blocks is None:
-            self.succ_mate = None
-            self.pred_mate = None
             self.base_colors = [0] * self.nslots
         else:
-            succ_cols = _succ_cols(n, qc_blocks)
-            pred_cols = [0] * n
-            for j, j2 in enumerate(succ_cols):
-                pred_cols[j2] = j
-            self.succ_mate = [
-                succ_cols[s // r] * r + (s % r) for s in range(self.nslots)
-            ]
-            self.pred_mate = [
-                pred_cols[s // r] * r + (s % r) for s in range(self.nslots)
-            ]
+            succ_cols = np.array(_succ_cols(n, qc_blocks))
+            pred_cols = np.argsort(succ_cols)
+            columns += [succ_cols[col] * r + value - 1, pred_cols[col] * r + value - 1]
             # block maps may scale a whole block only by a scalar that
             # preserves the inner product, i.e. with square one; color the
             # slots by the orbit of their value under those scalars
             square_one = [g for g in range(1, q) if fld.mul(g, g) == 1]
-            orbit = {}
-            for v in range(1, q):
-                rep = min(fld.mul(g, v) for g in square_one)
-                orbit[v] = rep
-            self.base_colors = [orbit[(s % r) + 1] for s in range(self.nslots)]
-        # the slots whose colors lead each slot's refinement row: the slot
-        # itself, its ratio mates, then its block successor and predecessor
-        columns = [np.arange(self.nslots), *np.reshape(mates, (self.nslots, -1)).T]
-        if qc_blocks is not None:
-            columns += [self.succ_mate, self.pred_mate]
+            self.base_colors = fld.mul_table[square_one][:, value].min(axis=0).tolist()
         self.neighbors = np.array(columns, dtype=np.int32).T
+        # each slot's neighbors after itself, which a pin carries along
+        self.links = [tuple(row[1:]) for row in self.neighbors.tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -300,12 +285,6 @@ class _Profile:
     code is compared in."""
 
     def __init__(self, code: FieldCode, budget: int, max_words: int):
-        total = code.field.q**code.k
-        if _MATERIALIZE_LIMIT < total <= budget:
-            # the words could be counted but not kept: refuse before walking
-            raise BudgetExceeded(
-                "codeword materialization for equivalence", total, _MATERIALIZE_LIMIT
-            )
         self.enum, self.weights, words = _select_strata(code, budget, max_words)
         self.words, self.stratum, self.slot_words = _incidence(code, self.weights, words)
         self.stratum_sizes = dict(enumerate(np.bincount(self.stratum).tolist()))
@@ -466,7 +445,7 @@ def _target_cell(colors):
 def _pin_closure(shape: _Shape, pins):
     """Expand pins through ratio mates and, in quasi-cyclic mode, along the
     cycle successor and predecessor; None on conflict or non-injectivity."""
-    mates, succ, pred = shape.mates, shape.succ_mate, shape.pred_mate
+    links = shape.links
     mapping: dict[int, int] = {}
     queue = list(pins)
     while queue:
@@ -477,10 +456,7 @@ def _pin_closure(shape: _Shape, pins):
                 return None
             continue
         mapping[a] = b
-        queue.extend(zip(mates[a], mates[b]))
-        if succ is not None:
-            queue.append((succ[a], succ[b]))
-            queue.append((pred[a], pred[b]))
+        queue.extend(zip(links[a], links[b]))
     if len(set(mapping.values())) != len(mapping):
         return None
     return mapping
@@ -728,7 +704,7 @@ def _target_orbits(code: FieldCode, blocks):
     if roots is None:
         orbits = _Orbits(_shape(code.field, code.n, blocks), code.field)
         try:
-            for perm, scalars in cached_automorphism_group(code, blocks).generators:
+            for perm, scalars in automorphism_group(code, blocks).generators:
                 orbits.join(perm, scalars)
         except BudgetExceeded:
             pass
@@ -743,11 +719,19 @@ def automorphism_group(
     """The monomial automorphism group (permutations for q=2), restricted
     to block maps when qc_blocks=(m, ell) as in `are_equivalent`, by
     orbit-stabilizer over the refinement structure.  The generators are
-    the maps the search verified; together they generate the group."""
+    the maps the search verified; together they generate the group.  It is
+    computed on first use and kept in `code.cache` for that shape, so the
+    pruning of `are_equivalent`, `classify`'s mass identity and
+    `automorphism_order` share it; a search that runs out of nodes raises
+    and keeps nothing."""
     if code.k == 0:
         raise ValueError("automorphism group of the zero code is everything")
-    prof = _profile(code)
     blocks = tuple(qc_blocks) if qc_blocks is not None else None
+    key = ("equiv group", blocks)
+    group = code.cache.get(key)
+    if group is not None:
+        return group
+    prof = _profile(code)
     S = _shape(code.field, code.n, blocks)
     one, both = _Stack(S, (prof,)), _Stack(S, (prof, prof))
     state = {"nodes": 0, "budget": DEFAULT_NODE_BUDGET, "codes": (code, code)}
@@ -785,21 +769,7 @@ def automorphism_group(
             generators.append((witness.perm, witness.scalars))
             orbits.join(witness.perm, witness.scalars)
         order *= sum(1 for c in cell if find(c) == find(b0))
-    return AutomorphismGroup(order, tuple(generators))
-
-
-def cached_automorphism_group(
-    code: FieldCode,
-    qc_blocks: tuple | None = None,
-) -> AutomorphismGroup:
-    """`automorphism_group(code, qc_blocks)`, computed on first use and kept
-    in `code.cache` for that shape, so that the pruning of `are_equivalent`
-    and `classify`'s mass identity share the group of a representative.
-    When the search runs out of nodes it raises, and nothing is kept."""
-    key = ("equiv group", tuple(qc_blocks) if qc_blocks is not None else None)
-    group = code.cache.get(key)
-    if group is None:
-        group = code.cache[key] = automorphism_group(code, qc_blocks)
+    group = code.cache[key] = AutomorphismGroup(order, tuple(generators))
     return group
 
 

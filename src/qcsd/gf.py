@@ -90,14 +90,6 @@ class FieldSpec:
     def elements(self):
         return range(self.q)
 
-    def element_str(self, a: int) -> str:
-        """Render an element; F_4 uses the symbols 0, 1, w, w^2."""
-        if not 0 <= a < self.q:
-            raise ValueError(f"no element with index {a} in F_{self.q}")
-        if self.q == 4:
-            return ("0", "1", "w", "w^2")[a]
-        return str(a)
-
     def parse_element(self, text: str) -> int:
         t = text.strip()
         if self.q == 4:

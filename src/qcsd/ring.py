@@ -209,22 +209,6 @@ class RingSpec:
             self._norm_classes = classes
         return self._norm_classes
 
-    # -- rendering -------------------------------------------------------
-
-    def poly_str(self, a) -> str:
-        fld = self.field
-        terms = []
-        for i in range(self.m - 1, -1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(fld.element_str(c))
-            else:
-                ypow = "Y" if i == 1 else f"Y^{i}"
-                terms.append(ypow if c == 1 else f"{fld.element_str(c)}*{ypow}")
-        return " + ".join(terms) if terms else "0"
-
     def __repr__(self):
         return f"RingSpec(q={self.field.q}, m={self.m})"
 

@@ -354,13 +354,13 @@ def test_mass_identity_per_level(q, m, ell, masses):
 
 def test_mass_identity_mismatch_raises(monkeypatch):
     module = importlib.import_module("qcsd.classify")
-    search = module.cached_automorphism_group
+    search = module.automorphism_group
 
     def doubled(code, **kwargs):
         group = search(code, **kwargs)
         return AutomorphismGroup(2 * group.order, group.generators)
 
-    monkeypatch.setattr(module, "cached_automorphism_group", doubled)
+    monkeypatch.setattr(module, "automorphism_group", doubled)
     for q, m in [(2, 3), (5, 2)]:
         with pytest.raises(RuntimeError, match="incomplete"):
             classify(ring(q, m), 2)
@@ -374,12 +374,12 @@ def test_witness_pruning_changes_no_answer(monkeypatch, q, m, ell):
     assert pruned.stats.exact_duplicates > 0
     assert f"{pruned.stats.exact_duplicates} pruned as orbit images" in messages[-1]
     module = importlib.import_module("qcsd.classify")
-    search = module.cached_automorphism_group
+    search = module.automorphism_group
 
     def no_generators(code, **kwargs):
         return AutomorphismGroup(search(code, **kwargs).order, ())
 
-    monkeypatch.setattr(module, "cached_automorphism_group", no_generators)
+    monkeypatch.setattr(module, "automorphism_group", no_generators)
     unpruned = classify(sp, ell)
     assert unpruned.stats.exact_duplicates == 0
     assert unpruned.stats.candidates == pruned.stats.candidates

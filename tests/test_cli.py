@@ -300,6 +300,17 @@ def test_equiv_exit_codes(capsys, tmp_path):
     assert code == BAD_INPUT
 
 
+def test_equiv_compares_codes_of_2_to_the_27_words(capsys):
+    # the [54, 27, 10] codes C_54_1 and C_54_5 (A_10 = 207 and 351) are
+    # told apart by their profiles, which keep only the lightest of their
+    # 2^27 words
+    path = os.path.join(os.path.dirname(corpus.__file__), "corpus_data")
+    a, b = (os.path.join(path, f"C_54_{i}.rc") for i in (1, 5))
+    code, out, err = run(capsys, "equiv", a, b)
+    assert code == MISMATCH
+    assert out.strip() == "not equivalent"
+
+
 def test_usage_errors(capsys):
     for argv in [
         ["classify", "--q", "2", "--m", "3"],  # missing --ell

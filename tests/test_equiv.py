@@ -1,6 +1,7 @@
 """Monomial equivalence, fingerprints, automorphism group orders."""
 
 import gc
+import math
 import random
 import weakref
 
@@ -362,30 +363,62 @@ def test_automorphism_order_known_codes(monkeypatch):
     import qcsd.equiv
     from qcsd import corpus
 
-    i4 = corpus.load(corpus.get("I_4")).expansion()
-    assert automorphism_order(i4) == 3840
+    def i4():
+        return corpus.load(corpus.get("I_4")).expansion()
+
+    kept = i4()
+    assert automorphism_order(kept) == 3840
     monkeypatch.setattr(qcsd.equiv, "DEFAULT_NODE_BUDGET", 1)
+    # a fresh code object searches again, and runs out of nodes
     with pytest.raises(BudgetExceeded):
-        automorphism_order(i4)
+        automorphism_order(i4())
+    assert automorphism_order(kept) == 3840
 
 
-def test_code_too_large_to_materialize_fails_before_any_walk(monkeypatch):
-    import qcsd.analysis
+def test_automorphism_group_is_kept_per_shape(monkeypatch):
+    import qcsd.equiv as E
 
-    def no_walk(code):
-        raise AssertionError("walked the codewords of an unmaterializable code")
+    code = random_self_dual(2, 3, 4, random.Random(58)).expansion()
+    group = E.automorphism_group(code)
+    assert E.automorphism_group(code) is group
+    assert automorphism_order(code) == group.order
+    blocked = E.automorphism_group(code, qc_blocks=(3, 4))
+    assert blocked is not group
+    assert E.automorphism_group(code, qc_blocks=[3, 4]) is blocked
+    # another object of the same code searches on its own
+    twin = FieldCode(code.field, code.n, code.matrix)
+    assert E.automorphism_group(twin) is not group
+    assert E.automorphism_group(twin) == group
+    # a search out of nodes keeps nothing
+    fresh = FieldCode(code.field, code.n, code.matrix)
+    with monkeypatch.context() as patch:
+        patch.setattr(E, "DEFAULT_NODE_BUDGET", 1)
+        with pytest.raises(BudgetExceeded):
+            E.automorphism_group(fresh)
+    assert ("equiv group", None) not in fresh.cache
+    assert E.automorphism_group(fresh) == group
 
-    monkeypatch.setattr(qcsd.analysis, "codeword_blocks", no_walk)
+
+def test_automorphism_order_of_a_cubic_54_code():
+    # C_54_1 has 2^27 codewords; its recorded group order is 3
+    from qcsd import corpus
+
+    entry = corpus.get("C_54_1")
+    assert automorphism_order(corpus.field_form(entry)) == entry.expected["aut"] == 3
+
+
+def test_code_past_two_to_the_24_words_is_profiled():
+    # the even-weight [26, 25] binary code has 2^25 words: the walk counts
+    # them all and keeps only the lightest, so its profile is built, and
+    # its group is the full symmetric group
     f2 = field(2)
     n, k = 26, 25
     code = FieldCode(f2, n, [tuple(int(j in (i, n - 1)) for j in range(n)) for i in range(k)])
     assert code.k == k
-    with pytest.raises(BudgetExceeded) as exc:
-        fingerprint(code)
-    assert exc.value.required == 2**k and exc.value.budget == 2**24
-    with pytest.raises(BudgetExceeded) as exc:
-        are_equivalent(code, code)
-    assert exc.value.required == 2**k and exc.value.budget == 2**24
+    fp = fingerprint(code)
+    assert (fp.n, fp.k, fp.d) == (26, 25, 2)
+    assert fp.enum_prefix == ((2, 325), (4, 14950), (6, 230230), (8, 1562275))
+    assert automorphism_order(code) == math.factorial(26)
 
 
 def test_profile_collects_its_strata_in_one_walk(monkeypatch):
@@ -611,20 +644,64 @@ def test_class_store_matches_unbucketed_first_fit(monkeypatch):
     assert store.checks == len(calls) > 0
 
 
-def tuple_sort_refine(shape, profs, colors_list):
+def reference_slot_links(fld, n, blocks):
+    """Each slot's ratio mates (j, rho*v) for rho = 2..q-1, and in a block
+    shape its block successor and predecessor (None otherwise), slot by
+    slot from `fld.mul` and `_succ_cols`."""
+    from qcsd.equiv import _succ_cols
+
+    r = max(fld.q - 1, 1)
+    succ_cols = _succ_cols(n, blocks) if blocks is not None else None
+    links = []
+    for s in range(n * r):
+        j, v = divmod(s, r)
+        v += 1
+        mates = tuple(j * r + fld.mul(rho, v) - 1 for rho in range(2, fld.q))
+        if succ_cols is None:
+            links.append((mates, None, None))
+        else:
+            pred = succ_cols.index(j)
+            links.append((mates, succ_cols[j] * r + v - 1, pred * r + v - 1))
+    return links
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize(
+    "n, blocks", [(6, None), (7, None), (6, (3, 2)), (6, (2, 3)), (8, (4, 2)), (14, (7, 2))]
+)
+def test_shape_rows_match_per_slot_reference(q, n, blocks):
+    import qcsd.equiv as E
+
+    fld = field(q)
+    shape = E._Shape(fld, n, blocks)
+    assert shape.neighbors.dtype == np.int32
+    assert shape.neighbors.shape[0] == len(shape.links) == shape.nslots
+    square_one = [g for g in range(1, q) if fld.mul(g, g) == 1]
+    for s, (mates, succ, pred) in enumerate(reference_slot_links(fld, n, blocks)):
+        row = (s, *mates) + (() if succ is None else (succ, pred))
+        assert tuple(shape.neighbors[s].tolist()) == row
+        assert shape.links[s] == row[1:]
+        # block maps scale by square-one scalars: the orbit of the value
+        v = s % shape.r + 1
+        color = 0 if blocks is None else min(fld.mul(g, v) for g in square_one)
+        assert shape.base_colors[s] == color
+
+
+def tuple_sort_refine(fld, blocks, profs, colors_list):
     """Refinement by sorting signature tuples over list incidence, the
     reference that the packed ranking of `equiv._refine` must agree with."""
     from collections import Counter
 
+    nslots = len(colors_list[0])
+    links = reference_slot_links(fld, nslots // max(fld.q - 1, 1), blocks)
     incidence = []
     for P in profs:
-        word_slots = [tuple(s for s in row if s != shape.nslots) for row in P.words.tolist()]
+        word_slots = [tuple(s for s in row if s != nslots) for row in P.words.tolist()]
         word_stratum = P.stratum.tolist()
         nwords = len(word_slots)
         slot_words = [[w for w in row if w != nwords] for row in P.slot_words.tolist()]
         incidence.append((word_slots, word_stratum, slot_words))
     pair = len(profs) == 2
-    mates, succ, pred = shape.mates, shape.succ_mate, shape.pred_mate
     while True:
         if pair and Counter(colors_list[0]) != Counter(colors_list[1]):
             return None
@@ -640,11 +717,11 @@ def tuple_sort_refine(shape, profs, colors_list):
             sigs_list.append([
                 (
                     colors[s],
-                    tuple(colors[t] for t in mates[s]),
-                    (colors[succ[s]], colors[pred[s]]) if succ is not None else (),
+                    tuple(colors[t] for t in mates),
+                    (colors[succ], colors[pred]) if succ is not None else (),
                     tuple(sorted(wrank[wsigs[w]] for w in slot_words[s])),
                 )
-                for s in range(shape.nslots)
+                for s, (mates, succ, pred) in enumerate(links)
             ])
         srank = {sig: i for i, sig in enumerate(sorted(set().union(*sigs_list)))}
         new_list = [[srank[sig] for sig in sigs] for sigs in sigs_list]
@@ -686,14 +763,14 @@ def test_refine_matches_tuple_sort_reference(case):
     profs = tuple(E._Profile(c, 1 << 20, E.DEFAULT_MAX_WORDS) for c in (code, moved))
     start = [[0] * shape.nslots]
     assert E._refine(E._Stack(shape, profs[:1]), start).tolist() == tuple_sort_refine(
-        shape, profs[:1], start
+        code.field, blocks, profs[:1], start
     )
     mapping = E._pin_closure(shape, [pin])
     if mapping is None:
         return
     start = list(E._pinned_colors(shape, mapping))
     got = E._refine(E._Stack(shape, profs), start)
-    want = tuple_sort_refine(shape, profs, start)
+    want = tuple_sort_refine(code.field, blocks, profs, start)
     assert (got if got is None else got.tolist()) == want
 
 
@@ -719,7 +796,7 @@ def test_refine_matches_tuple_sort_reference_on_wide_slot_rows(q, m, ell, blocks
         assert stack.slots.shape[1] // len(stack.slot_powers) >= 2
         start = list(E._pinned_colors(shape, E._pin_closure(shape, [pin])))
         start = start[: len(sides)]
-        want = tuple_sort_refine(shape, sides, start)
+        want = tuple_sort_refine(code.field, blocks, sides, start)
         assert want is not None and len(set(want[0])) > len(set(start[0]))
         assert E._refine(stack, start).tolist() == want
 

@@ -72,19 +72,15 @@ def test_f4_structure():
 
 def test_f4_symbols():
     f = field(4)
-    assert [f.element_str(a) for a in range(4)] == ["0", "1", "w", "w^2"]
     assert f.parse_element("w^2") == 3
     assert f.parse_element("w2") == 3
     assert f.parse_element(" w ") == 2
     with pytest.raises(ValueError):
         f.parse_element("x")
-    with pytest.raises(ValueError):
-        f.element_str(4)
 
 
 def test_prime_field_symbols():
     f = field(5)
-    assert f.element_str(3) == "3"
     assert f.parse_element("4") == 4
     with pytest.raises(ValueError):
         f.parse_element("5")
