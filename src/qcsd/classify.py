@@ -31,10 +31,12 @@ merges classes that the block-preserving equivalence keeps apart:
   up to the base's block automorphism group, whose generators come from
   one search per base class.  As extend_i(C, c, x) = extend_i(C, c, x')
   exactly when x' - x lies in C and <x' - x, x> = 0, x is fixed by its key
-  (x0, t) (below), and the generators act on keys.  Only the first witness
-  of each key orbit is extended, expanded and fingerprinted; it is the
-  first of its class among the orbit, so representatives and trails are
-  those of the unpruned search.
+  (x0, t) (below).  A base's keys are listed on arrays in witness order,
+  each generator permutes them in one pass, and min-label propagation
+  labels each key by the least index in its orbit.  Only the witness of
+  the first key of each orbit is extended, expanded and fingerprinted; it
+  is the first of its class among the orbit, so representatives and
+  trails are those of the unpruned search.
 
 Level 2 is the seeds [1 | c], and `buildup.seed` returns its classes.
 Multiplying the second column by a unit gamma*Y^s with gamma^2 = 1 rotates
@@ -53,30 +55,30 @@ q = 2 or q = 5 (q = 4 is never primitive modulo an odd prime, and q = 3 is
 
 Witnesses live in the two components of R = e_1*R + e_phi*R, copies of F_q
 and of K = F_q[Y]/Phi (Ling and Sole; see `ring`): a self-dual base is a
-Euclidean self-dual code over F_q, eval1 of its rows, times a Hermitian
-self-dual code over K, e_phi times its rows, and <u, v> has the components
-sum eval1(u_j)*eval1(v_j) and e_phi * <u, v>.  `rcode.component_forms`
-echelonises both; x0 is x reduced against them, zero on their pivots, and
-t = <x - x0, x0>.  Keys, offsets, the particular solution x and the block
-maps (x_j goes to coordinate j' times gamma*Y^s) are all worked per
-component, F_q's in field indices and K's in R's own arithmetic on e_phi*R,
-and x_j = u_j * e_1 + v_j assembles x from its parts u and v.  The standard
-form starts from the same component forms.
+Euclidean self-dual code over F_q, e_1 times its rows, times a Hermitian
+self-dual code over K, e_phi times its rows, and <u, v> splits the same
+way.  `rcode.component_forms` echelonises both; x0 is x reduced against
+them, zero on their pivots, and t = <x - x0, x0>.  Keys, offsets, the
+particular solution and the block maps (x_j goes to coordinate j' times
+gamma*Y^s) are worked per component, on arrays of R's own elements, and x
+is the sum of its two parts.  The standard form starts from the same
+component forms.
 """
 
 from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
 import json
 import math
 import os
 import random
 
+import numpy as np
+
 from . import __version__
 from .errors import BudgetExceeded, UnsupportedCase
-from .ring import RingSpec, ring
-from .qc import FieldCode
-from .rcode import RingCode, component_forms
+from .ring import RingSpec, digit_rows, ring
+from .qc import FieldCode, _matmul
+from .rcode import RingCode, _lift_matrix, _split_matrix, component_forms
 from .buildup import extend_i, norm_minus_one_elements
 from .equiv import (
     ClassStore,
@@ -236,97 +238,109 @@ def _ring_maps(sp: RingSpec, generators, ell: int):
 
 
 class _Component:
-    """One component of R, F_q or K = e_phi*R, as the witnesses of a base
-    see it: the field and its conjugation, the base rows split into it, and
-    the echelon `form` of the base's component code, whose free columns
-    carry x0."""
+    """One component e*R of R (e = e_1, a copy of F_q, or e_phi, K) as the
+    witnesses of a base see it, on (..., m) uint8 arrays of R's elements;
+    q is prime (no square is primitive modulo a prime), so sums are taken
+    mod q.  `elements` lists them by the base-q value of their `split`
+    digits (eval1, or the mod-Phi coefficients); `lift` maps digits back,
+    and lift[0] is e.  x0 runs over `values`, the assignments of elements
+    to the free columns of the base's component `form` in lexicographic
+    order, and `admits[w, t]` says whether t is an offset of x0 number w:
+    t + conj(t) = -1 - <x0, x0>, and t = 0 if x0 pairs to zero with every
+    base row."""
 
-    def __init__(self, base: RingCode, form, fld, conj, split, maps):
-        self.fld, self.conj, self.ell = fld, conj, base.ell
+    def __init__(self, base: RingCode, form, split, lift):
+        sp = self.sp = base.spec
+        q, self.split, self.unit = sp.q, split, lift[0]
+        self.radix = q ** np.arange(split.shape[1] - 1, -1, -1)
+        self.elements = _matmul(sp.field, digit_rows(q, len(self.radix)), lift)
         self.free = [j for j in range(base.ell) if j not in form]
-        self.rows = [[split(e) for e in r] for r in base.rows]
-        # x0 vanishes on the pivot columns, so its pairings and its images
-        # under the maps run over the free ones
-        self.free_rows = [[r[j] for j in self.free] for r in self.rows]
-        self.pivots = [(p, [row[j] for j in self.free]) for p, row in form.items()]
-        self.acts = [[(g[j][0], split(g[j][1])) for j in self.free] for g in maps]
-        # the offsets t by the value of t + conj(t)
-        self.fibers: dict = {}
-        for z in fld.elements():
-            self.fibers.setdefault(fld.add(z, conj(z)), []).append(z)
+        self.pivots, self.form = list(form), np.array(list(form.values()), np.uint8)
+        self.rows = sp.mul_array(self.unit, base.coeffs)
+        self.values = self.elements[digit_rows(len(self.elements), len(self.free))]
+        conj = sp.conj_array(self.values)
+        pair = sp.mul_array(self.rows[None, :, self.free], conj[:, None])
+        self.pairings = _total(q, pair, 2)
+        minus = (q - 1) * self.unit + q - _total(q, sp.mul_array(self.values, conj), 1)
+        fiber = self.index((self.elements + sp.conj_array(self.elements)) % q)
+        self.admits = (fiber == self.index(minus % q)[:, None]) & (
+            self.pairings.any(axis=(1, 2))[:, None] | (np.arange(len(fiber)) == 0)
+        )
 
-    def pair(self, us, vs):
-        fld = self.fld
-        acc = fld.zero
-        for u, v in zip(us, vs):
-            acc = fld.add(acc, fld.mul(u, self.conj(v)))
-        return acc
+    def index(self, a):
+        return _matmul(self.sp.field, a, self.split) @ self.radix
 
-    def offsets(self, w):
-        """For the x0 with free values w: the pairings <r, x0> of the base
-        rows, and the offsets t with t + conj(t) = -1 - <x0, x0>, only
-        t = 0 when every pairing vanishes."""
-        fld = self.fld
-        pairings = [self.pair(r, w) for r in self.free_rows]
-        ts = self.fibers.get(fld.sub(fld.neg(fld.one), self.pair(w, w)), [])
-        if all(v == fld.zero for v in pairings):
-            ts = [t for t in ts if t == fld.zero]
-        return pairings, ts
+    def act(self, ring_map):
+        """A block map g on every x0: g(x0) = x0' + d with d in the component
+        code and x0' zero on the pivots, so g takes the key (x0, t) to
+        (x0', t + <d, g(x0)>), as it keeps the pairing and the code.  Returns
+        the number of each x0' and each shift <d, g(x0)>."""
+        sp, q = self.sp, self.sp.q
+        y = np.zeros((len(self.values),) + self.form.shape[1:], dtype=np.uint8)
+        for k, (to, unit) in enumerate(ring_map[j] for j in self.free):
+            y[:, to] = sp.mul_array(np.array(unit, np.uint8), self.values[:, k])
+        d = _total(q, sp.mul_array(y[:, self.pivots, None], self.form), 1)
+        moved = self.index((y[:, self.free] + q - d[:, self.free]) % q)
+        radix = len(self.elements) ** np.arange(len(self.free) - 1, -1, -1)
+        return moved @ radix, _total(q, sp.mul_array(d, sp.conj_array(y)), 1)
 
-    def witness(self, w, pairings, t):
-        """x = x0 + a*r, with r the first base row that pairs nonzero with
-        x0 and a chosen so that <x - x0, x0> = t."""
-        fld = self.fld
-        x = [fld.zero] * self.ell
-        for j, v in zip(self.free, w):
-            x[j] = v
-        if t != fld.zero:
-            i = next(i for i, v in enumerate(pairings) if v != fld.zero)
-            a = fld.mul(t, fld.inv(pairings[i]))
-            x = [fld.add(v, fld.mul(a, u)) for v, u in zip(x, self.rows[i])]
-        return x
-
-    def image(self, w, t, act):
-        """The key of g(x) in this factor, from the key (x0, t) of x: with
-        g(x0) = x0' + d, d in the component code and x0' zero on the pivots,
-        it is (x0', t + <d, g(x0)>), as g preserves the pairing and the
-        code."""
-        fld = self.fld
-        y = [fld.zero] * self.ell
-        for (j, a), v in zip(act, w):
-            y[j] = fld.mul(a, v)
-        zero = fld.zero
-        z = [y[f] for f in self.free]
-        for p, row in self.pivots:
-            a = y[p]
-            if a != zero:
-                t = fld.add(t, fld.mul(a, self.conj(a)))
-                z = [
-                    v if r == zero else fld.sub(v, fld.mul(a, r))
-                    for v, r in zip(z, row)
-                ]
-        for f, v in zip(self.free, z):
-            if y[f] != v:
-                t = fld.add(t, fld.mul(fld.sub(y[f], v), self.conj(y[f])))
-        return tuple(z), t
+    def witness_parts(self, w, t):
+        """x0 + a*r for the keys (x0 number w, offset t): r is the first base
+        row that pairs nonzero with x0, and a = t / <r, x0>, the inverse
+        being the power N - 2 in the N-element component."""
+        sp = self.sp
+        x = np.zeros((len(w),) + self.form.shape[1:], dtype=np.uint8)
+        x[:, self.free] = self.values[w]
+        row = self.pairings[w].any(axis=2).argmax(axis=1)
+        base, inverse = self.pairings[w, row], self.unit
+        for bit in bin(len(self.elements) - 2)[2:]:
+            inverse = sp.mul_array(inverse, inverse)
+            inverse = sp.mul_array(inverse, base) if bit == "1" else inverse
+        a = sp.mul_array(self.elements[t], inverse)
+        return (x + sp.mul_array(a[:, None], self.rows[row])) % sp.q
 
 
-def _key_orbit(comps, key):
-    """The orbit of a witness key under the base's block automorphisms,
-    searched breadth-first; each map acts on the key's part in each
-    component through `_Component.image`."""
-    orbit = [key]
-    found = {key}
-    for current in orbit:
-        for acts in zip(*(comp.acts for comp in comps)):
-            other = tuple(
-                comp.image(w, t, act)
-                for comp, act, (w, t) in zip(comps, acts, current)
-            )
-            if other not in found:
-                found.add(other)
-                orbit.append(other)
-    return orbit
+def _total(q: int, a, axis: int):
+    return (a.sum(axis=axis) % q).astype(np.uint8)
+
+
+def _witness_keys(base: RingCode, maps):
+    """The components of a self-dual base; its witness keys (x0, t) in
+    witness order, the admitted cells of the grid of (F_q's x0, K's x0,
+    F_q's t, K's t) in its order, as the x0 numbers and offsets of each
+    component; each map's permutation of the keys; and the least index of
+    each key's orbit.  Each label takes the least of its own, its images'
+    and its preimages' labels and its label's label, until none changes."""
+    sp, forms = base.spec, component_forms(base)
+    if any(len(form) != base.ell // 2 for form in forms):
+        raise ValueError("base code components are not half-dimensional")
+    split, e1 = _split_matrix(sp), np.array([sp.e1], dtype=np.uint8)
+    lifted = {p: _matmul(sp.field, np.array([r]).T, e1) for p, r in forms[0].items()}
+    comps = (
+        _Component(base, lifted, split[:, sp.m - 1 :], e1),
+        _Component(base, forms[1], split[:, : sp.m - 1], _lift_matrix(sp)),
+    )
+    grid = comps[0].admits[:, None, :, None] & comps[1].admits[None, :, None, :]
+    number = np.cumsum(grid) - 1
+    ws, ts = np.split(np.array(grid.nonzero()), 2)
+    perms = []
+    for ring_map in maps:
+        moved = [c.act(ring_map) for c in comps]
+        image = [v[w] for (v, _), w in zip(moved, ws)] + [
+            c.index((c.elements[t] + s[w]) % c.sp.q)
+            for c, (_, s), w, t in zip(comps, moved, ws, ts)
+        ]
+        perms.append(number[np.ravel_multi_index(image, grid.shape)])
+    labels = np.arange(ws.shape[1])
+    pulls = perms + [np.argsort(p) for p in perms]
+    while True:
+        least = labels
+        for p in pulls:
+            least = np.minimum(least, least[p])
+        least = least[least]
+        if np.array_equal(least, labels):
+            return comps, ws, ts, perms, labels
+        labels = least
 
 
 def _iter_extension_witnesses(base: RingCode, c_reps, maps):
@@ -337,34 +351,16 @@ def _iter_extension_witnesses(base: RingCode, c_reps, maps):
     the base code, and within a coset over one x per attainable pairing
     offset t with <x, x> = -1.  A witness is pruned when its key (x0, t)
     lies in the orbit of an earlier key under the base's block
-    automorphisms, given as `_ring_maps`."""
-    sp = base.spec
-    forms = component_forms(base)
-    if any(len(form) != base.ell // 2 for form in forms):
-        raise ValueError("base code components are not half-dimensional")
-    comps = (
-        _Component(base, forms[0], sp.field, lambda a: a, sp.eval1, maps),
-        _Component(
-            base, forms[1], sp.phi_field(), sp.conj, lambda a: sp.mul(sp.ephi, a), maps
-        ),
-    )
-    minus1 = sp.neg(sp.one)
-    seen: set = set()
-    for ws in product(*(product(c.fld.elements(), repeat=len(c.free)) for c in comps)):
-        offs = [comp.offsets(w) for comp, w in zip(comps, ws)]
-        for ts in product(*(o[1] for o in offs)):
-            key = tuple(zip(ws, ts))
-            if key in seen:
-                for c in c_reps:
-                    yield None
-                continue
-            seen.update(_key_orbit(comps, key))
-            parts = [c.witness(w, o[0], t) for c, w, o, t in zip(comps, ws, offs, ts)]
-            x = tuple(sp.add(sp.scalar_mul(u, sp.e1), v) for u, v in zip(*parts))
-            if sp.hermitian_ip(x, x) != minus1:
-                raise RuntimeError("witness construction lost <x, x> = -1")
-            for c in c_reps:
-                yield c, x
+    automorphisms, given as `_ring_maps`: only a key that is its own label
+    gets its witness, which `extend_i` checks."""
+    comps, ws, ts, _, labels = _witness_keys(base, maps)
+    first = labels == np.arange(len(labels))
+    parts = (c.witness_parts(w[first], t[first]) for c, w, t in zip(comps, ws, ts))
+    found = iter((sum(parts) % base.spec.q).tolist())
+    for is_first in first.tolist():
+        x = tuple(map(tuple, next(found))) if is_first else None
+        for c in c_reps:
+            yield None if x is None else (c, x)
 
 
 def _trail_step(c, x) -> dict:

@@ -87,9 +87,6 @@ class FieldSpec:
     def minus_one(self) -> int:
         return self._neg[1]
 
-    def elements(self):
-        return range(self.q)
-
     def parse_element(self, text: str) -> int:
         t = text.strip()
         if self.q == 4:

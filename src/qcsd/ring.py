@@ -21,8 +21,9 @@ the classification downstream require it.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import UnsupportedCase
 from .gf import FieldSpec, field
@@ -72,7 +73,6 @@ class RingSpec:
         self.e1 = (f.inv(p_in_f),) * m
         self.ephi = self.sub(self.one, self.e1)
         self._norm_classes = None
-        self._phi_elements = None
 
     @property
     def q(self) -> int:
@@ -119,6 +119,22 @@ class RingSpec:
         m = self.m
         return (a[0],) + tuple(a[m - i] for i in range(1, m))
 
+    # -- whole arrays of elements ----------------------------------------
+
+    def mul_array(self, a, b):
+        """Products of the elements on two (..., m) uint8 arrays, broadcast
+        against each other: the sum over i of a_i times b rotated by i
+        (Y^i * b), each term through `FieldSpec.mul_table`."""
+        out = 0
+        for i in range(self.m):
+            term = self.field.mul_table[a[..., i, None], np.roll(b, i, axis=-1)]
+            out = out ^ term if self.q == 4 else (out + term) % self.q
+        return out
+
+    def conj_array(self, a):
+        """`conj` on a (..., m) array of elements."""
+        return a[..., -np.arange(self.m) % self.m]
+
     def eval1(self, a) -> int:
         s = 0
         add = self.field._add
@@ -141,17 +157,6 @@ class RingSpec:
                 f"Y^{self.m}-1 over F_{self.field.q} has a different factor pattern"
             )
 
-    def phi_elements(self):
-        """The q^(p-1) elements of e_phi*R, the lifts e_phi * t of the
-        mod-Phi coefficient tuples t, in lexicographic order of t.  As
-        e_1 * t = eval1(t) * e_1, the lift is t - eval1(t) * e_1.  Cached."""
-        if self._phi_elements is None:
-            self._phi_elements = tuple(
-                self.sub(t + (0,), self.scalar_mul(self.eval1(t), self.e1))
-                for t in product(range(self.q), repeat=self.m - 1)
-            )
-        return self._phi_elements
-
     def phi_inv(self, a):
         """The inverse of a nonzero a of the field e_phi*R, after Itoh and
         Tsujii: a^(-1) = a^(r-1) * N(a)^(-1) with r = (|K| - 1)/(q - 1).  The
@@ -171,12 +176,11 @@ class RingSpec:
 
     def phi_field(self):
         """The residue field K as e_phi*R, under FieldSpec's operation names:
-        R's own sum and product, the unit e_phi, `phi_inv` and
-        `phi_elements`."""
+        R's own sum and product, the unit e_phi and `phi_inv`."""
         self._require_cyclotomic("residue field arithmetic")
         return SimpleNamespace(
             zero=self.zero, one=self.ephi, add=self.add, sub=self.sub,
-            neg=self.neg, mul=self.mul, inv=self.phi_inv, elements=self.phi_elements,
+            neg=self.neg, mul=self.mul, inv=self.phi_inv,
         )
 
     # -- vectors ---------------------------------------------------------
@@ -187,26 +191,22 @@ class RingSpec:
             acc = self.add(acc, self.mul(x, self.conj(y)))
         return acc
 
-    def elements(self):
-        """All q^m elements in lexicographic order of coefficient tuples."""
-        for idx in range(self.field.q ** self.m):
-            yield self.element_from_index(idx)
-
-    def element_from_index(self, idx: int):
-        q = self.field.q
-        out = [0] * self.m
-        for i in range(self.m - 1, -1, -1):
-            out[i] = idx % q
-            idx //= q
-        return tuple(out)
-
     def norm_classes(self):
-        """Map t -> sorted list of elements with a*conj(a) = t.  Cached."""
+        """Map t -> the elements a with a*conj(a) = t in lexicographic order,
+        keyed in order of first elements: one `mul_array` pass over all q^m
+        elements, grouped by a stable sort of the norms.  Cached."""
         if self._norm_classes is None:
-            classes: dict = {}
-            for a in self.elements():
-                classes.setdefault(self.mul(a, self.conj(a)), []).append(a)
-            self._norm_classes = classes
+            elems = digit_rows(self.q, self.m)
+            norms = self.mul_array(elems, self.conj_array(elems))
+            value = np.zeros(len(norms), dtype=np.int64)
+            for column in norms.T:
+                value = value * self.q + column
+            order = np.argsort(value, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(value[order])) + 1)
+            self._norm_classes = {
+                tuple(norms[g[0]].tolist()): list(map(tuple, elems[g].tolist()))
+                for g in sorted(groups, key=lambda g: g[0])
+            }
         return self._norm_classes
 
     def __repr__(self):
@@ -221,6 +221,13 @@ class RingSpec:
 
     def __hash__(self):
         return hash(("RingSpec", self.field.q, self.m))
+
+
+def digit_rows(base: int, length: int):
+    """All base^length rows of `length` digits below `base`, in
+    lexicographic order, as an array: uint8 when the digits fit."""
+    dtype = np.uint8 if base <= 256 else np.intp
+    return np.indices((base,) * length, dtype=dtype).reshape(length, -1).T
 
 
 @lru_cache(maxsize=None)

@@ -19,8 +19,23 @@ def pairs_for(q: int, m: int):
     return tuple(alpha_beta_pairs(ring(q, m)))
 
 
+def ring_elements(sp: RingSpec):
+    """All q^m elements of R in lexicographic order of coefficient tuples."""
+    return itertools.product(range(sp.q), repeat=sp.m)
+
+
+def element_at(sp: RingSpec, index: int):
+    """Element number `index` in that order: the base-q digits of index,
+    most significant first, as the coefficients, constant first."""
+    digits = []
+    for _ in range(sp.m):
+        index, digit = divmod(index, sp.q)
+        digits.append(digit)
+    return tuple(reversed(digits))
+
+
 def random_element(sp: RingSpec, rng: random.Random):
-    return sp.element_from_index(rng.randrange(sp.q**sp.m))
+    return element_at(sp, rng.randrange(sp.q**sp.m))
 
 
 def random_norm_minus_one_vector(sp: RingSpec, ell: int, rng: random.Random):
@@ -53,8 +68,7 @@ def alpha_beta_pairs(sp: RingSpec):
     minus1 = sp.neg(sp.one)
     classes = sp.norm_classes()
     pairs = []
-    for i in range(sp.q**sp.m):
-        alpha = sp.element_from_index(i)
+    for alpha in ring_elements(sp):
         need = sp.sub(minus1, sp.mul(alpha, sp.conj(alpha)))
         for beta in classes.get(need, ()):
             if sp.mul(alpha, sp.conj(beta)) == sp.mul(sp.conj(alpha), beta):

@@ -33,8 +33,8 @@ from qcsd.rcode import RingCode, component_forms
 from qcsd.ring import ring
 
 from conftest import (
-    crt_combine,
     mod_phi,
+    random_element,
     random_norm_minus_one_vector,
     random_self_dual,
     reference_k,
@@ -71,7 +71,7 @@ def _brute_force_self_dual_count(fld, conj, n):
             for j in range(p + 1, n)
             if j not in pivots
         ]
-        for values in itertools.product(fld.elements(), repeat=len(slots)):
+        for values in itertools.product(range(fld.q), repeat=len(slots)):
             rows = [[0] * n for _ in range(k)]
             for i, p in enumerate(pivots):
                 rows[i][p] = 1
@@ -525,7 +525,7 @@ def _reference_key(base, x):
 def _random_codeword(sp, base, rng):
     word = [sp.zero] * base.ell
     for row in base.rows:
-        a = sp.element_from_index(rng.randrange(sp.q**sp.m))
+        a = random_element(sp, rng)
         word = [sp.add(w, sp.mul(a, e)) for w, e in zip(word, row)]
     return word
 
@@ -562,69 +562,83 @@ def test_extensions_agree_exactly_when_witness_keys_agree(qm, ell, rng):
         assert same == (_reference_key(base, other) == key)
 
 
-@pytest.mark.parametrize("q, m, ell", [(2, 3, 6), (5, 3, 4)])
-def test_witness_key_orbits_are_block_group_orbits(monkeypatch, q, m, ell):
-    """Every key orbit the witness search builds holds keys of witnesses,
-    is closed under each generator's `_Component.image`, which must agree
-    with the generator's ring map applied to a witness and keyed by the
-    reference, and has a size dividing the block group's order.  The
-    orbits partition the keys, and a witness is yielded exactly for the
-    first key of each."""
+def _key_orbit(image, maps, key):
+    """The orbit of a witness key under the block maps, searched
+    breadth-first; `image(key, ring_map)` is the key of the map's image."""
+    orbit = [key]
+    found = {key}
+    for current in orbit:
+        for ring_map in maps:
+            other = image(current, ring_map)
+            if other not in found:
+                found.add(other)
+                orbit.append(other)
+    return orbit
+
+
+@pytest.mark.parametrize("q, m, ell", [(2, 3, 6), (2, 5, 4), (5, 3, 4)])
+def test_witness_key_orbits_are_block_group_orbits(q, m, ell):
+    """The witness keys of each base, labelled on arrays by the least index
+    of their orbit, against the orbits searched breadth-first.  Every key
+    is the key of its witness, which has <x, x> = -1.  Each map's
+    permutation of the keys agrees with the ring map applied to the
+    witness and keyed by the reference.  The orbits are the reference's,
+    partition the keys and have sizes dividing the block group's order,
+    and a witness is yielded exactly for the first key of each."""
     module = importlib.import_module("qcsd.classify")
-    key_orbit = module._key_orbit
-    built = []
-
-    def recording(comps, key):
-        orbit = key_orbit(comps, key)
-        built.append((comps, orbit))
-        return orbit
-
-    monkeypatch.setattr(module, "_key_orbit", recording)
     sp = ring(q, m)
     minus1 = sp.neg(sp.one)
+    embed = (lambda u: sp.scalar_mul(u, sp.e1), lambda v: v)
     for cc in classify(sp, ell - 2).classes:
         base = cc.code
         group = automorphism_group(base.expansion(), qc_blocks=(m, ell - 2))
         maps = _ring_maps(sp, group.generators, ell - 2)
-        built.clear()
-        out = list(module._iter_extension_witnesses(base, (sp.one,), maps))
-        assert len(built) > 1
-        comps = built[0][0]
+        comps, ws, ts, perms, labels = module._witness_keys(base, maps)
+        parts = sum(c.witness_parts(w, t) for c, w, t in zip(comps, ws, ts)) % q
+        xs = [tuple(map(tuple, x)) for x in parts.tolist()]
+        keys = list(zip(*(
+            zip(
+                [tuple(map(tuple, v)) for v in comp.values[w].tolist()],
+                map(tuple, comp.elements[t].tolist()),
+            )
+            for comp, w, t in zip(comps, ws, ts)
+        )))
 
         def production_key(x):
             return tuple(
-                (tuple(x0[j] for j in comp.free), t)
-                for comp, (x0, t) in zip(comps, _reference_key(base, x))
+                (tuple(lift(x0[j]) for j in comp.free), lift(t))
+                for comp, lift, (x0, t) in zip(comps, embed, _reference_key(base, x))
             )
 
-        def witness(key):
-            parts = []
-            for comp, (w, t) in zip(comps, key):
-                pairings, ts = comp.offsets(w)
-                assert t in ts
-                parts.append(comp.witness(w, pairings, t))
-            x = tuple(crt_combine(sp, u, mod_phi(sp, v)) for u, v in zip(*parts))
+        index = {key: i for i, key in enumerate(keys)}
+        assert len(index) == len(keys) == len(labels)
+        for x, key in zip(xs, keys):
             assert sp.hermitian_ip(x, x) == minus1
             assert production_key(x) == key
-            return x
 
-        orbits = [orbit for _, orbit in built]
+        def image(i, ring_map):
+            return index[production_key(_apply_ring_map(sp, ring_map, xs[i]))]
+
+        for perm, ring_map in zip(perms, maps):
+            assert perm.tolist() == [image(i, ring_map) for i in range(len(keys))]
+        orbits, seen = [], set()
+        for i in range(len(keys)):
+            if i not in seen:
+                orbits.append(_key_orbit(image, maps, i))
+                seen.update(orbits[-1])
+        assert len(orbits) > 1
+        labelled: dict = {}
+        for i, label in enumerate(labels.tolist()):
+            labelled.setdefault(label, set()).add(i)
+        assert sorted(map(sorted, labelled.values())) == sorted(map(sorted, orbits))
         for orbit in orbits:
             assert group.order % len(orbit) == 0
-            members = set(orbit)
-            for key in orbit:
-                x = witness(key)
-                for ring_map, acts in zip(maps, zip(*(comp.acts for comp in comps))):
-                    image = tuple(
-                        comp.image(w, t, act)
-                        for comp, act, (w, t) in zip(comps, acts, key)
-                    )
-                    assert image == production_key(_apply_ring_map(sp, ring_map, x))
-                    assert image in members
-        keys = [key for orbit in orbits for key in orbit]
-        assert len(set(keys)) == len(keys) == len(out)
-        firsts = [production_key(w[1]) for w in out if w is not None]
-        assert firsts == [orbit[0] for orbit in orbits]
+            assert set(labels[orbit].tolist()) == {min(orbit)}
+        out = list(module._iter_extension_witnesses(base, (sp.one,), maps))
+        assert len(out) == len(keys)
+        firsts = [orbit[0] for orbit in orbits]
+        assert [i for i, w in enumerate(out) if w is not None] == firsts
+        assert [w[1] for w in out if w is not None] == [xs[i] for i in firsts]
 
 
 def test_progress_counts_pruned_candidates():

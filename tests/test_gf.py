@@ -26,7 +26,7 @@ def test_factory_caches():
 def test_field_axioms_exhaustive():
     for q in FIELD_SIZES:
         f = field(q)
-        els = list(f.elements())
+        els = list(range(q))
         for a in els:
             assert f.add(a, 0) == a
             assert f.mul(a, 1) == a

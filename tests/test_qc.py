@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import naive_rref, random_self_dual, reference_contains, same_row_space
+from conftest import (
+    element_at,
+    naive_rref,
+    random_self_dual,
+    reference_contains,
+    same_row_space,
+)
 from qcsd.gf import FIELD_SIZES, field
 from qcsd import qc
 from qcsd.qc import (
@@ -306,7 +312,7 @@ def test_expand_collapse_roundtrip_exhaustive_single_generator():
         for idx_b in range(8):
             if idx_a == 0 and idx_b == 0:
                 continue
-            row = (sp.element_from_index(idx_a), sp.element_from_index(idx_b))
+            row = (element_at(sp, idx_a), element_at(sp, idx_b))
             rc = RingCode(sp, 2, [row])
             back = collapse(rc.expansion(), sp.m, 2)
             assert same_row_space(back, rc)

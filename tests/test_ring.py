@@ -2,6 +2,7 @@
 residue field K as the ideal e_phi*R."""
 
 import functools
+import itertools
 import random
 
 import numpy as np
@@ -10,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from qcsd.errors import UnsupportedCase
 from qcsd.gf import field
-from qcsd.qc import rref
-from qcsd.rcode import RingCode, component_forms
-from qcsd.ring import ring
+from qcsd.qc import _matmul, rref
+from qcsd.rcode import RingCode, _lift_matrix, component_forms
+from qcsd.ring import digit_rows, ring
 
-from conftest import crt_combine, mod_phi, reference_k
+from conftest import crt_combine, element_at, mod_phi, reference_k, ring_elements
 
 
 def test_constructor_validation():
@@ -87,8 +88,8 @@ def test_conj_is_order_two_ring_map():
         sp = ring(q, m)
         assert sp.conj(sp.y) == sp.shift(sp.one, m - 1)  # Y -> Y^(m-1)
         for _ in range(40):
-            a = sp.element_from_index(rng.randrange(q**m))
-            b = sp.element_from_index(rng.randrange(q**m))
+            a = element_at(sp, rng.randrange(q**m))
+            b = element_at(sp, rng.randrange(q**m))
             assert sp.conj(sp.conj(a)) == a
             assert sp.conj(sp.add(a, b)) == sp.add(sp.conj(a), sp.conj(b))
             assert sp.conj(sp.mul(a, b)) == sp.mul(sp.conj(a), sp.conj(b))
@@ -112,13 +113,14 @@ def _sample(elements, size, seed):
 
 
 def test_element_indexing_roundtrip():
-    # element i has the base-q digits of i as coefficients, constant first
-    sp = ring(4, 3)
-    for i in range(4**3):
-        e = sp.element_from_index(i)
+    # row i lists the base-q digits of i, most significant first: the
+    # elements in lexicographic order of coefficient tuples
+    rows = digit_rows(4, 3)
+    assert rows.dtype == np.uint8
+    for i, e in enumerate(rows.tolist()):
         assert e[0] * 16 + e[1] * 4 + e[2] == i
-    assert list(sp.elements()) == sorted(set(sp.elements()))
-    assert len(list(sp.elements())) == 64
+    assert list(map(tuple, rows.tolist())) == list(ring_elements(ring(4, 3)))
+    assert digit_rows(300, 1).ravel().tolist() == list(range(300))
 
 
 def test_crt_split_combine_roundtrip_exhaustive():
@@ -127,7 +129,7 @@ def test_crt_split_combine_roundtrip_exhaustive():
     for q, m in [(2, 3), (2, 5), (3, 5), (5, 2)]:
         sp = ring(q, m)
         for i in range(q**m):
-            a = sp.element_from_index(i)
+            a = element_at(sp, i)
             v = sp.mul(sp.ephi, a)
             assert sp.add(sp.scalar_mul(sp.eval1(a), sp.e1), v) == a
             assert crt_combine(sp, sp.eval1(a), mod_phi(sp, v)) == a
@@ -141,8 +143,8 @@ def test_crt_split_is_a_ring_map():
     for q, m in [(2, 5), (5, 3), (3, 5)]:
         sp = ring(q, m)
         for _ in range(60):
-            a = sp.element_from_index(rng.randrange(q**m))
-            b = sp.element_from_index(rng.randrange(q**m))
+            a = element_at(sp, rng.randrange(q**m))
+            b = element_at(sp, rng.randrange(q**m))
             pa, pb = sp.mul(sp.ephi, a), sp.mul(sp.ephi, b)
             prod = sp.mul(a, b)
             assert sp.eval1(prod) == sp.field.mul(sp.eval1(a), sp.eval1(b))
@@ -171,9 +173,9 @@ def test_multiples_of_phi():
     # the multiples of Phi are exactly the elements that e_phi kills
     sp = ring(2, 3)
     phi = (1, 1, 1)
-    multiples = {sp.mul(c, phi) for c in sp.elements()}
+    multiples = {sp.mul(c, phi) for c in ring_elements(sp)}
     assert multiples == {sp.zero, phi}
-    for a in sp.elements():
+    for a in ring_elements(sp):
         assert (sp.mul(sp.ephi, a) == sp.zero) == (a in multiples)
 
 
@@ -183,8 +185,7 @@ def test_residue_field_is_a_field():
                        (5, 3, None), (3, 7, None), (2, 11, None), (5, 7, 500)]:
         sp = ring(q, m)
         kf = sp.phi_field()
-        elems = kf.elements()
-        assert elems is sp.phi_elements()  # built once per ring
+        elems = _lifted_tuples(q, m)
         assert q ** (m - 1) == len(set(elems))
         assert elems[0] == kf.zero and kf.one == sp.ephi in elems
         for a in _sample(elems, size, 19):
@@ -207,7 +208,7 @@ def test_rref_over_the_residue_field():
     rng = random.Random(3)
     for _ in range(30):
         rows = [
-            tuple(sp.element_from_index(rng.randrange(8)) for _ in range(5))
+            tuple(element_at(sp, rng.randrange(8)) for _ in range(5))
             for _ in range(3)
         ]
         if not any(map(any, rows)):
@@ -253,8 +254,10 @@ def test_residue_field_is_the_ideal_of_e_phi(case):
     assert kf.lift(kf.conj(t)) == sp.conj(lt)
     if t != kf.zero:
         assert kf.lift(kf.inv(t)) == ideal.inv(lt)
-    # the ideal's elements are the lifted tuples in lexicographic order
-    assert sp.phi_elements() == _lifted_tuples(sp.q, sp.m)
+    # the lift matrix lists the ideal's elements as the lifted tuples, in
+    # lexicographic order
+    lifted = _matmul(sp.field, digit_rows(sp.q, sp.m - 1), _lift_matrix(sp))
+    assert tuple(map(tuple, lifted.tolist())) == _lifted_tuples(sp.q, sp.m)
     # and every r splits as eval1(r) * e_1 + e_phi * r
     assert sp.add(sp.scalar_mul(sp.eval1(r), e1), sp.mul(ephi, r)) == r
 
@@ -266,7 +269,7 @@ def test_hermitian_ip_sesquilinear():
         ell = 4
         def rvec():
             return tuple(
-                sp.element_from_index(rng.randrange(q**m)) for _ in range(ell)
+                element_at(sp, rng.randrange(q**m)) for _ in range(ell)
             )
         for _ in range(30):
             x, y, z = rvec(), rvec(), rvec()
@@ -277,7 +280,7 @@ def test_hermitian_ip_sesquilinear():
             )
             # conjugate-symmetric
             assert sp.hermitian_ip(x, y) == sp.conj(sp.hermitian_ip(y, x))
-            c = sp.element_from_index(rng.randrange(q**m))
+            c = element_at(sp, rng.randrange(q**m))
             cx = tuple(sp.mul(c, e) for e in x)
             assert sp.hermitian_ip(cx, y) == sp.mul(c, sp.hermitian_ip(x, y))
 
@@ -292,3 +295,46 @@ def test_norm_classes_partition():
             for a in members:
                 assert sp.mul(a, sp.conj(a)) == t
         assert total == q**m
+
+
+def _reference_norm_classes(sp):
+    """The loop `norm_classes` replaced: one product per element, in
+    lexicographic order."""
+    classes: dict = {}
+    for a in ring_elements(sp):
+        classes.setdefault(sp.mul(a, sp.conj(a)), []).append(a)
+    return classes
+
+
+_ARRAY_RINGS = [
+    (2, 3), (2, 5), (2, 7), (2, 11), (3, 5), (3, 7), (4, 5), (4, 7), (5, 2), (5, 3), (5, 7)
+]
+
+
+@pytest.mark.parametrize("q, m", _ARRAY_RINGS)
+def test_norm_classes_match_the_loop(q, m):
+    sp = ring(q, m)
+    classes, reference = sp.norm_classes(), _reference_norm_classes(sp)
+    assert list(classes) == list(reference)
+    assert classes == reference
+
+
+@st.composite
+def element_lists(draw):
+    q, m = draw(st.sampled_from(_ARRAY_RINGS))
+    element = st.tuples(*[st.integers(0, q - 1)] * m)
+    size = draw(st.integers(1, 6))
+    return ring(q, m), [draw(st.lists(element, min_size=size, max_size=size)) for _ in "ab"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(element_lists())
+def test_mul_array_matches_mul(case):
+    sp, (xs, ys) = case
+    a, b = np.array(xs, dtype=np.uint8), np.array(ys, dtype=np.uint8)
+    rows = sp.mul_array(a, b)
+    assert rows.dtype == np.uint8
+    assert list(map(tuple, rows.tolist())) == [sp.mul(x, y) for x, y in zip(xs, ys)]
+    table = sp.mul_array(a[:, None], b).tolist()
+    assert [[tuple(e) for e in r] for r in table] == [[sp.mul(x, y) for y in ys] for x in xs]
+    assert list(map(tuple, sp.conj_array(a).tolist())) == list(map(sp.conj, xs))
