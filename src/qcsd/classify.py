@@ -261,9 +261,9 @@ class _Component:
         conj = sp.conj_array(self.values)
         pair = sp.mul_array(self.rows[None, :, self.free], conj[:, None])
         self.pairings = _total(q, pair, 2)
-        minus = (q - 1) * self.unit + q - _total(q, sp.mul_array(self.values, conj), 1)
+        target = (q - 1) * self.unit + q - _total(q, sp.mul_array(self.values, conj), 1)
         fiber = self.index((self.elements + sp.conj_array(self.elements)) % q)
-        self.admits = (fiber == self.index(minus % q)[:, None]) & (
+        self.admits = (fiber == self.index(target % q)[:, None]) & (
             self.pairings.any(axis=(1, 2))[:, None] | (np.arange(len(fiber)) == 0)
         )
 
@@ -306,11 +306,11 @@ def _total(q: int, a, axis: int):
 
 def _witness_keys(base: RingCode, maps):
     """The components of a self-dual base; its witness keys (x0, t) in
-    witness order, the admitted cells of the grid of (F_q's x0, K's x0,
-    F_q's t, K's t) in its order, as the x0 numbers and offsets of each
-    component; each map's permutation of the keys; and the least index of
-    each key's orbit.  Each label takes the least of its own, its images'
-    and its preimages' labels and its label's label, until none changes."""
+    witness order, as x0 numbers `ws` and offsets `ts` per component (the
+    admitted cells of the grid of F_q's and K's x0, then F_q's and K's t);
+    each map's permutation of the keys; and the least index in each key's
+    orbit: each label takes the least of its own, its images' and its
+    preimages' labels and its label's label, until none changes."""
     sp, forms = base.spec, component_forms(base)
     if any(len(form) != base.ell // 2 for form in forms):
         raise ValueError("base code components are not half-dimensional")
@@ -321,8 +321,8 @@ def _witness_keys(base: RingCode, maps):
         _Component(base, forms[1], split[:, : sp.m - 1], _lift_matrix(sp)),
     )
     grid = comps[0].admits[:, None, :, None] & comps[1].admits[None, :, None, :]
-    number = np.cumsum(grid) - 1
-    ws, ts = np.split(np.array(grid.nonzero()), 2)
+    cells = np.flatnonzero(grid)
+    ws, ts = np.split(np.array(np.unravel_index(cells, grid.shape)), 2)
     perms = []
     for ring_map in maps:
         moved = [c.act(ring_map) for c in comps]
@@ -330,7 +330,7 @@ def _witness_keys(base: RingCode, maps):
             c.index((c.elements[t] + s[w]) % c.sp.q)
             for c, (_, s), w, t in zip(comps, moved, ws, ts)
         ]
-        perms.append(number[np.ravel_multi_index(image, grid.shape)])
+        perms.append(np.searchsorted(cells, np.ravel_multi_index(image, grid.shape)))
     labels = np.arange(ws.shape[1])
     pulls = perms + [np.argsort(p) for p in perms]
     while True:
