@@ -307,7 +307,8 @@ def _reference_norm_classes(sp):
 
 
 _ARRAY_RINGS = [
-    (2, 3), (2, 5), (2, 7), (2, 11), (3, 5), (3, 7), (4, 5), (4, 7), (5, 2), (5, 3), (5, 7)
+    (2, 3), (2, 5), (2, 7), (2, 11), (3, 5), (3, 7),
+    (4, 5), (4, 7), (5, 2), (5, 3), (5, 7),
 ]
 
 
@@ -320,21 +321,22 @@ def test_norm_classes_match_the_loop(q, m):
 
 
 @st.composite
-def element_lists(draw):
+def element_pairs(draw):
     q, m = draw(st.sampled_from(_ARRAY_RINGS))
     element = st.tuples(*[st.integers(0, q - 1)] * m)
-    size = draw(st.integers(1, 6))
-    return ring(q, m), [draw(st.lists(element, min_size=size, max_size=size)) for _ in "ab"]
+    pairs = st.lists(st.tuples(element, element), min_size=1, max_size=6)
+    return ring(q, m), draw(pairs)
 
 
 @settings(max_examples=200, deadline=None)
-@given(element_lists())
+@given(element_pairs())
 def test_mul_array_matches_mul(case):
-    sp, (xs, ys) = case
+    sp, pairs = case
+    xs, ys = zip(*pairs)
     a, b = np.array(xs, dtype=np.uint8), np.array(ys, dtype=np.uint8)
     rows = sp.mul_array(a, b)
     assert rows.dtype == np.uint8
     assert list(map(tuple, rows.tolist())) == [sp.mul(x, y) for x, y in zip(xs, ys)]
-    table = sp.mul_array(a[:, None], b).tolist()
-    assert [[tuple(e) for e in r] for r in table] == [[sp.mul(x, y) for y in ys] for x in xs]
+    table = [[tuple(e) for e in r] for r in sp.mul_array(a[:, None], b).tolist()]
+    assert table == [[sp.mul(x, y) for y in ys] for x in xs]
     assert list(map(tuple, sp.conj_array(a).tolist())) == list(map(sp.conj, xs))
